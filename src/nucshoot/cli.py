@@ -12,24 +12,24 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .integrator import (DEFAULT_CONFIG, IntegratorConfig, StiffnessError,
-                         integrate_conservative, integrate_radial,
-                         integrate_shifted)
+                         integrate_conservative)
 from .model import (ModelParams, PhasePoint, Regime, classify_regime,
-                    critical_points, exact_coth)
+                    critical_points)
 from .physics import (DEFAULT_SCALES, InsufficientHorizonError,
                       plateau_metrics, profile_table)
 from .portrait import (admissible_contains, admissible_region,
                        energy_sign_grid, level_curves, zero_contour)
 from .serialize import SCHEMA_VERSION, csv_text, json_text, svg_plot, write_text
 from .shooting import (BracketFailureError, NotDecayingError,
-                       PrecisionExhaustedError, ShotClass, bisect_ground_state,
-                       classify_shot, _dissipation_residual)
+                       PrecisionExhaustedError, bisect_ground_state,
+                       classify_shot)
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,7 +72,6 @@ class RunConfig:
     seed: int
     jobs: int | None
     quick: bool
-    corrupt_tolerances: bool
 
     def integrator(self) -> IntegratorConfig:
         return replace(DEFAULT_CONFIG, rtol=self.rtol, atol=self.atol,
@@ -82,25 +81,18 @@ class RunConfig:
         return ModelParams(self.a, self.b)
 
     def resolved(self) -> dict:
-        return {
-            "command": self.command,
-            "a": self.a, "b": self.b, "x": self.x,
-            "rtol": self.rtol, "atol": self.atol, "r_max": self.r_max,
-            "x_tol": self.x_tol,
-            "out_dir": str(self.out_dir),
-            "formats": list(self.formats),
-            "levels": list(self.levels),
-            "resolution": self.resolution,
-            "a_grid": list(self.a_grid), "b_grid": list(self.b_grid),
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "quick": self.quick,
-        }
+        """Every field as plain JSON data: paths as strings, tuples as lists."""
+        def plain(v):
+            if isinstance(v, Path):
+                return str(v)
+            return list(v) if isinstance(v, tuple) else v
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
-_CONFIG_KEYS = {"a", "b", "x", "rtol", "atol", "r_max", "x_tol", "out",
-                "formats", "levels", "resolution", "a_grid", "b_grid",
-                "seed", "jobs", "quick"}
+# config-file keys: every field but the subcommand, with out_dir spelled
+# like its flag
+_CONFIG_KEYS = {"out" if f.name == "out_dir" else f.name
+                for f in fields(RunConfig) if f.name != "command"}
 
 
 def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -130,6 +122,13 @@ def _floats_csv(text: str, parser, what: str) -> tuple[float, ...]:
         parser.error(f"invalid {what}: {text!r}")
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return word == "true"
+
+
 def _resolve(args, parser) -> RunConfig:
     file_vals = _read_config_file(args.config, parser) if args.config else {}
 
@@ -146,20 +145,13 @@ def _resolve(args, parser) -> RunConfig:
         return default
 
     formats = pick("formats", str, "csv,json,svg")
-    if isinstance(formats, str):
-        formats = tuple(tok.strip() for tok in formats.split(",") if tok.strip())
+    formats = tuple(tok.strip() for tok in formats.split(",") if tok.strip())
     for fmt in formats:
         if fmt not in ("csv", "json", "svg"):
             parser.error(f"unknown output format {fmt!r}")
-    levels = pick("levels", str, "0")
-    if isinstance(levels, str):
-        levels = _floats_csv(levels, parser, "levels")
-    a_grid = pick("a_grid", str, "")
-    if isinstance(a_grid, str):
-        a_grid = _floats_csv(a_grid, parser, "a_grid")
-    b_grid = pick("b_grid", str, "")
-    if isinstance(b_grid, str):
-        b_grid = _floats_csv(b_grid, parser, "b_grid")
+    levels = _floats_csv(pick("levels", str, "0"), parser, "levels")
+    a_grid = _floats_csv(pick("a_grid", str, ""), parser, "a_grid")
+    b_grid = _floats_csv(pick("b_grid", str, ""), parser, "b_grid")
 
     rtol = pick("rtol", float, DEFAULT_CONFIG.rtol)
     atol = pick("atol", float, DEFAULT_CONFIG.atol)
@@ -180,15 +172,13 @@ def _resolve(args, parser) -> RunConfig:
         rtol=float(rtol), atol=float(atol), r_max=float(r_max),
         x_tol=float(x_tol),
         out_dir=out_dir,
-        formats=tuple(formats),
-        levels=tuple(levels),
+        formats=formats,
+        levels=levels,
         resolution=int(resolution),
-        a_grid=tuple(a_grid), b_grid=tuple(b_grid),
+        a_grid=a_grid, b_grid=b_grid,
         seed=int(pick("seed", int, _DEFAULT_SEED)),
-        jobs=getattr(args, "jobs", None),
-        quick=bool(getattr(args, "quick", False) or
-                   (str(file_vals.get("quick", "")).lower() == "true")),
-        corrupt_tolerances=bool(getattr(args, "corrupt_tolerances", False)),
+        jobs=pick("jobs", int, None),
+        quick=pick("quick", _parse_bool, False),
     )
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,10 +238,8 @@ def build_parser() -> _Parser:
 
     p_ve = sub.add_parser("verify", help="run the cross-module check suite")
     common(p_ve, needs_ab=False)
-    p_ve.add_argument("--quick", action="store_true", default=False)
-    p_ve.add_argument("--corrupt-tolerances", dest="corrupt_tolerances",
-                      action="store_true", default=False,
-                      help=argparse.SUPPRESS)
+    # default None, not False, so that an absent flag defers to the file
+    p_ve.add_argument("--quick", action="store_true", default=None)
 
     return parser
 
@@ -455,14 +443,10 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]
-    cols = {"a": [], "b": [], "status": [], "x_star": [], "decay_rate": [],
-            "plateau_score": [], "lemma_pass_rate": []}
-    for row in rows:
-        cols["a"].append(row["a"])
-        cols["b"].append(row["b"])
-        cols["status"].append(row["status"])
-        for key in ("x_star", "decay_rate", "plateau_score", "lemma_pass_rate"):
-            cols[key].append(row[key] if key in row else "")
+    # nonexistence and error rows leave the solution cells empty
+    keys = ("a", "b", "status", "x_star", "decay_rate", "plateau_score",
+            "lemma_pass_rate")
+    cols = {key: [row.get(key, "") for row in rows] for key in keys}
     write_text(cfg.out_dir / "sweep.csv", csv_text(cols))
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {len(rows)} rows, {n_ok} solved")
@@ -471,119 +455,12 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
 
 # ---------------------------------------------------------------------- verify
 
-def _eval_on(traj, grid) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [traj.sample_at(float(r)) for r in grid]
-    arr = np.asarray(pairs)
-    return arr[:, 0], arr[:, 1]
-
-
-def _check_coth(cfg: RunConfig) -> tuple[float, float]:
-    params = ModelParams(2.5, 1.0)
-    config = replace(cfg.integrator(), r_max=10.0)
-    traj = integrate_radial(1.0, params, config)
-    grid = np.linspace(config.r_start, 10.0, 2001)
-    fs, gs = _eval_on(traj, grid)
-    exact = [exact_coth(float(r), params) for r in grid]
-    fe = np.asarray([p.f for p in exact])
-    ge = np.asarray([p.g for p in exact])
-    err = float(max(np.max(np.abs(fs - fe)), np.max(np.abs(gs - ge))))
-    return err, 1e-6
-
-
-def _check_drift(cfg: RunConfig) -> tuple[float, float]:
-    params = ModelParams(9.0, 4.0)
-    rng = np.random.default_rng(cfg.seed)
-    config = replace(cfg.integrator(), r_max=50.0)
-    f_corner = math.sqrt(params.a - params.b)
-    worst = 0.0
-    n = 0
-    while n < 20:
-        p0 = PhasePoint(rng.uniform(-f_corner, f_corner), rng.uniform(-1, 1))
-        if not admissible_contains(p0, params):
-            continue
-        n += 1
-        traj = integrate_conservative(p0, params, config)
-        h0 = traj.H[0]
-        drift = float(np.max(np.abs(traj.H - h0)) / (1.0 + abs(h0)))
-        worst = max(worst, drift)
-    return worst, 1e-8
-
-
-def _check_dissipation(cfg: RunConfig) -> tuple[float, float]:
-    params = ModelParams(9.0, 4.0)
-    rng = np.random.default_rng(cfg.seed + 1)
-    config = replace(cfg.integrator(), r_max=20.0)
-    worst = 0.0
-    for _ in range(20):
-        x0 = rng.uniform(0.05, 0.95)
-        traj = integrate_radial(x0, params, config)
-        worst = max(worst, _dissipation_residual(traj))
-    return worst, 1e-4
-
-
-def _check_nonexistence(cfg: RunConfig) -> tuple[float, float]:
-    decayed = 0
-    for a, b in ((4.0, 4.0), (1.0, 4.0), (3.0, 2.0)):
-        params = ModelParams(a, b)
-        config = replace(cfg.integrator(), r_max=200.0)
-        for x in np.linspace(0.0, 1.0, 52)[1:-1]:
-            out = classify_shot(float(x), params, config)
-            if out.shot_class is ShotClass.DECAYED:
-                decayed += 1
-    return float(decayed), 0.0
-
-
-def _check_shifted(cfg: RunConfig) -> tuple[float, float]:
-    params = ModelParams(9.0, 4.0)
-    p0 = PhasePoint(0.3, 0.5)
-    config = replace(cfg.integrator(), r_max=5.0)
-    ref = integrate_conservative(p0, params, config)
-    grid = np.linspace(0.0, 5.0, 501)
-    rf, rg = _eval_on(ref, grid)
-    dists = []
-    for rho in (10.0, 100.0, 1000.0):
-        sh = integrate_shifted(p0, rho, params, config)
-        sf, sg = _eval_on(sh, grid)
-        dists.append(float(max(np.max(np.abs(sf - rf)), np.max(np.abs(sg - rg)))))
-    monotone = dists[0] > dists[1] > dists[2]
-    value = dists[2] if monotone else float("inf")
-    return value, 1e-2
-
-
-def _check_ground_state(cfg: RunConfig) -> tuple[float, float]:
-    params = ModelParams(9.0, 4.0)
-    gs = bisect_ground_state(params, cfg.integrator(), x_tol=cfg.x_tol)
-    lo, hi = gs.bracket
-    ok = (gs.lemma_report.passed
-          and hi - lo <= 1e-10
-          and math.sqrt(8.0 / 9.0) < lo < hi < 1.0)
-    return (hi - lo) if ok else float("inf"), 1e-10
-
-
-_VERIFY_CHECKS = [
-    ("coth_oracle", _check_coth, True),
-    ("conservative_energy_drift", _check_drift, True),
-    ("dissipation_identity", _check_dissipation, True),
-    ("nonexistence_grids", _check_nonexistence, False),
-    ("shifted_convergence", _check_shifted, True),
-    ("ground_state_9_4_audit", _check_ground_state, True),
-]
-
-
 def cmd_verify(cfg: RunConfig, parser) -> int:
     results = []
-    for name, fn, in_quick in _VERIFY_CHECKS:
-        if cfg.quick and not in_quick:
-            continue
-        value, threshold = fn(cfg)
-        if cfg.corrupt_tolerances:
-            # hidden test hook: shrink every tolerance below attainability
-            threshold = threshold * 1e-8 - 1e-300
-        passed = value <= threshold
-        results.append({"name": name, "passed": bool(passed),
-                        "value": value, "threshold": threshold})
-        print(f"{name}: {'pass' if passed else 'FAIL'} "
-              f"(value {value:.3e}, threshold {threshold:.3e})")
+    for res in run_checks(cfg.integrator(), cfg.seed, cfg.x_tol, quick=cfg.quick):
+        results.append(res)
+        print(f"{res['name']}: {'pass' if res['passed'] else 'FAIL'} "
+              f"(value {res['value']:.3e}, threshold {res['threshold']:.3e})")
     all_passed = all(r["passed"] for r in results)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -602,18 +479,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _resolve(args, parser)
-    if args.command == "ground-state":
-        return cmd_ground_state(cfg, parser)
-    if args.command == "classify":
-        return cmd_classify(cfg, parser)
-    if args.command == "portrait":
-        return cmd_portrait(cfg, parser)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, parser)
-    if args.command == "verify":
-        return cmd_verify(cfg, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    commands = {"ground-state": cmd_ground_state, "classify": cmd_classify,
+                "portrait": cmd_portrait, "sweep": cmd_sweep, "verify": cmd_verify}
+    return commands[args.command](cfg, parser)
 
 
 def run() -> None:

@@ -1,11 +1,12 @@
 """Adaptive embedded Runge-Kutta integration for the radial system.
 
 A classic Dormand-Prince 5(4) pair drives all three flows (singular
-radial, autonomous companion, shifted-friction).  Step size is governed
-by a proportional-integral controller on the embedded error estimate;
-every accepted step stores a quartic dense-output segment so events can
-be localized by bracketed root solving on the interpolant and
-trajectories can be resampled at arbitrary radii.
+radial, autonomous companion, shifted-friction): they are the one field
+`model.vector_field` at friction shift rho = 0, inf and rho > 0.  Step
+size is governed by a proportional-integral controller on the embedded
+error estimate; every accepted step stores a quartic dense-output
+segment so events can be localized by bracketed root solving on the
+interpolant and trajectories can be resampled at arbitrary radii.
 
 The r = 0 singularity of the radial system is never evaluated: the run
 starts at a small handoff radius r_start from the second-order Taylor
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PhasePoint
+from .model import ModelParams, PhasePoint, energy, vector_field
 
 __all__ = [
     "IntegratorConfig",
@@ -193,21 +194,17 @@ class Trajectory:
     """
 
     def __init__(self, r, f, g, params: ModelParams, x0: float,
-                 termination: Termination, segments=None, series=None,
-                 config: IntegratorConfig | None = None):
+                 termination: Termination, segments=None, series=None):
         self.r = np.asarray(r, dtype=float)
         self.f = np.asarray(f, dtype=float)
         self.g = np.asarray(g, dtype=float)
         self.params = params
         self.x0 = float(x0)
         self.termination = termination
-        self.config = config
         self._segments = segments or []
         self._seg_starts = np.array([s[0] for s in self._segments]) if segments else None
         self._series = series  # (c1, d2) Taylor coefficients on [0, r_start)
-        g2 = self.g * self.g
-        f2 = self.f * self.f
-        self.H = 0.5 * f2 * (1.0 - g2) + 0.25 * params.a * g2 * g2 - 0.5 * params.b * g2
+        self.H = energy(self.f, self.g, params)
 
     @property
     def samples(self) -> np.ndarray:
@@ -252,9 +249,7 @@ class Trajectory:
         return grid, fs, gs
 
     def hamiltonian_of(self, f, g) -> np.ndarray:
-        g2 = np.asarray(g) ** 2
-        f2 = np.asarray(f) ** 2
-        return 0.5 * f2 * (1.0 - g2) + 0.25 * self.params.a * g2 * g2 - 0.5 * self.params.b * g2
+        return energy(np.asarray(f), np.asarray(g), self.params)
 
     def mirrored(self) -> "Trajectory":
         """The sign-mapped trajectory (f, g) -> (-f, -g), same radii."""
@@ -262,20 +257,19 @@ class Trajectory:
                 for (r0, h, f0, g0, qf, qg) in self._segments] or None
         series = (-self._series[0], -self._series[1]) if self._series else None
         return Trajectory(self.r.copy(), -self.f, -self.g, self.params, -self.x0,
-                          self.termination, segs, series, self.config)
+                          self.termination, segs, series)
 
 
 def series_start(x0: float, params: ModelParams, r_start: float) -> PhasePoint:
     """Second-order Taylor state of the regular radial solution at r_start."""
     if r_start <= 0.0:
         raise ValueError("series handoff radius must be positive")
-    c1 = x0 * (params.b - params.a * x0 * x0) / 3.0      # f'(0)
-    f = c1 * r_start
-    g = x0 + 0.5 * c1 * (1.0 - x0 * x0) * r_start * r_start
-    return PhasePoint(f, g, r_start)
+    c1, d2 = _series_coeffs(x0, params)
+    return PhasePoint(c1 * r_start, x0 + d2 * r_start * r_start, r_start)
 
 
 def _series_coeffs(x0: float, params: ModelParams) -> tuple[float, float]:
+    """(f'(0), g''(0)/2) of the regular solution from g(0) = x0."""
     c1 = x0 * (params.b - params.a * x0 * x0) / 3.0
     return c1, 0.5 * c1 * (1.0 - x0 * x0)
 
@@ -293,15 +287,15 @@ def _bisect_root(fun, lo: float, hi: float, vlo: float, xtol: float) -> float:
     return hi
 
 
-def _run_dopri(deriv, r0: float, f0: float, g0: float, r_end: float,
-               cfg: IntegratorConfig, event_fns, blowup_threshold: float):
-    """Core stepper.  Returns (rs, fs, gs, segments, termination).
+def _run_dopri(deriv, r0: float, f0: float, g0: float,
+               cfg: IntegratorConfig, event_fns=()):
+    """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
     (key, direction, value_fn, r_floor) tuples evaluated on accepted steps.
     """
     rtol, atol = cfg.rtol, cfg.atol
-    h_max = cfg.h_max
+    h_max, r_end, blowup_threshold = cfg.h_max, cfg.r_max, cfg.blowup_threshold
     h = min(cfg.h_init, h_max, (r_end - r0))
     if h <= 0.0:
         raise ValueError("empty integration span")
@@ -476,16 +470,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, r_end: float,
     return rs, fs, gs, segments, terminated
 
 
-def _decay_value(spec: EventSpec):
-    eps = spec.eps_decay
-
-    def val(r, f, g):
-        return abs(f) + abs(g) - eps
-
-    return val
-
-
-def _event_functions(events, params: ModelParams, radial_deriv):
+def _event_functions(events, radial_deriv):
     fns = []
     for i, spec in enumerate(events):
         key = (i, spec.kind)
@@ -496,7 +481,8 @@ def _event_functions(events, params: ModelParams, radial_deriv):
         elif spec.kind is EventKind.G_SQUARED_REACHES_ONE:
             fns.append((key, spec.direction, lambda r, f, g: g * g - 1.0, 0.0))
         elif spec.kind is EventKind.DECAY_DETECTED:
-            fns.append((key, -1, _decay_value(spec), spec.r_min))
+            fns.append((key, -1, lambda r, f, g, eps=spec.eps_decay: abs(f) + abs(g) - eps,
+                        spec.r_min))
         elif spec.kind is EventKind.F_PRIME_CROSSES_ZERO:
             fns.append((key, spec.direction,
                         lambda r, f, g: radial_deriv(r, f, g)[0], 0.0))
@@ -514,37 +500,24 @@ def integrate_radial(x0: float, params: ModelParams,
     so a tie flags numerical ambiguity, not physics).
     """
     cfg = config or DEFAULT_CONFIG
-    a, b = params.a, params.b
-
-    def deriv(r, f, g):
-        return (-(2.0 / r) * f + g * (f * f - a * g * g + b),
-                f * (1.0 - g * g))
-
+    deriv = vector_field(params)
     c1, d2 = _series_coeffs(x0, params)
     p1 = series_start(x0, params, cfg.r_start)
-
-    raw_events = _event_functions(events, params, deriv)
-    rs, fs, gs, segs, term = _run_dopri(deriv, cfg.r_start, p1.f, p1.g,
-                                        cfg.r_max, cfg, raw_events,
-                                        cfg.blowup_threshold)
+    rs, fs, gs, segs, term = _run_dopri(deriv, cfg.r_start, p1.f, p1.g, cfg,
+                                        _event_functions(events, deriv))
     rs = [0.0] + rs
     fs = [0.0] + fs
     gs = [x0] + gs
-    return Trajectory(rs, fs, gs, params, x0, term, segs, (c1, d2), cfg)
+    return Trajectory(rs, fs, gs, params, x0, term, segs, (c1, d2))
 
 
 def integrate_conservative(p0: PhasePoint, params: ModelParams,
                            config: IntegratorConfig | None = None) -> Trajectory:
-    """Solve the autonomous companion system from an arbitrary point."""
-    cfg = config or DEFAULT_CONFIG
-    a, b = params.a, params.b
+    """Solve the autonomous companion system from an arbitrary point.
 
-    def deriv(r, f, g):
-        return (g * (f * f - a * g * g + b), f * (1.0 - g * g))
-
-    rs, fs, gs, segs, term = _run_dopri(deriv, 0.0, p0.f, p0.g, cfg.r_max,
-                                        cfg, [], cfg.blowup_threshold)
-    return Trajectory(rs, fs, gs, params, p0.g, term, segs, None, cfg)
+    This is the shifted system at rho = inf, where the friction vanishes.
+    """
+    return integrate_shifted(p0, math.inf, params, config)
 
 
 def integrate_shifted(p0: PhasePoint, rho: float, params: ModelParams,
@@ -558,12 +531,6 @@ def integrate_shifted(p0: PhasePoint, rho: float, params: ModelParams,
     if rho <= 0.0:
         raise ValueError("shift rho must be positive")
     cfg = config or DEFAULT_CONFIG
-    a, b = params.a, params.b
-
-    def deriv(r, f, g):
-        return (-(2.0 / (rho + r)) * f + g * (f * f - a * g * g + b),
-                f * (1.0 - g * g))
-
-    rs, fs, gs, segs, term = _run_dopri(deriv, 0.0, p0.f, p0.g, cfg.r_max,
-                                        cfg, [], cfg.blowup_threshold)
-    return Trajectory(rs, fs, gs, params, p0.g, term, segs, None, cfg)
+    rs, fs, gs, segs, term = _run_dopri(vector_field(params, rho), 0.0,
+                                        p0.f, p0.g, cfg)
+    return Trajectory(rs, fs, gs, params, p0.g, term, segs)

@@ -12,7 +12,7 @@ the autonomous companion system, which is Hamiltonian with energy
     H(f, g) = f^2 (1 - g^2) / 2 + a g^4 / 4 - b g^2 / 2.
 
 This module holds the parameter container with its regime taxonomy, the
-two vector fields, the energy and its gradient, the critical-point
+vector field, the energy and its gradient, the critical-point
 catalog, the two closed-form solutions (the zero solution and the
 g == 1 hyperbolic-cotangent profile), and the map from physical scales
 to (a, b).
@@ -32,8 +32,10 @@ __all__ = [
     "CriticalPoint",
     "SingularRadiusError",
     "classify_regime",
+    "vector_field",
     "rhs_radial",
     "rhs_conservative",
+    "energy",
     "hamiltonian",
     "hamiltonian_gradient",
     "critical_points",
@@ -140,39 +142,51 @@ def classify_regime(params: ModelParams, tol: float = REGIME_TOL) -> Regime:
     return Regime.SUBCRITICAL
 
 
+def vector_field(params: ModelParams, rho: float = 0.0):
+    """The field (f', g') with friction 2/(rho + r), as a closure deriv(r, f, g).
+
+    Exact in IEEE arithmetic for all three flows: rho = 0 is the radial
+    system (r > 0), rho > 0 the shifted one, rho = inf the companion one.
+    """
+    a, b = params.a, params.b
+
+    def deriv(r, f, g):
+        return (-(2.0 / (rho + r)) * f + g * (f * f - a * g * g + b),
+                f * (1.0 - g * g))
+
+    return deriv
+
+
 def rhs_radial(r: float, p: PhasePoint, params: ModelParams) -> tuple[float, float]:
     """Velocity (f', g') of the singular radial system at radius r > 0."""
     if r <= 0.0:
         raise SingularRadiusError(
             "radial field is singular at r <= 0; start from the series state"
         )
-    f, g = p.f, p.g
-    df = -(2.0 / r) * f + g * (f * f - params.a * g * g + params.b)
-    dg = f * (1.0 - g * g)
-    return (df, dg)
+    return vector_field(params)(r, p.f, p.g)
 
 
 def rhs_conservative(p: PhasePoint, params: ModelParams) -> tuple[float, float]:
     """Velocity of the autonomous companion system (no 2f/r friction)."""
-    f, g = p.f, p.g
-    df = g * (f * f - params.a * g * g + params.b)
-    dg = f * (1.0 - g * g)
-    return (df, dg)
+    return vector_field(params, math.inf)(0.0, p.f, p.g)
 
 
-def hamiltonian(p: PhasePoint, params: ModelParams) -> float:
-    """Conserved energy of the companion system."""
-    f2 = p.f * p.f
-    g2 = p.g * p.g
+def energy(f, g, params: ModelParams):
+    """H(f, g) of the companion system; f and g may be floats or arrays."""
+    f2 = f * f
+    g2 = g * g
     return 0.5 * f2 * (1.0 - g2) + 0.25 * params.a * g2 * g2 - 0.5 * params.b * g2
 
 
+def hamiltonian(p: PhasePoint, params: ModelParams) -> float:
+    """Conserved energy of the companion system at a phase point."""
+    return energy(p.f, p.g, params)
+
+
 def hamiltonian_gradient(p: PhasePoint, params: ModelParams) -> tuple[float, float]:
-    """(dH/df, dH/dg) in closed form."""
-    f, g = p.f, p.g
-    df = f * (1.0 - g * g)
-    dg = -f * f * g + params.a * g ** 3 - params.b * g
-    return (df, dg)
+    """(dH/df, dH/dg) = (g', -f') of the companion flow, which is Hamiltonian."""
+    df, dg = rhs_conservative(p, params)
+    return (dg, -df)
 
 
 def critical_points(params: ModelParams) -> list[CriticalPoint]:

@@ -74,14 +74,18 @@ class PlateauMetrics:
     gsq_max: float
 
 
-def densities(p: PhasePoint) -> tuple[float, float]:
-    """Scalar and baryon densities (rho_s, rho_0) = (g^2 - f^2, g^2 + f^2)."""
+def densities(p: PhasePoint | Trajectory) -> tuple[float, float]:
+    """Scalar and baryon densities (rho_s, rho_0) = (g^2 - f^2, g^2 + f^2).
+
+    Like `potentials`, takes anything with f and g attributes: a phase
+    point gives floats, a trajectory gives arrays along its samples.
+    """
     fsq = p.f * p.f
     gsq = p.g * p.g
     return gsq - fsq, gsq + fsq
 
 
-def potentials(p: PhasePoint, scales: PhysicalScales,
+def potentials(p: PhasePoint | Trajectory, scales: PhysicalScales,
                params: ModelParams) -> tuple[float, float, float, float]:
     """Leading-order meson potentials (S, V, V+S, V-S) at a phase point.
 
@@ -151,9 +155,8 @@ def radial_norm(traj: Trajectory) -> tuple[float, float]:
     DivergentNormError.
     """
     r = traj.r
-    fsq = traj.f ** 2
-    gsq = traj.g ** 2
-    if float(np.max(fsq + gsq)) == 0.0:
+    rho_s, rho_0 = densities(traj)
+    if float(np.max(rho_0)) == 0.0:
         return 0.0, 0.0
     try:
         rate, _C, _resid = fit_decay_rate(traj)
@@ -163,8 +166,6 @@ def radial_norm(traj: Trajectory) -> tuple[float, float]:
     lam = 2.0 * rate
     r_end = float(r[-1])
     tail_weight = (r_end * r_end / lam + 2.0 * r_end / lam ** 2 + 2.0 / lam ** 3)
-    rho_0 = gsq + fsq
-    rho_s = gsq - fsq
     norm_0 = np.trapezoid(rho_0 * r * r, r) + float(rho_0[-1]) * tail_weight
     norm_s = np.trapezoid(rho_s * r * r, r) + float(rho_s[-1]) * tail_weight
     return float(4.0 * math.pi * norm_0), float(4.0 * math.pi * norm_s)
@@ -174,22 +175,19 @@ def profile_table(traj: Trajectory, scales: PhysicalScales,
                   params: ModelParams) -> dict[str, np.ndarray]:
     """Column table of the physics profile along the trajectory samples."""
     f, g = traj.f, traj.g
-    fsq = f * f
-    gsq = g * g
-    m, c = scales.m, scales.c
-    s_pot = -m * c * c * gsq + fsq / (4.0 * m)
-    v_pot = m * c * c * gsq - params.a * gsq / (2.0 * m) + fsq / (4.0 * m)
+    rho_s, rho_0 = densities(traj)
+    s_pot, v_pot, v_plus_s, v_minus_s = potentials(traj, scales, params)
     return {
         "r": traj.r,
         "f": f,
         "g": g,
-        "f_squared": fsq,
-        "g_squared": gsq,
-        "rho_s": gsq - fsq,
-        "rho_0": gsq + fsq,
+        "f_squared": f * f,
+        "g_squared": g * g,
+        "rho_s": rho_s,
+        "rho_0": rho_0,
         "S": s_pot,
         "V": v_pot,
-        "V_plus_S": fsq / (2.0 * m) - params.a * gsq / (2.0 * m),
-        "V_minus_S": 2.0 * m * c * c * gsq - params.a * gsq / (2.0 * m),
+        "V_plus_S": v_plus_s,
+        "V_minus_S": v_minus_s,
         "H": traj.H,
     }

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PhasePoint, Regime, classify_regime, REGIME_TOL
+from .model import ModelParams, PhasePoint, Regime, classify_regime, energy
 
 __all__ = [
     "Branch",
@@ -305,6 +305,4 @@ def energy_sign_grid(params: ModelParams, f_range: tuple[float, float],
     fs = np.linspace(f_range[0], f_range[1], n)
     gs = np.linspace(g_range[0], g_range[1], n)
     F, G = np.meshgrid(fs, gs)
-    G2 = G * G
-    H = 0.5 * F * F * (1.0 - G2) + 0.25 * params.a * G2 * G2 - 0.5 * params.b * G2
-    return fs, gs, H
+    return fs, gs, energy(F, G, params)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 SCHEMA_VERSION = "nucshoot/1"
 

@@ -37,6 +37,7 @@ __all__ = [
     "seed_bracket",
     "bisect_ground_state",
     "fit_decay_rate",
+    "dissipation_residual",
     "audit_lemmas",
 ]
 
@@ -348,18 +349,9 @@ def fit_decay_rate(traj: Trajectory, window: float = 0.5):
     amp = np.abs(traj.f) + np.abs(traj.g)
     if amp.max() == 0.0:
         raise NotDecayingError("trajectory is identically zero")
-    n = len(amp)
-    k = n - 1
-    while k > 0 and amp[k - 1] > amp[k]:
-        k -= 1
-    if n - k < 20:
-        raise NotDecayingError(
-            f"decreasing tail has only {n - k} samples (need 20)")
-    r_s, r_e = r[k], r[-1]
-    cut = r_e - window * (r_e - r_s)
-    sel = slice(k + int(np.searchsorted(r[k:], cut)), n)
-    rs = r[sel]
-    ls = np.log(amp[sel])
+    k0 = _tail_start(r, amp, window)
+    rs = r[k0:]
+    ls = np.log(amp[k0:])
     if len(rs) < 20:
         raise NotDecayingError(
             f"fit window holds only {len(rs)} samples (need 20)")
@@ -370,7 +362,20 @@ def fit_decay_rate(traj: Trajectory, window: float = 0.5):
     return float(-slope), float(math.exp(intercept)), resid
 
 
-def _dissipation_residual(traj: Trajectory) -> float:
+def _tail_start(r: np.ndarray, amp: np.ndarray, window: float) -> int:
+    """First index of the trailing `window` fraction (in radius) of the
+    maximal strictly-decreasing suffix of amp, the decay-fit window."""
+    k = len(amp) - 1
+    while k > 0 and amp[k - 1] > amp[k]:
+        k -= 1
+    if len(amp) - k < 20:
+        raise NotDecayingError(
+            f"decreasing tail has only {len(amp) - k} samples (need 20)")
+    cut = r[-1] - window * (r[-1] - r[k])
+    return k + int(np.searchsorted(r[k:], cut))
+
+
+def dissipation_residual(traj: Trajectory) -> float:
     """Sup-norm ratio of d/dr H against -(2/r) f^2 (1 - g^2).
 
     Measured on a uniform resampling with central differences, masked to
@@ -415,7 +420,7 @@ def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
     zero = bool(amp.max() == 0.0)
     checks: list[LemmaCheck] = []
 
-    v = _dissipation_residual(traj)
+    v = dissipation_residual(traj)
     checks.append(LemmaCheck("energy_dissipation", v <= 1e-4, v, 1e-4))
 
     v = float(gsq.max())
@@ -459,12 +464,7 @@ def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
             # must not increase across the fitted tail window
             env = amp * np.exp(K * r)
             c_global = float(np.max(env))
-            k = len(amp) - 1
-            while k > 0 and amp[k - 1] > amp[k]:
-                k -= 1
-            cut = r[-1] - 0.5 * (r[-1] - r[k])
-            k0 = k + int(np.searchsorted(r[k:], cut))
-            tail = env[k0:]
+            tail = env[_tail_start(r, amp, 0.5):]
             if len(tail) > 1:
                 growth = float(np.max(np.diff(tail) / np.maximum(tail[:-1], 1e-300)))
             else:

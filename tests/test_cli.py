@@ -1,9 +1,11 @@
 """Command-line driver: exit codes, artifacts, precedence, determinism."""
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from nucshoot import verify
 from nucshoot.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_REGIME, EXIT_USAGE, main)
 
@@ -124,6 +126,16 @@ def test_portrait_artifacts(tmp_path):
     assert "<polyline" in svg and "<circle" in svg
 
 
+def test_portrait_reruns_are_byte_identical(tmp_path):
+    argv = ["portrait", "--a", "9", "--b", "4", "--resolution", "60",
+            "--levels=-0.2,0,0.1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(first) == 5
+    assert main(argv) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
 def test_portrait_format_selection(tmp_path):
     code = main(["portrait", "--a", "9", "--b", "4", "--resolution", "40",
                  "--formats", "svg", "--out", str(tmp_path)])
@@ -194,9 +206,12 @@ def test_verify_quick(tmp_path, capsys):
         assert check["value"] <= check["threshold"]
 
 
-def test_verify_corrupted_tolerances_fail(tmp_path):
-    code = main(["verify", "--quick", "--corrupt-tolerances",
-                 "--out", str(tmp_path)])
+def test_verify_corrupted_tolerances_fail(tmp_path, monkeypatch):
+    # shrink every threshold below attainability: all values are >= 0
+    corrupted = tuple(replace(c, threshold=c.threshold * 1e-8 - 1e-300)
+                      for c in verify.CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", corrupted)
+    code = main(["verify", "--quick", "--out", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED
     payload = json.loads((tmp_path / "verify_report.json").read_text())
     assert payload["all_passed"] is False
@@ -235,4 +250,24 @@ def test_config_file_rejections(tmp_path):
     assert _usage_exit(["classify", "--config", str(bad_line),
                         "--out", str(tmp_path)]) == EXIT_USAGE
     assert _usage_exit(["classify", "--config", str(tmp_path / "missing.cfg"),
+                        "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_config_file_jobs_is_honoured(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("a = 9\nb = 4\nx = 0.8\njobs = 1\n")
+    assert main(["classify", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
+
+
+def test_config_file_quick_is_parsed_strictly(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    for word, want in (("true", True), ("False", False)):
+        cfgfile.write_text(f"a = 9\nb = 4\nx = 0.8\nquick = {word}\n")
+        assert main(["classify", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["quick"] is want
+    cfgfile.write_text("a = 9\nb = 4\nx = 0.8\nquick = yes\n")
+    assert _usage_exit(["classify", "--config", str(cfgfile),
                         "--out", str(tmp_path)]) == EXIT_USAGE
