@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PhasePoint, energy, vector_field
+from .model import ModelParams, PhasePoint, energy, trap_energy, vector_field
 
 __all__ = [
     "IntegratorConfig",
@@ -83,6 +83,7 @@ class EventKind(enum.Enum):
     G_SQUARED_REACHES_ONE = "GSquaredReachesOne"
     DECAY_DETECTED = "DecayDetected"
     F_PRIME_CROSSES_ZERO = "FPrimeCrossesZero"
+    ENERGY_BARRIER = "EnergyBarrier"
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,9 @@ class EventSpec:
     -1 on a falling one, 0 on either.  eps_decay / r_min apply to
     DecayDetected only: it fires once |f| + |g| drops below eps_decay at
     some radius beyond r_min (the floor suppresses false positives near
-    r = 0 where f is small by construction).
+    r = 0 where f is small by construction).  EnergyBarrier fires once
+    H falls to model.trap_energy or below, already at the start radius
+    if the initial state is there; it ignores direction.
     """
 
     kind: EventKind
@@ -292,7 +295,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
-    (key, direction, value_fn, r_floor) tuples evaluated on accepted steps.
+    (kind, direction, value_fn, r_floor, level) tuples evaluated on
+    accepted steps.  A level event whose value is already <= 0 at r0
+    ends the run there, before the first step.
     """
     rtol, atol = cfg.rtol, cfg.atol
     h_max, r_end, blowup_threshold = cfg.h_max, cfg.r_max, cfg.blowup_threshold
@@ -306,10 +311,13 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     segments = []
 
     r, f, g = r0, f0, g0
+    prev_vals = [vfn(r, f, g) if r > r_floor else None
+                 for _, _, vfn, r_floor, _ in event_fns]
+    at_start = tuple(kind for (kind, _, _, _, level), v in zip(event_fns, prev_vals)
+                     if level and v is not None and v <= 0.0)
+    if at_start:
+        return rs, fs, gs, segments, Termination(TerminationKind.EVENT, r0, at_start)
     kf1, kg1 = deriv(r, f, g)
-    prev_vals = {}
-    for key, direction, vfn, r_floor in event_fns:
-        prev_vals[key] = vfn(r, f, g) if r > r_floor else None
 
     err_prev = 1e-4
     n_reject = 0
@@ -383,9 +391,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         def dense_state(rv, _seg=seg):
             return _segment_eval(_seg, rv)
 
-        for key, direction, vfn, r_floor in event_fns:
+        for i, (_, direction, vfn, r_floor, _) in enumerate(event_fns):
             lo = r
-            v_lo = prev_vals[key]
+            v_lo = prev_vals[i]
             if r_floor > 0.0 and lo <= r_floor:
                 if r1 <= r_floor:
                     continue
@@ -393,7 +401,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                 flo, glo = dense_state(lo)
                 v_lo = vfn(lo, flo, glo)
             v_hi = vfn(r1, f5, g5)
-            prev_vals[key] = v_hi
+            prev_vals[i] = v_hi
             if v_lo is None:
                 continue
             # probe interior points so a double crossing inside one step
@@ -405,8 +413,8 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                 fp, gp = dense_state(rp)
                 vs.append(vfn(rp, fp, gp))
             vs.append(v_hi)
-            for i in range(len(xs) - 1):
-                va, vb = vs[i], vs[i + 1]
+            for j in range(len(xs) - 1):
+                va, vb = vs[j], vs[j + 1]
                 if va == 0.0:
                     continue
                 rising = va < 0.0 <= vb
@@ -415,8 +423,8 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                     def ev(rv, _vfn=vfn):
                         fv, gv = dense_state(rv)
                         return _vfn(rv, fv, gv)
-                    r_loc = _bisect_root(ev, xs[i], xs[i + 1], va, _EVENT_DR)
-                    candidates.append((r_loc, key))
+                    r_loc = _bisect_root(ev, xs[j], xs[j + 1], va, _EVENT_DR)
+                    candidates.append((r_loc, i))
                     break
 
         size1 = abs(f5) + abs(g5)
@@ -429,18 +437,18 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                 r_loc = _bisect_root(ev_blow, r, r1, v0, _EVENT_DR)
             else:
                 r_loc = r
-            candidates.append((r_loc, "blowup"))
+            candidates.append((r_loc, None))
 
         if candidates:
             candidates.sort(key=lambda c: c[0])
             r_stop = candidates[0][0]
-            tied = [k for (rv, k) in candidates if rv - r_stop <= _TIE_DR]
+            tied = [i for (rv, i) in candidates if rv - r_stop <= _TIE_DR]
             f_stop, g_stop = dense_state(r_stop)
             segments.append(seg)
             rs.append(r_stop)
             fs.append(f_stop)
             gs.append(g_stop)
-            ev_kinds = tuple(k[1] for k in tied if k != "blowup")
+            ev_kinds = tuple(event_fns[i][0] for i in tied if i is not None)
             if ev_kinds:
                 terminated = Termination(TerminationKind.EVENT, r_stop, ev_kinds)
             else:
@@ -470,22 +478,25 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     return rs, fs, gs, segments, terminated
 
 
-def _event_functions(events, radial_deriv):
+def _event_functions(events, params: ModelParams, radial_deriv):
     fns = []
-    for i, spec in enumerate(events):
-        key = (i, spec.kind)
-        if spec.kind is EventKind.F_CROSSES_ZERO:
-            fns.append((key, spec.direction, lambda r, f, g: f, 0.0))
-        elif spec.kind is EventKind.G_CROSSES_ZERO:
-            fns.append((key, spec.direction, lambda r, f, g: g, 0.0))
-        elif spec.kind is EventKind.G_SQUARED_REACHES_ONE:
-            fns.append((key, spec.direction, lambda r, f, g: g * g - 1.0, 0.0))
-        elif spec.kind is EventKind.DECAY_DETECTED:
-            fns.append((key, -1, lambda r, f, g, eps=spec.eps_decay: abs(f) + abs(g) - eps,
-                        spec.r_min))
-        elif spec.kind is EventKind.F_PRIME_CROSSES_ZERO:
-            fns.append((key, spec.direction,
-                        lambda r, f, g: radial_deriv(r, f, g)[0], 0.0))
+    for spec in events:
+        kind, direction = spec.kind, spec.direction
+        if kind is EventKind.F_CROSSES_ZERO:
+            fns.append((kind, direction, lambda r, f, g: f, 0.0, False))
+        elif kind is EventKind.G_CROSSES_ZERO:
+            fns.append((kind, direction, lambda r, f, g: g, 0.0, False))
+        elif kind is EventKind.G_SQUARED_REACHES_ONE:
+            fns.append((kind, direction, lambda r, f, g: g * g - 1.0, 0.0, False))
+        elif kind is EventKind.DECAY_DETECTED:
+            fns.append((kind, -1, lambda r, f, g, eps=spec.eps_decay: abs(f) + abs(g) - eps,
+                        spec.r_min, False))
+        elif kind is EventKind.F_PRIME_CROSSES_ZERO:
+            fns.append((kind, direction,
+                        lambda r, f, g: radial_deriv(r, f, g)[0], 0.0, False))
+        elif kind is EventKind.ENERGY_BARRIER:
+            fns.append((kind, -1, lambda r, f, g, h=trap_energy(params):
+                        energy(f, g, params) - h, 0.0, True))
     return fns
 
 
@@ -504,7 +515,7 @@ def integrate_radial(x0: float, params: ModelParams,
     c1, d2 = _series_coeffs(x0, params)
     p1 = series_start(x0, params, cfg.r_start)
     rs, fs, gs, segs, term = _run_dopri(deriv, cfg.r_start, p1.f, p1.g, cfg,
-                                        _event_functions(events, deriv))
+                                        _event_functions(events, params, deriv))
     rs = [0.0] + rs
     fs = [0.0] + fs
     gs = [x0] + gs

@@ -12,10 +12,10 @@ the autonomous companion system, which is Hamiltonian with energy
     H(f, g) = f^2 (1 - g^2) / 2 + a g^4 / 4 - b g^2 / 2.
 
 This module holds the parameter container with its regime taxonomy, the
-vector field, the energy and its gradient, the critical-point
-catalog, the two closed-form solutions (the zero solution and the
-g == 1 hyperbolic-cotangent profile), and the map from physical scales
-to (a, b).
+vector field, the energy with its trap level and its gradient, the
+critical-point catalog, the two closed-form solutions (the zero solution
+and the g == 1 hyperbolic-cotangent profile), and the map from physical
+scales to (a, b).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "rhs_radial",
     "rhs_conservative",
     "energy",
+    "trap_energy",
     "hamiltonian",
     "hamiltonian_gradient",
     "critical_points",
@@ -176,6 +177,23 @@ def energy(f, g, params: ModelParams):
     f2 = f * f
     g2 = g * g
     return 0.5 * f2 * (1.0 - g2) + 0.25 * params.a * g2 * g2 - 0.5 * params.b * g2
+
+
+# Margin below the trap level, like shooting's set-I energy tolerance: a
+# shot whose H only touches the level within round-off is not trapped.
+_TRAP_MARGIN = 1e-8
+
+
+def trap_energy(params: ModelParams) -> float:
+    """H_trap = min(0, (a - 2b)/4) minus a 1e-8 margin.
+
+    While g^2 <= 1, H does not increase along radial shots; H >= 0 on the
+    line g = 0 and H = (a - 2b)/4 on g^2 = 1.  So a shot inside 0 < g < 1
+    whose H falls below H_trap stays in a compact well there for good: it
+    never reaches g = 0, never decays to (0, 0) (H = 0) and never blows up.
+    The well is empty for a <= b.
+    """
+    return min(0.0, 0.25 * (params.a - 2.0 * params.b)) - _TRAP_MARGIN
 
 
 def hamiltonian(p: PhasePoint, params: ModelParams) -> float:

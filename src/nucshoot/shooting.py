@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, Regime, classify_regime, exact_trivial
+from .model import ModelParams, Regime, classify_regime, exact_trivial, trap_energy
 from .integrator import (IntegratorConfig, DEFAULT_CONFIG, EventKind, EventSpec,
                          TerminationKind, Trajectory, integrate_radial)
 from .portrait import winding_count, UndefinedLiftError
@@ -59,6 +59,7 @@ class ShotClass(enum.Enum):
     IN_SET_I = "InSetI"
     G_VANISHED_FIRST = "GVanishedFirst"
     TRAPPED = "Trapped"
+    ENERGY_TRAPPED = "EnergyTrapped"
     DECAYED = "Decayed"
     BLOWUP = "Blowup"
     UNDETERMINED = "Undetermined"
@@ -122,6 +123,9 @@ def default_events(x0: float, params: ModelParams) -> tuple[EventSpec, ...]:
     i.e. sqrt(b/a) < x0 < 1 where f starts out negative; elsewhere a
     rising f-zero carries no information.  GSquaredReachesOne is armed
     for 0 < x0 < 1 (starting on or beyond g^2 = 1 makes it meaningless).
+    EnergyBarrier is armed only where no ground state exists but the trap
+    well does (b < a <= 2b) and FCrossesZero is not armed (0 < x0 <=
+    sqrt(b/a)), so it never pre-empts the I / non-I decision of a search.
     """
     sb = math.sqrt(params.b / params.a)
     events = [EventSpec(EventKind.G_CROSSES_ZERO, direction=-1),
@@ -130,6 +134,8 @@ def default_events(x0: float, params: ModelParams) -> tuple[EventSpec, ...]:
         events.append(EventSpec(EventKind.F_CROSSES_ZERO, direction=+1))
     if 0.0 < x0 < 1.0:
         events.append(EventSpec(EventKind.G_SQUARED_REACHES_ONE, direction=+1))
+    if params.b < params.a <= 2.0 * params.b and 0.0 < x0 <= sb:
+        events.append(EventSpec(EventKind.ENERGY_BARRIER))
     return tuple(events)
 
 
@@ -199,6 +205,11 @@ def classify_shot(x0: float, params: ModelParams,
         return ShotOutcome(x0, ShotClass.TRAPPED, r_x, g_rx, H_rx, traj)
     if kind is EventKind.DECAY_DETECTED:
         return ShotOutcome(x0, ShotClass.DECAYED, r_x, g_rx, H_rx, traj)
+    if kind is EventKind.ENERGY_BARRIER:
+        # the certificate: H at or below the trap level inside the strip
+        ok = 0.0 < g_rx < 1.0 and H_rx <= trap_energy(params)
+        cls = ShotClass.ENERGY_TRAPPED if ok else ShotClass.UNDETERMINED
+        return ShotOutcome(x0, cls, r_x, g_rx, H_rx, traj)
     return ShotOutcome(x0, ShotClass.UNDETERMINED, r_x, g_rx, H_rx, traj)
 
 

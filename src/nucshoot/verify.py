@@ -82,15 +82,16 @@ def _dissipation(config: IntegratorConfig, seed: int, x_tol: float) -> float:
 
 
 def _nonexistence(config: IntegratorConfig, seed: int, x_tol: float) -> float:
-    """Number of decaying shots on grids where a <= 2b forbids them."""
+    """Number of decaying or undecided shots on grids where a <= 2b forbids
+    decay; every shot there must end in a certified non-decaying class."""
     config = replace(config, r_max=200.0)
-    decayed = 0
+    bad = 0
     for a, b in ((4.0, 4.0), (1.0, 4.0), (3.0, 2.0)):
         params = ModelParams(a, b)
         for x in np.linspace(0.0, 1.0, 52)[1:-1]:
             out = classify_shot(float(x), params, config)
-            decayed += out.shot_class is ShotClass.DECAYED
-    return float(decayed)
+            bad += out.shot_class in (ShotClass.DECAYED, ShotClass.UNDETERMINED)
+    return float(bad)
 
 
 def _shifted(config: IntegratorConfig, seed: int, x_tol: float) -> float:

@@ -106,6 +106,16 @@ def test_classify_trapped_shot(tmp_path, capsys):
     assert payload["r_x"] is None
 
 
+def test_classify_energy_trapped_shot(tmp_path, capsys):
+    code = main(["classify", "--a", "3", "--b", "2", "--x", "0.5",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["shot_class"] == "EnergyTrapped"
+    assert payload["termination"].startswith("Event(EnergyBarrier, ")
+    assert payload["r_end"] == payload["r_x"] < 200.0
+
+
 def test_portrait_artifacts(tmp_path):
     code = main(["portrait", "--a", "9", "--b", "4", "--resolution", "80",
                  "--levels=-0.2,0,0.1", "--out", str(tmp_path)])

@@ -4,16 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from nucshoot.integrator import (IntegratorConfig, Termination,
+from nucshoot.integrator import (EventKind, IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial)
-from nucshoot.model import ModelParams, exact_trivial
+from nucshoot.model import ModelParams, energy, exact_trivial, trap_energy
 from nucshoot.shooting import (BracketFailureError, GroundState,
                                NotDecayingError, ShotClass, audit_lemmas,
                                bisect_ground_state, classify_grid,
-                               classify_shot, fit_decay_rate, seed_bracket)
+                               classify_shot, default_events, fit_decay_rate,
+                               seed_bracket)
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
+P32 = ModelParams(3.0, 2.0)
+R200 = IntegratorConfig(r_max=200.0)
+GRID = np.linspace(0.01, 0.99, 50)     # acceptance criterion 5's grid
 
 RX_08 = 2.13940806222205
 G_RX_08 = 0.6334209942120211
@@ -86,6 +90,90 @@ def test_classify_undetermined_low_shot():
     out = classify_shot(0.3, P94)
     assert out.shot_class is ShotClass.UNDETERMINED
     assert out.trajectory.termination.kind is TerminationKind.REACHED_RMAX
+
+
+def test_energy_trapped_by_crossing():
+    out = classify_shot(0.5, P32, R200)
+    assert out.shot_class is ShotClass.ENERGY_TRAPPED
+    assert out.trajectory.termination.event_kinds == (EventKind.ENERGY_BARRIER,)
+    assert out.r_x > R200.r_start
+    assert out.r_x == out.trajectory.r_end
+    assert out.H_at_rx <= trap_energy(P32)
+    assert np.all(out.trajectory.H[:-1] > trap_energy(P32))
+    assert 0.0 < out.g_at_rx < 1.0
+
+
+def test_energy_trapped_at_handoff():
+    # H(0, 0.7) = -0.309925 already lies below H_trap = -0.25 - 1e-8
+    out = classify_shot(0.7, P32, R200)
+    assert out.shot_class is ShotClass.ENERGY_TRAPPED
+    assert out.trajectory.termination.event_kinds == (EventKind.ENERGY_BARRIER,)
+    assert out.r_x == R200.r_start == out.trajectory.r_end
+    assert out.H_at_rx == pytest.approx(-0.309925, rel=0, abs=1e-9)
+
+
+def test_energy_trapped_mirror_symmetry():
+    pos = classify_shot(0.5, P32, R200)
+    neg = classify_shot(-0.5, P32, R200)
+    assert neg.shot_class is ShotClass.ENERGY_TRAPPED
+    assert neg.r_x == pos.r_x
+    assert neg.g_at_rx == -pos.g_at_rx
+    assert neg.H_at_rx == pos.H_at_rx
+
+
+def test_energy_barrier_armed_only_without_ground_state():
+    """Supercritical pairs and a <= b never arm the barrier, and shots
+    with FCrossesZero armed (x0 > sqrt(b/a)) do not either; the classes
+    of (9, 4) at 0.3 and (1, 4) at 0.8 are checked above."""
+    def armed(x, params):
+        return any(e.kind is EventKind.ENERGY_BARRIER for e in default_events(x, params))
+
+    assert armed(0.5, P32) and armed(math.sqrt(2.0 / 3.0), P32)
+    assert not armed(0.9, P32)
+    assert armed(0.5, ModelParams(2.0, 1.0))          # critical pair
+    assert not armed(0.3, P94)
+    assert not armed(0.8, ModelParams(1.0, 4.0))
+
+
+@pytest.mark.parametrize("a, b", [(4.0, 4.0), (1.0, 4.0), (3.0, 2.0), (2.0, 1.0)])
+def test_nonexistence_grids_have_no_undetermined_shot(a, b):
+    outs = classify_grid(ModelParams(a, b), GRID, R200)
+    assert not any(o.shot_class is ShotClass.UNDETERMINED for o in outs)
+
+
+def test_energy_trapped_shots_stay_trapped_under_scipy():
+    """Continue every EnergyTrapped shot of the (3, 2) grid from its event
+    state with scipy's DOP853: H never rises above its event value, g stays
+    in (0, 1), and the shot neither decays nor blows up.
+
+    The shots are stacked into one system in s = r - r_x, so each runs at
+    least to r = 200 on a common step sequence.
+    """
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    outs = [o for o in classify_grid(P32, GRID, R200)
+            if o.shot_class is ShotClass.ENERGY_TRAPPED]
+    assert len(outs) == 40
+    n = len(outs)
+    a, b = P32.a, P32.b
+    r_x = np.array([o.r_x for o in outs])
+
+    def rhs(s, y):
+        f, g = y[:n], y[n:]
+        return np.concatenate([-2.0 * f / (r_x + s) + g * (f * f - a * g * g + b),
+                               f * (1.0 - g * g)])
+
+    y0 = np.concatenate([[o.trajectory.f[-1] for o in outs],
+                         [o.trajectory.g[-1] for o in outs]])
+    sol = solve_ivp(rhs, (0.0, 200.0 - r_x.min()), y0, method="DOP853",
+                    rtol=1e-10, atol=1e-12)
+    assert sol.status == 0
+    f, g = sol.y[:n], sol.y[n:]
+    H_event = np.array([o.H_at_rx for o in outs])[:, None]
+    assert np.all(energy(f, g, P32) <= H_event + 1e-9)
+    assert np.all((0.0 < g) & (g < 1.0))
+    amp = np.abs(f) + np.abs(g)
+    assert amp.min() > 1e-3
+    assert amp.max() < R200.blowup_threshold
 
 
 def test_classify_grid_matches_pointwise():
