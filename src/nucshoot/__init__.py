@@ -3,105 +3,18 @@
 Locates the decaying ground-state profile (f, g) by bracketing the
 supremum of the set of initial values whose f-component vanishes first,
 and provides the surrounding phase-plane, classification, physics, and
-reporting machinery.
+reporting machinery.  The package re-exports the public names (`__all__`)
+of its layer modules.
 """
-from .integrator import (
-    DEFAULT_CONFIG,
-    EventKind,
-    EventSpec,
-    IntegratorConfig,
-    StiffnessError,
-    Termination,
-    TerminationKind,
-    Trajectory,
-    integrate_conservative,
-    integrate_radial,
-    integrate_shifted,
-    series_start,
-)
-from .model import (
-    CriticalPoint,
-    ModelParams,
-    PhasePoint,
-    PointKind,
-    Regime,
-    SingularRadiusError,
-    classify_regime,
-    critical_points,
-    exact_coth,
-    exact_trivial,
-    hamiltonian,
-    hamiltonian_gradient,
-    map_physical_params,
-    rhs_conservative,
-    rhs_radial,
-)
-from .physics import (
-    DEFAULT_SCALES,
-    DivergentNormError,
-    InsufficientHorizonError,
-    PhysicalScales,
-    PlateauMetrics,
-    densities,
-    plateau_metrics,
-    potentials,
-    profile_table,
-    radial_norm,
-)
-from .portrait import (
-    AdmissibleRegionReport,
-    Branch,
-    LevelSetCurve,
-    UndefinedLiftError,
-    admissible_contains,
-    admissible_region,
-    branch_domains,
-    branch_functions,
-    discriminant,
-    energy_sign_grid,
-    level_curves,
-    quartic_residual,
-    winding_count,
-    zero_contour,
-)
-from .shooting import (
-    BracketFailureError,
-    GroundState,
-    LemmaCheck,
-    LemmaReport,
-    NotDecayingError,
-    PrecisionExhaustedError,
-    ShotClass,
-    ShotOutcome,
-    audit_lemmas,
-    bisect_ground_state,
-    classify_grid,
-    classify_shot,
-    fit_decay_rate,
-    seed_bracket,
-)
+from . import integrator, model, physics, portrait, shooting
+from .integrator import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .physics import *  # noqa: F401,F403
+from .portrait import *  # noqa: F401,F403
+from .shooting import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_CONFIG", "DEFAULT_SCALES",
-    "AdmissibleRegionReport", "Branch", "BracketFailureError",
-    "CriticalPoint", "DivergentNormError", "EventKind", "EventSpec",
-    "GroundState", "InsufficientHorizonError", "IntegratorConfig",
-    "LemmaCheck", "LemmaReport", "LevelSetCurve", "ModelParams",
-    "NotDecayingError", "PhasePoint", "PhysicalScales", "PlateauMetrics",
-    "PointKind", "PrecisionExhaustedError", "Regime", "ShotClass",
-    "ShotOutcome", "SingularRadiusError", "StiffnessError", "Termination",
-    "TerminationKind", "Trajectory", "UndefinedLiftError",
-    "admissible_contains", "admissible_region", "audit_lemmas",
-    "bisect_ground_state", "branch_domains", "branch_functions",
-    "classify_grid", "classify_regime", "classify_shot", "critical_points",
-    "densities", "discriminant", "energy_sign_grid", "exact_coth",
-    "exact_trivial", "fit_decay_rate", "hamiltonian",
-    "hamiltonian_gradient", "integrate_conservative", "integrate_radial",
-    "integrate_shifted", "level_curves", "map_physical_params",
-    "plateau_metrics", "potentials", "profile_table", "quartic_residual",
-    "radial_norm", "rhs_conservative", "rhs_radial", "seed_bracket",
-    "series_start", "winding_count", "zero_contour",
-    "__version__",
-]
+LAYERS = (model, integrator, portrait, shooting, physics)
+
+__all__ = [name for layer in LAYERS for name in layer.__all__] + ["__version__"]

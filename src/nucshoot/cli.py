@@ -71,7 +71,6 @@ class RunConfig:
     b_grid: tuple[float, ...]
     seed: int
     jobs: int | None
-    quick: bool
 
     def integrator(self) -> IntegratorConfig:
         return replace(DEFAULT_CONFIG, rtol=self.rtol, atol=self.atol,
@@ -120,13 +119,6 @@ def _floats_csv(text: str, parser, what: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         parser.error(f"invalid {what}: {text!r}")
-
-
-def _parse_bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return word == "true"
 
 
 def _resolve(args, parser) -> RunConfig:
@@ -178,7 +170,6 @@ def _resolve(args, parser) -> RunConfig:
         a_grid=a_grid, b_grid=b_grid,
         seed=int(pick("seed", int, _DEFAULT_SEED)),
         jobs=pick("jobs", int, None),
-        quick=pick("quick", _parse_bool, False),
     )
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,8 +229,6 @@ def build_parser() -> _Parser:
 
     p_ve = sub.add_parser("verify", help="run the cross-module check suite")
     common(p_ve, needs_ab=False)
-    # default None, not False, so that an absent flag defers to the file
-    p_ve.add_argument("--quick", action="store_true", default=None)
 
     return parser
 
@@ -406,11 +395,10 @@ def cmd_portrait(cfg: RunConfig, parser) -> int:
 # ----------------------------------------------------------------------- sweep
 
 def _sweep_row(task: tuple) -> dict:
-    a, b, rtol, atol, r_max, x_tol = task
+    a, b, config, x_tol = task
     params = ModelParams(a, b)
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         return {"a": a, "b": b, "status": "nonexistence"}
-    config = replace(DEFAULT_CONFIG, rtol=rtol, atol=atol, r_max=r_max)
     try:
         gs = bisect_ground_state(params, config, x_tol=x_tol)
     except _NUMERICAL_ERRORS as exc:
@@ -430,8 +418,8 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     if not cfg.a_grid or not cfg.b_grid:
         parser.error("--a-grid and --b-grid must be nonempty")
     pairs = sorted((a, b) for a in cfg.a_grid for b in cfg.b_grid)
-    tasks = [(a, b, cfg.rtol, cfg.atol, cfg.r_max, cfg.x_tol)
-             for a, b in pairs]
+    config = cfg.integrator()
+    tasks = [(a, b, config, cfg.x_tol) for a, b in pairs]
     jobs = cfg.jobs
     if jobs is None:
         env = os.environ.get("NUCSHOOT_JOBS", "")
@@ -457,7 +445,7 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
 
 def cmd_verify(cfg: RunConfig, parser) -> int:
     results = []
-    for res in run_checks(cfg.integrator(), cfg.seed, cfg.x_tol, quick=cfg.quick):
+    for res in run_checks(cfg.integrator(), cfg.seed, cfg.x_tol):
         results.append(res)
         print(f"{res['name']}: {'pass' if res['passed'] else 'FAIL'} "
               f"(value {res['value']:.3e}, threshold {res['threshold']:.3e})")
@@ -465,7 +453,6 @@ def cmd_verify(cfg: RunConfig, parser) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "config": cfg.resolved(),
-        "quick": cfg.quick,
         "checks": results,
         "all_passed": all_passed,
     }

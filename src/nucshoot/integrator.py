@@ -32,7 +32,6 @@ from .model import ModelParams, PhasePoint, energy, trap_energy, vector_field
 __all__ = [
     "IntegratorConfig",
     "EventKind",
-    "EventSpec",
     "TerminationKind",
     "Termination",
     "Trajectory",
@@ -78,37 +77,26 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 class EventKind(enum.Enum):
+    """Terminal events of a radial shot; each kind's rule is fixed.
+
+    An event fires on the first accepted step where its value crosses
+    zero in its direction (+1 rising, -1 falling):
+
+        FCrossesZero         f, rising
+        GCrossesZero         g, falling
+        GSquaredReachesOne   g^2 - 1, rising
+        DecayDetected        |f| + |g| - 1e-8, falling, only beyond r = 5
+                             (f is small near r = 0 by construction)
+        EnergyBarrier        H - model.trap_energy, falling; a level
+                             event, so it fires already at the start
+                             radius if the initial state is there
+    """
+
     F_CROSSES_ZERO = "FCrossesZero"
     G_CROSSES_ZERO = "GCrossesZero"
     G_SQUARED_REACHES_ONE = "GSquaredReachesOne"
     DECAY_DETECTED = "DecayDetected"
-    F_PRIME_CROSSES_ZERO = "FPrimeCrossesZero"
     ENERGY_BARRIER = "EnergyBarrier"
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """Terminal event: kind, sign filter, and decay-detector thresholds.
-
-    direction +1 fires on a rising zero crossing of the event value,
-    -1 on a falling one, 0 on either.  eps_decay / r_min apply to
-    DecayDetected only: it fires once |f| + |g| drops below eps_decay at
-    some radius beyond r_min (the floor suppresses false positives near
-    r = 0 where f is small by construction).  EnergyBarrier fires once
-    H falls to model.trap_energy or below, already at the start radius
-    if the initial state is there; it ignores direction.
-    """
-
-    kind: EventKind
-    direction: int = 0
-    eps_decay: float = 1e-8
-    r_min: float = 5.0
-
-    def __post_init__(self):
-        if self.direction not in (-1, 0, 1):
-            raise ValueError("direction must be -1, 0, or +1")
-        if self.eps_decay <= 0.0 or self.r_min <= 0.0:
-            raise ValueError("event thresholds must be positive")
 
 
 class TerminationKind(enum.Enum):
@@ -187,11 +175,19 @@ def _segment_eval(seg: tuple, r: float) -> tuple[float, float]:
     return f, g
 
 
+def _probes(seg: tuple, lo: float, r1: float):
+    """Abscissae (lo, three quarter points, r1) of a step scan from lo to r1,
+    and the dense (f, g) at the three quarter points."""
+    q1, q2, q3 = lo + 0.25 * (r1 - lo), lo + 0.5 * (r1 - lo), lo + 0.75 * (r1 - lo)
+    return ((lo, q1, q2, q3, r1),
+            (_segment_eval(seg, q1), _segment_eval(seg, q2), _segment_eval(seg, q3)))
+
+
 class Trajectory:
     """Dense sampled solution with termination cause.
 
-    samples holds rows (r, f, g, H) at strictly increasing radii; for the
-    radial flow the first row is the exact initial state (0, 0, x0, H0).
+    r, f, g and H hold the samples at strictly increasing radii; for the
+    radial flow the first sample is the exact initial state (0, 0, x0, H0).
     Dense-output segments, when present, let sample_at / resample recover
     the solution between accepted steps to interpolation order 4.
     """
@@ -208,10 +204,6 @@ class Trajectory:
         self._seg_starts = np.array([s[0] for s in self._segments]) if segments else None
         self._series = series  # (c1, d2) Taylor coefficients on [0, r_start)
         self.H = energy(self.f, self.g, params)
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack([self.r, self.f, self.g, self.H])
 
     @property
     def r_end(self) -> float:
@@ -250,9 +242,6 @@ class Trajectory:
         for i, rv in enumerate(grid):
             fs[i], gs[i] = self.sample_at(float(rv))
         return grid, fs, gs
-
-    def hamiltonian_of(self, f, g) -> np.ndarray:
-        return energy(np.asarray(f), np.asarray(g), self.params)
 
     def mirrored(self) -> "Trajectory":
         """The sign-mapped trajectory (f, g) -> (-f, -g), same radii."""
@@ -295,9 +284,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
-    (kind, direction, value_fn, r_floor, level) tuples evaluated on
-    accepted steps.  A level event whose value is already <= 0 at r0
-    ends the run there, before the first step.
+    (kind, direction, value_fn(f, g), r_floor, level) tuples evaluated on
+    accepted steps beyond r_floor.  A level event whose value is already
+    <= 0 at r0 ends the run there, before the first step.
     """
     rtol, atol = cfg.rtol, cfg.atol
     h_max, r_end, blowup_threshold = cfg.h_max, cfg.r_max, cfg.blowup_threshold
@@ -311,10 +300,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     segments = []
 
     r, f, g = r0, f0, g0
-    prev_vals = [vfn(r, f, g) if r > r_floor else None
-                 for _, _, vfn, r_floor, _ in event_fns]
-    at_start = tuple(kind for (kind, _, _, _, level), v in zip(event_fns, prev_vals)
-                     if level and v is not None and v <= 0.0)
+    prev_vals = [vfn(f, g) for _, _, vfn, _, _ in event_fns]
+    at_start = tuple(kind for (kind, _, _, r_floor, level), v in zip(event_fns, prev_vals)
+                     if level and r > r_floor and v <= 0.0)
     if at_start:
         return rs, fs, gs, segments, Termination(TerminationKind.EVENT, r0, at_start)
     kf1, kg1 = deriv(r, f, g)
@@ -385,35 +373,24 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         qg = tuple(sum(ks_g[s] * _P[s][j] for s in range(7)) for j in range(4))
         seg = (r, h, f, g, qf, qg)
 
-        # -- event scan on the accepted step
+        # -- event scan on the accepted step; the interior probes catch a
+        # double crossing inside one step and are shared by every event
+        # whose scan starts at r
         candidates = []
-
-        def dense_state(rv, _seg=seg):
-            return _segment_eval(_seg, rv)
-
+        shared = _probes(seg, r, r1) if event_fns else None
         for i, (_, direction, vfn, r_floor, _) in enumerate(event_fns):
-            lo = r
-            v_lo = prev_vals[i]
-            if r_floor > 0.0 and lo <= r_floor:
-                if r1 <= r_floor:
-                    continue
-                lo = r_floor
-                flo, glo = dense_state(lo)
-                v_lo = vfn(lo, flo, glo)
-            v_hi = vfn(r1, f5, g5)
-            prev_vals[i] = v_hi
-            if v_lo is None:
+            if r1 <= r_floor:
                 continue
-            # probe interior points so a double crossing inside one step
-            # is not missed; steps are short relative to the dynamics
-            probes = [lo + 0.25 * (r1 - lo), lo + 0.5 * (r1 - lo), lo + 0.75 * (r1 - lo)]
-            xs = [lo] + probes + [r1]
-            vs = [v_lo]
-            for rp in probes:
-                fp, gp = dense_state(rp)
-                vs.append(vfn(rp, fp, gp))
-            vs.append(v_hi)
-            for j in range(len(xs) - 1):
+            if r > r_floor:
+                v_lo = prev_vals[i]
+                xs, (s1, s2, s3) = shared
+            else:
+                v_lo = vfn(*_segment_eval(seg, r_floor))
+                xs, (s1, s2, s3) = _probes(seg, r_floor, r1)
+            v_hi = vfn(f5, g5)
+            prev_vals[i] = v_hi
+            vs = (v_lo, vfn(*s1), vfn(*s2), vfn(*s3), v_hi)
+            for j in range(4):
                 va, vb = vs[j], vs[j + 1]
                 if va == 0.0:
                     continue
@@ -421,8 +398,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                 falling = va > 0.0 >= vb
                 if (rising and direction >= 0) or (falling and direction <= 0):
                     def ev(rv, _vfn=vfn):
-                        fv, gv = dense_state(rv)
-                        return _vfn(rv, fv, gv)
+                        return _vfn(*_segment_eval(seg, rv))
                     r_loc = _bisect_root(ev, xs[j], xs[j + 1], va, _EVENT_DR)
                     candidates.append((r_loc, i))
                     break
@@ -430,7 +406,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         size1 = abs(f5) + abs(g5)
         if size1 > blowup_threshold:
             def ev_blow(rv):
-                fv, gv = dense_state(rv)
+                fv, gv = _segment_eval(seg, rv)
                 return abs(fv) + abs(gv) - blowup_threshold
             v0 = abs(f) + abs(g) - blowup_threshold
             if v0 < 0.0:
@@ -443,7 +419,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
             candidates.sort(key=lambda c: c[0])
             r_stop = candidates[0][0]
             tied = [i for (rv, i) in candidates if rv - r_stop <= _TIE_DR]
-            f_stop, g_stop = dense_state(r_stop)
+            f_stop, g_stop = _segment_eval(seg, r_stop)
             segments.append(seg)
             rs.append(r_stop)
             fs.append(f_stop)
@@ -478,26 +454,23 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     return rs, fs, gs, segments, terminated
 
 
-def _event_functions(events, params: ModelParams, radial_deriv):
-    fns = []
-    for spec in events:
-        kind, direction = spec.kind, spec.direction
-        if kind is EventKind.F_CROSSES_ZERO:
-            fns.append((kind, direction, lambda r, f, g: f, 0.0, False))
-        elif kind is EventKind.G_CROSSES_ZERO:
-            fns.append((kind, direction, lambda r, f, g: g, 0.0, False))
-        elif kind is EventKind.G_SQUARED_REACHES_ONE:
-            fns.append((kind, direction, lambda r, f, g: g * g - 1.0, 0.0, False))
-        elif kind is EventKind.DECAY_DETECTED:
-            fns.append((kind, -1, lambda r, f, g, eps=spec.eps_decay: abs(f) + abs(g) - eps,
-                        spec.r_min, False))
-        elif kind is EventKind.F_PRIME_CROSSES_ZERO:
-            fns.append((kind, direction,
-                        lambda r, f, g: radial_deriv(r, f, g)[0], 0.0, False))
-        elif kind is EventKind.ENERGY_BARRIER:
-            fns.append((kind, -1, lambda r, f, g, h=trap_energy(params):
-                        energy(f, g, params) - h, 0.0, True))
-    return fns
+_DECAY_EPS = 1e-8
+_DECAY_R_FLOOR = 5.0
+
+
+def _event_functions(events, params: ModelParams):
+    """(kind, direction, value(f, g), r_floor, level) per kind; see EventKind."""
+    h_trap = trap_energy(params)
+    table = {
+        EventKind.F_CROSSES_ZERO: (+1, lambda f, g: f, 0.0, False),
+        EventKind.G_CROSSES_ZERO: (-1, lambda f, g: g, 0.0, False),
+        EventKind.G_SQUARED_REACHES_ONE: (+1, lambda f, g: g * g - 1.0, 0.0, False),
+        EventKind.DECAY_DETECTED: (-1, lambda f, g: abs(f) + abs(g) - _DECAY_EPS,
+                                   _DECAY_R_FLOOR, False),
+        EventKind.ENERGY_BARRIER: (-1, lambda f, g: energy(f, g, params) - h_trap,
+                                   0.0, True),
+    }
+    return [(kind,) + table[kind] for kind in events]
 
 
 def integrate_radial(x0: float, params: ModelParams,
@@ -505,17 +478,17 @@ def integrate_radial(x0: float, params: ModelParams,
                      events=()) -> Trajectory:
     """Solve the singular radial system from g(0) = x0, f(0) = 0.
 
-    Runs until r_max, blowup, or the first triggered event; simultaneous
+    Runs until r_max, blowup, or the first of the armed `EventKind`s
+    (`events`) to fire; simultaneous
     events localized within 1e-12 of each other are reported together
     (the flow cannot vanish two components at once away from the origin,
     so a tie flags numerical ambiguity, not physics).
     """
     cfg = config or DEFAULT_CONFIG
-    deriv = vector_field(params)
     c1, d2 = _series_coeffs(x0, params)
     p1 = series_start(x0, params, cfg.r_start)
-    rs, fs, gs, segs, term = _run_dopri(deriv, cfg.r_start, p1.f, p1.g, cfg,
-                                        _event_functions(events, params, deriv))
+    rs, fs, gs, segs, term = _run_dopri(vector_field(params), cfg.r_start, p1.f, p1.g,
+                                        cfg, _event_functions(events, params))
     rs = [0.0] + rs
     fs = [0.0] + fs
     gs = [x0] + gs

@@ -12,10 +12,9 @@ the autonomous companion system, which is Hamiltonian with energy
     H(f, g) = f^2 (1 - g^2) / 2 + a g^4 / 4 - b g^2 / 2.
 
 This module holds the parameter container with its regime taxonomy, the
-vector field, the energy with its trap level and its gradient, the
-critical-point catalog, the two closed-form solutions (the zero solution
-and the g == 1 hyperbolic-cotangent profile), and the map from physical
-scales to (a, b).
+vector field, the energy with its trap level, the critical-point catalog,
+the two closed-form solutions (the zero solution and the g == 1
+hyperbolic-cotangent profile), and the map from physical scales to (a, b).
 """
 
 from __future__ import annotations
@@ -30,15 +29,10 @@ __all__ = [
     "ModelParams",
     "PhasePoint",
     "CriticalPoint",
-    "SingularRadiusError",
     "classify_regime",
     "vector_field",
-    "rhs_radial",
-    "rhs_conservative",
     "energy",
     "trap_energy",
-    "hamiltonian",
-    "hamiltonian_gradient",
     "critical_points",
     "exact_trivial",
     "exact_coth",
@@ -63,10 +57,6 @@ class Regime(enum.Enum):
 class PointKind(enum.Enum):
     LOCAL_MIN = "LocalMin"
     SADDLE = "Saddle"
-
-
-class SingularRadiusError(ValueError):
-    """Raised when the singular radial field is evaluated at r <= 0."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +137,8 @@ def vector_field(params: ModelParams, rho: float = 0.0):
     """The field (f', g') with friction 2/(rho + r), as a closure deriv(r, f, g).
 
     Exact in IEEE arithmetic for all three flows: rho = 0 is the radial
-    system (r > 0), rho > 0 the shifted one, rho = inf the companion one.
+    system (r > 0), rho > 0 the shifted one, rho = inf the companion one,
+    whose field is (-dH/dg, dH/df) with H = `energy`.
     """
     a, b = params.a, params.b
 
@@ -156,20 +147,6 @@ def vector_field(params: ModelParams, rho: float = 0.0):
                 f * (1.0 - g * g))
 
     return deriv
-
-
-def rhs_radial(r: float, p: PhasePoint, params: ModelParams) -> tuple[float, float]:
-    """Velocity (f', g') of the singular radial system at radius r > 0."""
-    if r <= 0.0:
-        raise SingularRadiusError(
-            "radial field is singular at r <= 0; start from the series state"
-        )
-    return vector_field(params)(r, p.f, p.g)
-
-
-def rhs_conservative(p: PhasePoint, params: ModelParams) -> tuple[float, float]:
-    """Velocity of the autonomous companion system (no 2f/r friction)."""
-    return vector_field(params, math.inf)(0.0, p.f, p.g)
 
 
 def energy(f, g, params: ModelParams):
@@ -194,17 +171,6 @@ def trap_energy(params: ModelParams) -> float:
     The well is empty for a <= b.
     """
     return min(0.0, 0.25 * (params.a - 2.0 * params.b)) - _TRAP_MARGIN
-
-
-def hamiltonian(p: PhasePoint, params: ModelParams) -> float:
-    """Conserved energy of the companion system at a phase point."""
-    return energy(p.f, p.g, params)
-
-
-def hamiltonian_gradient(p: PhasePoint, params: ModelParams) -> tuple[float, float]:
-    """(dH/df, dH/dg) = (g', -f') of the companion flow, which is Hamiltonian."""
-    df, dg = rhs_conservative(p, params)
-    return (dg, -df)
 
 
 def critical_points(params: ModelParams) -> list[CriticalPoint]:

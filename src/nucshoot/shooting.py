@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, Regime, classify_regime, exact_trivial, trap_energy
-from .integrator import (IntegratorConfig, DEFAULT_CONFIG, EventKind, EventSpec,
+from .model import (ModelParams, Regime, classify_regime, energy, exact_trivial,
+                    trap_energy)
+from .integrator import (IntegratorConfig, DEFAULT_CONFIG, EventKind,
                          TerminationKind, Trajectory, integrate_radial)
 from .portrait import winding_count, UndefinedLiftError
 
@@ -43,7 +44,8 @@ __all__ = [
 
 
 class BracketFailureError(RuntimeError):
-    """No non-I shot found below 1 - delta; advise a finer scan step."""
+    """The seed scan found no bracket: x_lo left I, or every shot up to an
+    ulp below 1 stayed in I, so sup I is not resolvable in double precision."""
 
 
 class PrecisionExhaustedError(RuntimeError):
@@ -116,7 +118,7 @@ _SET_I_H_TOL = 1e-8
 _TRAP_TOL = 1e-10
 
 
-def default_events(x0: float, params: ModelParams) -> tuple[EventSpec, ...]:
+def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
     """Event set for classification at initial value x0 (assumed >= 0).
 
     FCrossesZero is armed only where membership in I is possible at all,
@@ -128,14 +130,13 @@ def default_events(x0: float, params: ModelParams) -> tuple[EventSpec, ...]:
     sqrt(b/a)), so it never pre-empts the I / non-I decision of a search.
     """
     sb = math.sqrt(params.b / params.a)
-    events = [EventSpec(EventKind.G_CROSSES_ZERO, direction=-1),
-              EventSpec(EventKind.DECAY_DETECTED)]
+    events = [EventKind.G_CROSSES_ZERO, EventKind.DECAY_DETECTED]
     if sb < x0 < 1.0:
-        events.append(EventSpec(EventKind.F_CROSSES_ZERO, direction=+1))
+        events.append(EventKind.F_CROSSES_ZERO)
     if 0.0 < x0 < 1.0:
-        events.append(EventSpec(EventKind.G_SQUARED_REACHES_ONE, direction=+1))
+        events.append(EventKind.G_SQUARED_REACHES_ONE)
     if params.b < params.a <= 2.0 * params.b and 0.0 < x0 <= sb:
-        events.append(EventSpec(EventKind.ENERGY_BARRIER))
+        events.append(EventKind.ENERGY_BARRIER)
     return tuple(events)
 
 
@@ -220,29 +221,30 @@ def classify_grid(params: ModelParams, xs,
 
 _SEED_NON_I = (ShotClass.G_VANISHED_FIRST, ShotClass.TRAPPED,
                ShotClass.BLOWUP, ShotClass.DECAYED)
+_SCAN_STEP = 1e-2      # first linear seed-scan step, refined tenfold twice
+_SCAN_DELTA = 1e-6     # the linear scan stops at 1 - _SCAN_DELTA
+_FIT_WINDOW = 0.5      # decay fit: trailing fraction of the decreasing tail
 
 
-def seed_bracket(params: ModelParams, config: IntegratorConfig | None = None,
-                 scan_step: float = 1e-2, delta: float = 1e-6) -> tuple[float, float]:
+def seed_bracket(params: ModelParams,
+                 config: IntegratorConfig | None = None) -> tuple[float, float]:
     """Initial bisection bracket: x_lo in I, x_hi not in I.
 
     x_lo is the midpoint of (sqrt(b/a), sqrt(2b/a)), which lies in I for
     every Supercritical parameter pair; x_hi is found by scanning upward
-    from sqrt(2b/a) toward 1 - delta in steps of scan_step, refining the
-    step tenfold (twice) if no definitive non-I shot appears.  Each
-    refinement resumes at the largest InSetI abscissa already seen.
+    from sqrt(2b/a) toward 1 - _SCAN_DELTA in steps of _SCAN_STEP,
+    refining the step tenfold (twice) if no definitive non-I shot appears.
+    Each refinement resumes at the largest InSetI abscissa already seen.
 
     Near-critical pairs (2b/a close to 1) push sup I so close to 1 that
-    no fixed-step scan below 1 - delta can see past it; when the linear
-    scan comes up empty the search switches to a geometric approach,
-    probing x = 1 - delta/10^k until the class flips or the probes run
-    out of floats strictly below 1.
+    no fixed-step scan below 1 - _SCAN_DELTA can see past it; when the
+    linear scan comes up empty the search switches to a geometric
+    approach, probing x = 1 - _SCAN_DELTA/10^k until the class flips or
+    the probes run out of floats strictly below 1.
     """
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("ground-state bracketing requires a - 2b > 0")
     cfg = config or DEFAULT_CONFIG
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
     sb = math.sqrt(params.b / params.a)
     s2b = math.sqrt(2.0 * params.b / params.a)
     x_lo = 0.5 * (sb + s2b)
@@ -251,12 +253,12 @@ def seed_bracket(params: ModelParams, config: IntegratorConfig | None = None,
         raise BracketFailureError(
             f"seed x_lo = {x_lo:.6g} classified {lo_out.shot_class.value}, "
             "expected InSetI; integrator settings are likely too loose")
-    step = scan_step
+    step = _SCAN_STEP
     fallback = None
     resume = s2b
     for _ in range(3):
         x = resume + step
-        while x < 1.0 - delta:
+        while x < 1.0 - _SCAN_DELTA:
             out = classify_shot(x, params, cfg)
             if out.shot_class in _SEED_NON_I:
                 return x_lo, x
@@ -266,7 +268,7 @@ def seed_bracket(params: ModelParams, config: IntegratorConfig | None = None,
                 fallback = x
             x += step
         step /= 10.0
-    gap = delta
+    gap = _SCAN_DELTA
     prev = resume
     while True:
         gap /= 10.0
@@ -282,8 +284,8 @@ def seed_bracket(params: ModelParams, config: IntegratorConfig | None = None,
     if fallback is not None:
         return x_lo, fallback
     raise BracketFailureError(
-        "no non-I shot found below 1 (linear scan to 1 - delta, then "
-        "geometric approach to an ulp below 1); rerun with a finer scan_step")
+        "every shot up to one ulp below 1 stayed in I: sup I is closer to 1 "
+        "than double precision resolves")
 
 
 def _classify_escalating(x0: float, params: ModelParams,
@@ -342,25 +344,23 @@ def bisect_ground_state(params: ModelParams,
         raise PrecisionExhaustedError(
             f"no certifiable trajectory inside bracket ({x_lo!r}, {x_hi!r})")
 
-    rate, prefactor, _residual = fit_decay_rate(cert.trajectory, window=0.5)
+    rate, prefactor, _residual = fit_decay_rate(cert.trajectory)
     gs = GroundState(x_star, (x_lo, x_hi), cert.trajectory, rate, prefactor, None)
     return replace(gs, lemma_report=audit_lemmas(gs, params))
 
 
-def fit_decay_rate(traj: Trajectory, window: float = 0.5):
+def fit_decay_rate(traj: Trajectory):
     """Log-linear tail fit of |f| + |g|: returns (rate, prefactor, residual).
 
-    The fit window is the trailing `window` fraction (in radius) of the
-    maximal strictly-decreasing suffix of |f| + |g|; at least 20 samples
-    must land in it.
+    The fit window is the trailing half (in radius) of the maximal
+    strictly-decreasing suffix of |f| + |g|; at least 20 samples must
+    land in it.
     """
-    if not 0.0 < window <= 1.0:
-        raise ValueError("window must be a fraction in (0, 1]")
     r = traj.r
     amp = np.abs(traj.f) + np.abs(traj.g)
     if amp.max() == 0.0:
         raise NotDecayingError("trajectory is identically zero")
-    k0 = _tail_start(r, amp, window)
+    k0 = _tail_start(r, amp)
     rs = r[k0:]
     ls = np.log(amp[k0:])
     if len(rs) < 20:
@@ -373,8 +373,8 @@ def fit_decay_rate(traj: Trajectory, window: float = 0.5):
     return float(-slope), float(math.exp(intercept)), resid
 
 
-def _tail_start(r: np.ndarray, amp: np.ndarray, window: float) -> int:
-    """First index of the trailing `window` fraction (in radius) of the
+def _tail_start(r: np.ndarray, amp: np.ndarray) -> int:
+    """First index of the trailing _FIT_WINDOW fraction (in radius) of the
     maximal strictly-decreasing suffix of amp, the decay-fit window."""
     k = len(amp) - 1
     while k > 0 and amp[k - 1] > amp[k]:
@@ -382,7 +382,7 @@ def _tail_start(r: np.ndarray, amp: np.ndarray, window: float) -> int:
     if len(amp) - k < 20:
         raise NotDecayingError(
             f"decreasing tail has only {len(amp) - k} samples (need 20)")
-    cut = r[-1] - window * (r[-1] - r[k])
+    cut = r[-1] - _FIT_WINDOW * (r[-1] - r[k])
     return k + int(np.searchsorted(r[k:], cut))
 
 
@@ -400,7 +400,7 @@ def dissipation_residual(traj: Trajectory) -> float:
     rs, fs, gs = traj.resample(dr)
     if len(rs) < 5:
         return 0.0
-    H = traj.hamiltonian_of(fs, gs)
+    H = energy(fs, gs, traj.params)
     dH = (H[2:] - H[:-2]) / (2.0 * dr)
     r_mid = rs[1:-1]
     f_mid = fs[1:-1]
@@ -468,14 +468,14 @@ def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
                                  note="vacuous for the zero solution"))
     else:
         try:
-            rate, _pref, resid = fit_decay_rate(traj, window=0.5)
+            rate, _pref, resid = fit_decay_rate(traj)
             # the pointwise bound amp <= C e^{-K r} always holds with the
             # witnessed constant C = max(amp e^{K r}); the content is that
             # the tail cannot force C to grow, i.e. the envelope amp e^{K r}
             # must not increase across the fitted tail window
             env = amp * np.exp(K * r)
             c_global = float(np.max(env))
-            tail = env[_tail_start(r, amp, 0.5):]
+            tail = env[_tail_start(r, amp):]
             if len(tail) > 1:
                 growth = float(np.max(np.diff(tail) / np.maximum(tail[:-1], 1e-300)))
             else:

@@ -29,7 +29,6 @@ class Check:
     name: str
     run: Callable[[IntegratorConfig, int, float], float]
     threshold: float
-    quick: bool             # part of the `--quick` subset
 
 
 def _eval_on(traj, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -119,22 +118,19 @@ def _ground_state(config: IntegratorConfig, seed: int, x_tol: float) -> float:
 
 
 CHECKS = (
-    Check("coth_oracle", _coth_oracle, 1e-6, True),
-    Check("conservative_energy_drift", _energy_drift, 1e-8, True),
-    Check("dissipation_identity", _dissipation, 1e-4, True),
-    Check("nonexistence_grids", _nonexistence, 0.0, False),
-    Check("shifted_convergence", _shifted, 1e-2, True),
-    Check("ground_state_9_4_audit", _ground_state, 1e-10, True),
+    Check("coth_oracle", _coth_oracle, 1e-6),
+    Check("conservative_energy_drift", _energy_drift, 1e-8),
+    Check("dissipation_identity", _dissipation, 1e-4),
+    Check("nonexistence_grids", _nonexistence, 0.0),
+    Check("shifted_convergence", _shifted, 1e-2),
+    Check("ground_state_9_4_audit", _ground_state, 1e-10),
 )
 
 
-def run_checks(config: IntegratorConfig, seed: int, x_tol: float,
-               quick: bool = False):
-    """Run the suite (the quick subset if asked), yielding one result dict
-    {name, passed, value, threshold} per check as it finishes."""
+def run_checks(config: IntegratorConfig, seed: int, x_tol: float):
+    """Run the suite, yielding one result dict {name, passed, value,
+    threshold} per check as it finishes."""
     for check in CHECKS:
-        if quick and not check.quick:
-            continue
         value = check.run(config, seed, x_tol)
         yield {"name": check.name, "passed": bool(value <= check.threshold),
                "value": value, "threshold": check.threshold}

@@ -12,8 +12,8 @@ import numpy as np
 from nucshoot.integrator import (IntegratorConfig, integrate_conservative,
                                  integrate_radial, integrate_shifted,
                                  series_start)
-from nucshoot.model import (ModelParams, PhasePoint, exact_coth, hamiltonian,
-                            hamiltonian_gradient)
+from nucshoot.model import (ModelParams, PhasePoint, energy, exact_coth,
+                            vector_field)
 from nucshoot.physics import PhysicalScales, plateau_metrics, potentials
 from nucshoot.portrait import admissible_contains, winding_count
 from nucshoot.shooting import (ShotClass, bisect_ground_state, classify_grid,
@@ -50,8 +50,7 @@ def test_criterion_2_conservative_energy_drift():
             continue
         traj = integrate_conservative(p, P94, cfg)
         assert traj.r_end == 50.0
-        H = traj.hamiltonian_of(traj.f, traj.g)
-        assert np.max(np.abs(H - hamiltonian(p, P94))) <= 1e-8
+        assert np.max(np.abs(traj.H - energy(p.f, p.g, P94))) <= 1e-8
         done += 1
     assert time.perf_counter() - t0 < 5.0
 
@@ -73,7 +72,7 @@ def test_criterion_3_dissipation_identity():
         gs = np.empty_like(rs)
         for i, rv in enumerate(rs):
             fs[i], gs[i] = traj.sample_at(float(rv))
-        H = traj.hamiltonian_of(fs, gs)
+        H = energy(fs, gs, P94)
         dH = (-H[4:] + 8.0 * H[3:-1] - 8.0 * H[1:-3] + H[:-4]) / (12.0 * dr)
         rhs = -(2.0 / rs) * fs * fs * (1.0 - gs * gs)
         err = np.max(np.abs(dH - rhs[2:-2])) / np.max(np.abs(rhs))
@@ -97,8 +96,7 @@ def test_criterion_4_ground_state_certificate():
     assert np.all(traj.g ** 2 < 1.0)
     assert np.all(traj.f ** 2 < 5.0)
     assert np.all(np.abs(traj.f) <= math.sqrt(4.5) * traj.g)
-    H = traj.hamiltonian_of(traj.f, traj.g)
-    assert np.all(np.diff(H) <= 1e-10)
+    assert np.all(np.diff(traj.H) <= 1e-10)
     n_wind, _ = winding_count(traj, float(traj.r[1]), float(traj.r[-1]))
     assert n_wind == 0
     assert gs.decay_rate >= 7.0 / 9.0 - 0.05
@@ -184,13 +182,15 @@ def test_criterion_10_gradient_and_series():
         a = rng.uniform(0.5, 12.0)
         params = ModelParams(a, a * rng.uniform(0.05, 0.95))
         p = PhasePoint(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
-        gf, gg = hamiltonian_gradient(p, params)
+        # (g', -f') of the companion field is the gradient of H
+        df, dg = vector_field(params, math.inf)(0.0, p.f, p.g)
+        gf, gg = dg, -df
         hf = 1e-6 * max(1.0, abs(p.f))
         hg = 1e-6 * max(1.0, abs(p.g))
-        fd_f = (hamiltonian(PhasePoint(p.f + hf, p.g), params)
-                - hamiltonian(PhasePoint(p.f - hf, p.g), params)) / (2.0 * hf)
-        fd_g = (hamiltonian(PhasePoint(p.f, p.g + hg), params)
-                - hamiltonian(PhasePoint(p.f, p.g - hg), params)) / (2.0 * hg)
+        fd_f = (energy(p.f + hf, p.g, params)
+                - energy(p.f - hf, p.g, params)) / (2.0 * hf)
+        fd_g = (energy(p.f, p.g + hg, params)
+                - energy(p.f, p.g - hg, params)) / (2.0 * hg)
         scale = max(1.0, abs(gf), abs(gg))
         assert abs(fd_f - gf) <= 1e-6 * scale
         assert abs(fd_g - gg) <= 1e-6 * scale

@@ -1,6 +1,5 @@
 """Command-line driver: exit codes, artifacts, precedence, determinism."""
 import json
-import math
 from dataclasses import replace
 
 import pytest
@@ -47,6 +46,15 @@ def test_ground_state_numerical_failure(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "ground-state search failed" in capsys.readouterr().err
+
+
+def test_ground_state_bracket_failure(tmp_path, capsys):
+    """At (9, 4.4) sup I lies closer to 1 than one ulp: no bracket exists."""
+    code = main(["ground-state", "--a", "9", "--b", "4.4", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "one ulp below 1" in err and "stayed in I" in err
+    assert "scan_step" not in err and "delta" not in err and "rerun" not in err
 
 
 def test_ground_state_artifacts(tmp_path, capsys):
@@ -199,18 +207,17 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert len(s.splitlines()) == 5            # header + 4 sorted pairs
 
 
-def test_verify_quick(tmp_path, capsys):
-    code = main(["verify", "--quick", "--out", str(tmp_path)])
+def test_verify(tmp_path, capsys):
+    code = main(["verify", "--out", str(tmp_path)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "verify_report.json").read_text())
-    assert payload["quick"] is True
+    assert "quick" not in payload
     assert payload["all_passed"] is True
     names = [c["name"] for c in payload["checks"]]
-    assert "nonexistence_grids" not in names   # the slow grid only runs full
     assert names == ["coth_oracle", "conservative_energy_drift",
-                     "dissipation_identity", "shifted_convergence",
-                     "ground_state_9_4_audit"]
+                     "dissipation_identity", "nonexistence_grids",
+                     "shifted_convergence", "ground_state_9_4_audit"]
     assert out.count("pass") == len(names)
     for check in payload["checks"]:
         assert check["value"] <= check["threshold"]
@@ -221,7 +228,7 @@ def test_verify_corrupted_tolerances_fail(tmp_path, monkeypatch):
     corrupted = tuple(replace(c, threshold=c.threshold * 1e-8 - 1e-300)
                       for c in verify.CHECKS)
     monkeypatch.setattr(verify, "CHECKS", corrupted)
-    code = main(["verify", "--quick", "--out", str(tmp_path)])
+    code = main(["verify", "--out", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED
     payload = json.loads((tmp_path / "verify_report.json").read_text())
     assert payload["all_passed"] is False
@@ -271,13 +278,9 @@ def test_config_file_jobs_is_honoured(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
 
 
-def test_config_file_quick_is_parsed_strictly(tmp_path, capsys):
+def test_config_file_quick_is_an_unknown_key(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    for word, want in (("true", True), ("False", False)):
-        cfgfile.write_text(f"a = 9\nb = 4\nx = 0.8\nquick = {word}\n")
-        assert main(["classify", "--config", str(cfgfile),
-                     "--out", str(tmp_path)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["config"]["quick"] is want
-    cfgfile.write_text("a = 9\nb = 4\nx = 0.8\nquick = yes\n")
+    cfgfile.write_text("a = 9\nb = 4\nx = 0.8\nquick = true\n")
     assert _usage_exit(["classify", "--config", str(cfgfile),
                         "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "unknown config key 'quick'" in capsys.readouterr().err

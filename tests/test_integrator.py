@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from nucshoot.integrator import (DEFAULT_CONFIG, EventKind, EventSpec,
-                                 IntegratorConfig, StiffnessError,
-                                 TerminationKind, integrate_conservative,
-                                 integrate_radial, integrate_shifted,
-                                 series_start)
-from nucshoot.model import (ModelParams, PhasePoint, exact_coth, rhs_radial)
+from nucshoot.integrator import (DEFAULT_CONFIG, EventKind, IntegratorConfig,
+                                 StiffnessError, TerminationKind,
+                                 integrate_conservative, integrate_radial,
+                                 integrate_shifted, series_start)
+from nucshoot.model import ModelParams, PhasePoint, energy, exact_coth
+from nucshoot.shooting import bisect_ground_state
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
@@ -33,15 +33,6 @@ def test_config_validation():
         IntegratorConfig(r_max=math.inf)
 
 
-def test_event_spec_validation():
-    with pytest.raises(ValueError):
-        EventSpec(EventKind.F_CROSSES_ZERO, direction=2)
-    with pytest.raises(ValueError):
-        EventSpec(EventKind.DECAY_DETECTED, eps_decay=0.0)
-    with pytest.raises(ValueError):
-        EventSpec(EventKind.DECAY_DETECTED, r_min=-1.0)
-
-
 def test_radial_initial_row_and_rmax_snap():
     cfg = IntegratorConfig(r_max=10.0)
     traj = integrate_radial(0.5, P94, cfg)
@@ -50,7 +41,7 @@ def test_radial_initial_row_and_rmax_snap():
     assert traj.termination.kind is TerminationKind.REACHED_RMAX
     assert traj.r_end == 10.0  # exact endpoint, not merely close
     assert traj.termination.describe() == "ReachedRmax(r=10)"
-    assert traj.samples.shape == (len(traj.r), 4)
+    assert traj.f.shape == traj.g.shape == traj.H.shape == traj.r.shape
 
 
 def test_radial_tracks_coth_profile():
@@ -80,7 +71,7 @@ def test_dense_output_conserves_energy_between_nodes():
     traj = integrate_conservative(PhasePoint(0.3, 0.4), P94, cfg)
     grid, fs, gs = traj.resample(0.01)
     assert grid[0] == 0.0 and grid[-1] <= 10.0
-    h = traj.hamiltonian_of(fs, gs)
+    h = energy(fs, gs, P94)
     assert np.max(np.abs(h - traj.H[0])) <= 1e-7
 
 
@@ -143,8 +134,7 @@ def test_convergence_order_at_least_four_and_a_half():
 
 
 def test_event_f_crosses_zero_rising():
-    ev = (EventSpec(EventKind.F_CROSSES_ZERO, direction=+1),)
-    traj = integrate_radial(0.8, P94, events=ev)
+    traj = integrate_radial(0.8, P94, events=(EventKind.F_CROSSES_ZERO,))
     term = traj.termination
     assert term.kind is TerminationKind.EVENT
     assert term.event_kinds == (EventKind.F_CROSSES_ZERO,)
@@ -155,8 +145,8 @@ def test_event_f_crosses_zero_rising():
 
 
 def test_event_g_crosses_zero_falling():
-    ev = (EventSpec(EventKind.G_CROSSES_ZERO, direction=-1),)
-    traj = integrate_radial(0.95, ModelParams(9.0, 1.0), events=ev)
+    traj = integrate_radial(0.95, ModelParams(9.0, 1.0),
+                            events=(EventKind.G_CROSSES_ZERO,))
     term = traj.termination
     assert term.kind is TerminationKind.EVENT
     assert term.event_kinds == (EventKind.G_CROSSES_ZERO,)
@@ -165,34 +155,20 @@ def test_event_g_crosses_zero_falling():
     assert np.all(traj.g[:-1] > 0.0)
 
 
-def test_event_f_prime_crosses_zero():
-    ev = (EventSpec(EventKind.F_PRIME_CROSSES_ZERO, direction=+1),)
-    traj = integrate_radial(0.8, P94, events=ev)
-    term = traj.termination
-    assert term.kind is TerminationKind.EVENT
-    df, _ = rhs_radial(term.r, PhasePoint(traj.f[-1], traj.g[-1]), P94)
-    assert abs(df) <= 1e-8   # f sits at its minimum there
-    assert traj.f[-1] < -0.2
-
-
 def test_event_decay_detected_threshold_and_floor():
-    x_near = 0.9951810790343762   # a hair inside the (4, 1) ground state
-    ev = (EventSpec(EventKind.DECAY_DETECTED, eps_decay=0.5, r_min=1.0),)
-    traj = integrate_radial(x_near, P41, events=ev)
-    term = traj.termination
+    """The (2, 0.1) search certifies a shot that decays outright: the
+    detector fires beyond its r = 5 floor on the |f| + |g| = 1e-8 level."""
+    gs = bisect_ground_state(ModelParams(2.0, 0.1))
+    term = gs.trajectory.termination
     assert term.kind is TerminationKind.EVENT
     assert term.event_kinds == (EventKind.DECAY_DETECTED,)
-    assert term.r > 1.0
-    assert abs(traj.f[-1]) + abs(traj.g[-1]) == pytest.approx(0.5, abs=1e-9)
-    # with a higher floor the detector may not report before the floor
-    ev5 = (EventSpec(EventKind.DECAY_DETECTED, eps_decay=0.5, r_min=5.0),)
-    t5 = integrate_radial(x_near, P41, events=ev5)
-    assert t5.termination.r >= 5.0 - 1e-9
+    assert term.r >= 5.0
+    amp = abs(gs.trajectory.f[-1]) + abs(gs.trajectory.g[-1])
+    assert amp == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_simultaneous_events_reported_together():
-    ev = (EventSpec(EventKind.F_CROSSES_ZERO, direction=+1),
-          EventSpec(EventKind.F_CROSSES_ZERO, direction=+1))
+    ev = (EventKind.F_CROSSES_ZERO, EventKind.F_CROSSES_ZERO)
     traj = integrate_radial(0.8, P94, events=ev)
     term = traj.termination
     assert term.kind is TerminationKind.EVENT
@@ -202,8 +178,8 @@ def test_simultaneous_events_reported_together():
 
 def test_g_squared_event_never_fires_spuriously():
     """g = 1 is invariant: blowup rides it asymptotically, no crossing."""
-    ev = (EventSpec(EventKind.G_SQUARED_REACHES_ONE, direction=+1),)
-    traj = integrate_radial(0.8, ModelParams(1.0, 4.0), events=ev)
+    traj = integrate_radial(0.8, ModelParams(1.0, 4.0),
+                            events=(EventKind.G_SQUARED_REACHES_ONE,))
     assert traj.termination.kind is TerminationKind.BLOWUP
     assert float(np.max(traj.g)) < 1.0
 

@@ -7,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucshoot.model import (ModelParams, PhasePoint, PointKind, Regime,
-                            SingularRadiusError, classify_regime,
-                            critical_points, exact_coth, exact_trivial,
-                            hamiltonian, hamiltonian_gradient,
-                            map_physical_params, rhs_conservative, rhs_radial)
+                            classify_regime, critical_points, energy,
+                            exact_coth, exact_trivial, map_physical_params,
+                            vector_field)
 
 P94 = ModelParams(9.0, 4.0)
 
 # f(1) for the g == 1 profile at (a, b) = (2.5, 1): 1 - sqrt(1.5)*coth(sqrt(1.5))
 COTH_F_AT_1 = -0.456212364345966
+
+
+def _gradient(f, g, params):
+    """(dH/df, dH/dg) = (g', -f') of the companion field."""
+    df, dg = vector_field(params, math.inf)(0.0, f, g)
+    return dg, -df
 
 
 def test_params_validation():
@@ -43,18 +48,10 @@ def test_decay_rate_bound_value():
     assert ModelParams(4.0, 1.0).decay_rate_bound == pytest.approx(0.5)
 
 
-def test_rhs_radial_singularity_guard():
-    with pytest.raises(SingularRadiusError):
-        rhs_radial(0.0, PhasePoint(0.1, 0.2), P94)
-    with pytest.raises(SingularRadiusError):
-        rhs_radial(-1.0, PhasePoint(0.1, 0.2), P94)
-
-
 def test_rhs_consistency_at_large_radius():
     """The friction term vanishes as r grows: the two fields agree in the limit."""
-    p = PhasePoint(-0.7, 0.4)
-    dfr, dgr = rhs_radial(1e12, p, P94)
-    dfc, dgc = rhs_conservative(p, P94)
+    dfr, dgr = vector_field(P94)(1e12, -0.7, 0.4)
+    dfc, dgc = vector_field(P94, math.inf)(0.0, -0.7, 0.4)
     assert dgr == dgc
     assert abs(dfr - dfc) < 1e-11
 
@@ -73,7 +70,7 @@ def test_critical_point_catalog_supercritical():
             assert locs[(sf * fc, sg)] is PointKind.SADDLE
     # every catalog entry is a genuine stationary point of H
     for cp in pts:
-        gf, gg = hamiltonian_gradient(cp.location, P94)
+        gf, gg = _gradient(cp.location.f, cp.location.g, P94)
         assert abs(gf) < 1e-12 and abs(gg) < 1e-12
 
 
@@ -86,13 +83,13 @@ def test_critical_point_catalog_degenerate_and_subcritical():
 
 
 def test_hamiltonian_values():
-    assert hamiltonian(PhasePoint(0.0, 0.0), P94) == 0.0
+    assert energy(0.0, 0.0, P94) == 0.0
     # interior minimum depth: H(0, sqrt(b/a)) = -b^2/(4a)
     g_in = math.sqrt(4.0 / 9.0)
-    assert hamiltonian(PhasePoint(0.0, g_in), P94) == pytest.approx(
+    assert energy(0.0, g_in, P94) == pytest.approx(
         -16.0 / 36.0, rel=1e-14)
     # coth-point level: H(sqrt(a-b), 1) = (a - 2b)/4
-    assert hamiltonian(PhasePoint(math.sqrt(5.0), 1.0), P94) == pytest.approx(
+    assert energy(math.sqrt(5.0), 1.0, P94) == pytest.approx(
         0.25, rel=1e-14)
 
 
@@ -105,25 +102,24 @@ def test_hamiltonian_values():
 )
 def test_gradient_matches_finite_differences(f, g, a, b):
     params = ModelParams(a, b)
-    p = PhasePoint(f, g)
-    gf, gg = hamiltonian_gradient(p, params)
+    gf, gg = _gradient(f, g, params)
     h = 1e-6
-    fd_f = (hamiltonian(PhasePoint(f + h, g), params)
-            - hamiltonian(PhasePoint(f - h, g), params)) / (2.0 * h)
-    fd_g = (hamiltonian(PhasePoint(f, g + h), params)
-            - hamiltonian(PhasePoint(f, g - h), params)) / (2.0 * h)
+    fd_f = (energy(f + h, g, params) - energy(f - h, g, params)) / (2.0 * h)
+    fd_g = (energy(f, g + h, params) - energy(f, g - h, params)) / (2.0 * h)
     scale = 1.0 + abs(gf) + abs(gg)
     assert abs(gf - fd_f) / scale < 1e-6
     assert abs(gg - fd_g) / scale < 1e-6
 
 
 def test_gradient_is_rotated_conservative_field():
-    """The companion flow is (dH/dg would be -f'): check the symplectic pairing."""
+    """The companion flow is (dH/dg would be -f'): check the symplectic pairing
+    against the analytic gradient of H."""
+    a, b = P94.a, P94.b
     rng = np.random.default_rng(7)
     for _ in range(50):
-        p = PhasePoint(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
-        df, dg = rhs_conservative(p, P94)
-        gf, gg = hamiltonian_gradient(p, P94)
+        f, g = rng.uniform(-2, 2), rng.uniform(-1.5, 1.5)
+        df, dg = vector_field(P94, math.inf)(0.0, f, g)
+        gf, gg = f * (1.0 - g * g), -f * f * g + a * g ** 3 - b * g
         # f' = -dH/dg and g' = dH/df
         assert df == pytest.approx(-gg, rel=1e-12, abs=1e-12)
         assert dg == pytest.approx(gf, rel=1e-12, abs=1e-12)
@@ -148,7 +144,7 @@ def test_exact_coth_satisfies_radial_system():
     k = math.sqrt(1.5)
     for r in np.geomspace(1e-3, 20.0, 200):
         pt = exact_coth(float(r), params)
-        df, dg = rhs_radial(float(r), pt, params)
+        df, dg = vector_field(params)(float(r), pt.f, pt.g)
         sinh = math.sinh(k * r)
         df_exact = -1.0 / r ** 2 + k * k / (sinh * sinh)
         assert dg == 0.0

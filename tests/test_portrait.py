@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from nucshoot.integrator import IntegratorConfig, integrate_conservative
-from nucshoot.model import (ModelParams, PhasePoint, exact_trivial,
-                            hamiltonian)
+from nucshoot.model import ModelParams, PhasePoint, energy, exact_trivial
 from nucshoot.portrait import (AdmissibleRegionReport, Branch,
                                UndefinedLiftError, admissible_contains,
                                admissible_region, branch_domains,
@@ -149,7 +148,7 @@ def test_energy_sign_grid_layout():
     # row index is g, column index is f
     for i, j in ((0, 0), (5, 20), (32, 7)):
         assert H[j, i] == pytest.approx(
-            hamiltonian(PhasePoint(float(fs[i]), float(gs[j])), P94),
+            energy(float(fs[i]), float(gs[j]), P94),
             rel=0, abs=1e-14)
 
 
