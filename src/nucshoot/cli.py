@@ -21,8 +21,7 @@ from .integrator import (DEFAULT_CONFIG, IntegratorConfig, StiffnessError,
                          integrate_conservative)
 from .model import (ModelParams, PhasePoint, Regime, classify_regime,
                     critical_points)
-from .physics import (DEFAULT_SCALES, InsufficientHorizonError,
-                      plateau_metrics, profile_table)
+from .physics import InsufficientHorizonError, plateau_metrics, profile_table
 from .portrait import (admissible_contains, admissible_region,
                        energy_sign_grid, level_curves, zero_contour)
 from .serialize import SCHEMA_VERSION, csv_text, json_text, svg_plot, write_text
@@ -73,11 +72,7 @@ class RunConfig:
     jobs: int | None
 
     def integrator(self) -> IntegratorConfig:
-        return replace(DEFAULT_CONFIG, rtol=self.rtol, atol=self.atol,
-                       r_max=self.r_max)
-
-    def params(self) -> ModelParams:
-        return ModelParams(self.a, self.b)
+        return IntegratorConfig(self.rtol, self.atol, self.r_max)
 
     def resolved(self) -> dict:
         """Every field as plain JSON data: paths as strings, tuples as lists."""
@@ -142,35 +137,51 @@ def _resolve(args, parser) -> RunConfig:
         if fmt not in ("csv", "json", "svg"):
             parser.error(f"unknown output format {fmt!r}")
     levels = _floats_csv(pick("levels", str, "0"), parser, "levels")
+    if not all(math.isfinite(v) for v in levels):
+        parser.error("levels must be finite")
     a_grid = _floats_csv(pick("a_grid", str, ""), parser, "a_grid")
     b_grid = _floats_csv(pick("b_grid", str, ""), parser, "b_grid")
+    if not all(math.isfinite(v) and v > 0 for v in a_grid + b_grid):
+        parser.error("grid values must be positive and finite")
 
-    rtol = pick("rtol", float, DEFAULT_CONFIG.rtol)
-    atol = pick("atol", float, DEFAULT_CONFIG.atol)
-    r_max = pick("r_max", float, DEFAULT_CONFIG.r_max)
     x_tol = pick("x_tol", float, 1e-12)
-    if not (rtol > 0 and atol > 0 and r_max > 0 and x_tol > 0):
-        parser.error("tolerances and r_max must be positive")
+    if not x_tol > 0:
+        parser.error("x_tol must be positive")
+    x = pick("x", float, None)
+    if x is not None and not math.isfinite(x):
+        parser.error("x must be finite")
     resolution = pick("resolution", int, 200)
     if resolution < 2:
         parser.error("resolution must be at least 2")
+    seed = pick("seed", int, _DEFAULT_SEED)
+    if seed < 0:
+        parser.error("seed must be nonnegative")
+    jobs = pick("jobs", int, None)
+    if jobs is not None and jobs < 1:
+        parser.error("jobs must be at least 1")
     out_dir = Path(pick("out", str, "."))
 
     cfg = RunConfig(
         command=args.command,
         a=pick("a", float, None),
         b=pick("b", float, None),
-        x=pick("x", float, None),
-        rtol=float(rtol), atol=float(atol), r_max=float(r_max),
+        x=x,
+        rtol=float(pick("rtol", float, DEFAULT_CONFIG.rtol)),
+        atol=float(pick("atol", float, DEFAULT_CONFIG.atol)),
+        r_max=float(pick("r_max", float, DEFAULT_CONFIG.r_max)),
         x_tol=float(x_tol),
         out_dir=out_dir,
         formats=formats,
         levels=levels,
         resolution=int(resolution),
         a_grid=a_grid, b_grid=b_grid,
-        seed=int(pick("seed", int, _DEFAULT_SEED)),
-        jobs=pick("jobs", int, None),
+        seed=int(seed),
+        jobs=jobs,
     )
+    try:
+        cfg.integrator()
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -267,7 +278,7 @@ def cmd_ground_state(cfg: RunConfig, parser) -> int:
         "regime": classify_regime(params).value,
     }
     write_text(cfg.out_dir / "ground_state.json", json_text(payload))
-    table = profile_table(gs.trajectory, DEFAULT_SCALES, params)
+    table = profile_table(gs.trajectory, params)
     write_text(cfg.out_dir / "trajectory.csv", csv_text(table))
     for check in gs.lemma_report.checks:
         status = "pass" if check.passed else "FAIL"
@@ -340,6 +351,7 @@ def cmd_portrait(cfg: RunConfig, parser) -> int:
             starts.append(PhasePoint(f0, g0))
     config = replace(cfg.integrator(), r_max=20.0)
     trajectories = [integrate_conservative(p0, params, config) for p0 in starts]
+    boundary = admissible_region(params, cfg.resolution) if supercritical else None
 
     if "csv" in cfg.formats:
         write_text(cfg.out_dir / "portrait_curves.csv",
@@ -350,9 +362,8 @@ def cmd_portrait(cfg: RunConfig, parser) -> int:
             "kind": [cp.kind.value for cp in crits],
         }))
         if supercritical:
-            boundary = admissible_region(params, resolution=cfg.resolution)
             write_text(cfg.out_dir / "portrait_admissible.csv", csv_text({
-                "f": boundary.boundary[:, 0], "g": boundary.boundary[:, 1],
+                "f": boundary[:, 0], "g": boundary[:, 1],
             }))
         tcols = {"trajectory": [], "r": [], "f": [], "g": []}
         for i, traj in enumerate(trajectories):
@@ -368,7 +379,7 @@ def cmd_portrait(cfg: RunConfig, parser) -> int:
                     if len(c.samples)])
         xlim = (-1.05 * f_hi, 1.05 * f_hi)
         ylim = (-1.6, 1.6)
-        fs, gs, hgrid = energy_sign_grid(params, xlim, ylim, n=64)
+        fs, gs, hgrid = energy_sign_grid(params, xlim, ylim)
         rects = []
         df = fs[1] - fs[0]
         dg = gs[1] - gs[0]
@@ -383,8 +394,7 @@ def cmd_portrait(cfg: RunConfig, parser) -> int:
             polylines.append((np.column_stack([traj.f, traj.g]).tolist(),
                               "#2a7f2a", 1.0, ""))
         if supercritical:
-            boundary = admissible_region(params, resolution=cfg.resolution)
-            polylines.append((boundary.boundary.tolist(), "#c03030", 1.5, "6,3"))
+            polylines.append((boundary.tolist(), "#c03030", 1.5, "6,3"))
         pts = [(cp.location.f, cp.location.g, 3.5, "#1030c0") for cp in crits]
         svg = svg_plot(xlim, ylim, polylines, rects=rects, points=pts,
                        title=f"phase portrait a={params.a:g} b={params.b:g}")
@@ -420,12 +430,7 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     pairs = sorted((a, b) for a in cfg.a_grid for b in cfg.b_grid)
     config = cfg.integrator()
     tasks = [(a, b, config, cfg.x_tol) for a, b in pairs]
-    jobs = cfg.jobs
-    if jobs is None:
-        env = os.environ.get("NUCSHOOT_JOBS", "")
-        jobs = int(env) if env.isdigit() and int(env) > 0 else None
-    if jobs is None:
-        jobs = getattr(os, "process_cpu_count", os.cpu_count)() or 1
+    jobs = cfg.jobs or getattr(os, "process_cpu_count", os.cpu_count)() or 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_row, tasks))

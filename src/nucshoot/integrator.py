@@ -9,14 +9,13 @@ segment so events can be localized by bracketed root solving on the
 interpolant and trajectories can be resampled at arbitrary radii.
 
 The r = 0 singularity of the radial system is never evaluated: the run
-starts at a small handoff radius r_start from the second-order Taylor
+starts at the hand-off radius R_START = 1e-6 from the second-order Taylor
 state of the regular solution,
 
     f(r) = f'(0) r + O(r^3),        f'(0) = x (b - a x^2) / 3,
     g(r) = x + f'(0) (1 - x^2) r^2 / 2 + O(r^4),
 
-whose truncation error at the default r_start = 1e-6 sits far below the
-absolute tolerance.
+whose truncation error there sits far below the absolute tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +40,16 @@ __all__ = [
     "integrate_conservative",
     "integrate_shifted",
     "DEFAULT_CONFIG",
+    "R_START",
+    "BLOWUP_THRESHOLD",
 ]
+
+# Radius of the Taylor hand-off; radial runs start here.
+R_START = 1e-6
+# A run ends as Blowup where |f| + |g| first reaches this level.
+BLOWUP_THRESHOLD = 1e3
+_H_INIT = 1e-3             # first trial step
+_H_MAX = 10.0              # largest step the controller may take
 
 
 class StiffnessError(RuntimeError):
@@ -56,21 +64,16 @@ class StiffnessError(RuntimeError):
 class IntegratorConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_init: float = 1e-3
-    h_max: float = 10.0
-    r_start: float = 1e-6
     r_max: float = 200.0
-    blowup_threshold: float = 1e3
 
     def __post_init__(self):
-        fields = (self.rtol, self.atol, self.h_init, self.h_max,
-                  self.r_start, self.r_max, self.blowup_threshold)
-        if not all(math.isfinite(v) and v > 0.0 for v in fields):
-            raise ValueError("all integrator settings must be positive and finite")
+        if not all(math.isfinite(v) and v > 0.0
+                   for v in (self.rtol, self.atol, self.r_max)):
+            raise ValueError("rtol, atol and r_max must be positive and finite")
         if self.rtol < 1e-14:
             raise ValueError("rtol below 1e-14 is not resolvable in double precision")
-        if self.r_start >= self.r_max:
-            raise ValueError("r_start must be smaller than r_max")
+        if self.r_max <= R_START:
+            raise ValueError(f"r_max must exceed the hand-off radius {R_START:g}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -187,13 +190,14 @@ class Trajectory:
     """Dense sampled solution with termination cause.
 
     r, f, g and H hold the samples at strictly increasing radii; for the
-    radial flow the first sample is the exact initial state (0, 0, x0, H0).
-    Dense-output segments, when present, let sample_at / resample recover
-    the solution between accepted steps to interpolation order 4.
+    radial flow the first sample is the exact initial state (0, 0, x0, H0)
+    and the second the Taylor hand-off state at R_START.  Dense-output
+    segments, when present, let sample_at / resample recover the solution
+    between accepted steps to interpolation order 4.
     """
 
     def __init__(self, r, f, g, params: ModelParams, x0: float,
-                 termination: Termination, segments=None, series=None):
+                 termination: Termination, segments=None):
         self.r = np.asarray(r, dtype=float)
         self.f = np.asarray(f, dtype=float)
         self.g = np.asarray(g, dtype=float)
@@ -202,7 +206,6 @@ class Trajectory:
         self.termination = termination
         self._segments = segments or []
         self._seg_starts = np.array([s[0] for s in self._segments]) if segments else None
-        self._series = series  # (c1, d2) Taylor coefficients on [0, r_start)
         self.H = energy(self.f, self.g, params)
 
     @property
@@ -215,21 +218,15 @@ class Trajectory:
             return float(self.f[0]), float(self.g[0])
         if r >= self.r[-1]:
             return float(self.f[-1]), float(self.g[-1])
-        if self._segments:
-            first_r0 = self._segments[0][0]
-            if r < first_r0:
-                return self._series_eval(r)
+        if self._segments and r >= self._segments[0][0]:
             idx = int(np.searchsorted(self._seg_starts, r, side="right") - 1)
-            idx = max(0, min(idx, len(self._segments) - 1))
+            idx = min(idx, len(self._segments) - 1)
             return _segment_eval(self._segments[idx], r)
-        # synthetic trajectory without dense segments: linear interpolation
+        # no dense segment here: a synthetic trajectory, or the radial span
+        # from the origin to the hand-off, where f is linear to O(r^3)
         f = float(np.interp(r, self.r, self.f))
         g = float(np.interp(r, self.r, self.g))
         return f, g
-
-    def _series_eval(self, r: float) -> tuple[float, float]:
-        c1, d2 = self._series
-        return c1 * r, self.x0 + d2 * r * r
 
     def resample(self, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uniform-grid (r, f, g) over the computed range with spacing dr."""
@@ -247,23 +244,17 @@ class Trajectory:
         """The sign-mapped trajectory (f, g) -> (-f, -g), same radii."""
         segs = [(r0, h, -f0, -g0, tuple(-q for q in qf), tuple(-q for q in qg))
                 for (r0, h, f0, g0, qf, qg) in self._segments] or None
-        series = (-self._series[0], -self._series[1]) if self._series else None
         return Trajectory(self.r.copy(), -self.f, -self.g, self.params, -self.x0,
-                          self.termination, segs, series)
+                          self.termination, segs)
 
 
 def series_start(x0: float, params: ModelParams, r_start: float) -> PhasePoint:
     """Second-order Taylor state of the regular radial solution at r_start."""
     if r_start <= 0.0:
         raise ValueError("series handoff radius must be positive")
-    c1, d2 = _series_coeffs(x0, params)
+    c1 = x0 * (params.b - params.a * x0 * x0) / 3.0     # f'(0)
+    d2 = 0.5 * c1 * (1.0 - x0 * x0)                     # g''(0) / 2
     return PhasePoint(c1 * r_start, x0 + d2 * r_start * r_start, r_start)
-
-
-def _series_coeffs(x0: float, params: ModelParams) -> tuple[float, float]:
-    """(f'(0), g''(0)/2) of the regular solution from g(0) = x0."""
-    c1 = x0 * (params.b - params.a * x0 * x0) / 3.0
-    return c1, 0.5 * c1 * (1.0 - x0 * x0)
 
 
 def _bisect_root(fun, lo: float, hi: float, vlo: float, xtol: float) -> float:
@@ -288,9 +279,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     accepted steps beyond r_floor.  A level event whose value is already
     <= 0 at r0 ends the run there, before the first step.
     """
-    rtol, atol = cfg.rtol, cfg.atol
-    h_max, r_end, blowup_threshold = cfg.h_max, cfg.r_max, cfg.blowup_threshold
-    h = min(cfg.h_init, h_max, (r_end - r0))
+    rtol, atol, r_end = cfg.rtol, cfg.atol, cfg.r_max
+    h_max, blowup_threshold = _H_MAX, BLOWUP_THRESHOLD
+    h = min(_H_INIT, h_max, (r_end - r0))
     if h <= 0.0:
         raise ValueError("empty integration span")
 
@@ -309,12 +300,10 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
 
     err_prev = 1e-4
     n_reject = 0
-    terminated = None
 
     for _ in range(_MAX_STEPS):
         if r_end - r <= 1e-12 * max(1.0, r_end):
-            terminated = Termination(TerminationKind.REACHED_RMAX, r)
-            break
+            return rs, fs, gs, segments, Termination(TerminationKind.REACHED_RMAX, r)
         if h < 1e-13 * max(1.0, abs(r)):
             raise StiffnessError(r)
         h = min(h, h_max, r_end - r)
@@ -426,10 +415,10 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
             gs.append(g_stop)
             ev_kinds = tuple(event_fns[i][0] for i in tied if i is not None)
             if ev_kinds:
-                terminated = Termination(TerminationKind.EVENT, r_stop, ev_kinds)
+                term = Termination(TerminationKind.EVENT, r_stop, ev_kinds)
             else:
-                terminated = Termination(TerminationKind.BLOWUP, r_stop)
-            break
+                term = Termination(TerminationKind.BLOWUP, r_stop)
+            return rs, fs, gs, segments, term
 
         # -- accept
         segments.append(seg)
@@ -446,12 +435,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
         h *= fac
         err_prev = max(err, 1e-10)
-    else:
-        raise StiffnessError(r, "step budget exhausted")
-
-    if terminated is None:
-        terminated = Termination(TerminationKind.REACHED_RMAX, r)
-    return rs, fs, gs, segments, terminated
+    raise StiffnessError(r, "step budget exhausted")
 
 
 _DECAY_EPS = 1e-8
@@ -485,14 +469,13 @@ def integrate_radial(x0: float, params: ModelParams,
     so a tie flags numerical ambiguity, not physics).
     """
     cfg = config or DEFAULT_CONFIG
-    c1, d2 = _series_coeffs(x0, params)
-    p1 = series_start(x0, params, cfg.r_start)
-    rs, fs, gs, segs, term = _run_dopri(vector_field(params), cfg.r_start, p1.f, p1.g,
+    p1 = series_start(x0, params, R_START)
+    rs, fs, gs, segs, term = _run_dopri(vector_field(params), R_START, p1.f, p1.g,
                                         cfg, _event_functions(events, params))
     rs = [0.0] + rs
     fs = [0.0] + fs
     gs = [x0] + gs
-    return Trajectory(rs, fs, gs, params, x0, term, segs, (c1, d2))
+    return Trajectory(rs, fs, gs, params, x0, term, segs)
 
 
 def integrate_conservative(p0: PhasePoint, params: ModelParams,

@@ -73,10 +73,6 @@ class ModelParams:
             raise ValueError("couplings a, b must be strictly positive")
 
     @property
-    def regime(self) -> Regime:
-        return classify_regime(self)
-
-    @property
     def decay_rate_bound(self) -> float:
         """Guaranteed exponential decay rate min{b/2, (2a-b)/(2a)}.
 
@@ -84,12 +80,6 @@ class ModelParams:
         (possibly nonpositive) value and must check.
         """
         return min(self.b / 2.0, (2.0 * self.a - self.b) / (2.0 * self.a))
-
-    def admissible_f_bound(self) -> float:
-        """Half-width in f of the admissible region at |g| = 1 (sqrt(a-b))."""
-        if self.a <= self.b:
-            raise ValueError("admissible region bound requires a > b")
-        return math.sqrt(self.a - self.b)
 
 
 @dataclass(frozen=True)
@@ -113,22 +103,22 @@ class CriticalPoint:
     kind: PointKind
 
 
-def classify_regime(params: ModelParams, tol: float = REGIME_TOL) -> Regime:
+def classify_regime(params: ModelParams) -> Regime:
     """Bucket (a, b) by the sign structure of a - 2b and a - b.
 
-    A tolerance band of width `tol` around the degenerate lines makes the
+    A tolerance band of width REGIME_TOL around the degenerate lines makes the
     classification robust to round-off in derived parameter values.
     """
     a, b = params.a, params.b
     d2 = a - 2.0 * b
-    if d2 > tol:
+    if d2 > REGIME_TOL:
         return Regime.SUPERCRITICAL
-    if abs(d2) <= tol:
+    if abs(d2) <= REGIME_TOL:
         return Regime.CRITICAL
     d1 = a - b
-    if abs(d1) <= tol:
+    if abs(d1) <= REGIME_TOL:
         return Regime.DEGENERATE
-    if d1 > tol:
+    if d1 > REGIME_TOL:
         return Regime.SUBCRITICAL_AB
     return Regime.SUBCRITICAL
 
@@ -201,12 +191,12 @@ def critical_points(params: ModelParams) -> list[CriticalPoint]:
     return pts
 
 
-def exact_trivial(params: ModelParams, r_max: float = 200.0, n: int = 201):
-    """The identically-zero solution as a Trajectory on [0, r_max]."""
+def exact_trivial(params: ModelParams, r_max: float = 200.0):
+    """The identically-zero solution as a Trajectory, 201 samples on [0, r_max]."""
     from .integrator import Trajectory, Termination, TerminationKind
     import numpy as np
 
-    r = np.linspace(0.0, r_max, n)
+    r = np.linspace(0.0, r_max, 201)
     z = np.zeros_like(r)
     term = Termination(TerminationKind.REACHED_RMAX, r_max)
     return Trajectory(r, z.copy(), z.copy(), params, 0.0, term)

@@ -2,8 +2,9 @@
 
 Spinor densities, meson potentials, plateau shape diagnostics, and
 radial norms, all derived from the dimensionless (f, g) profile.  The
-speed-of-light scale c enters display quantities only; it never feeds
-back into the ODE.
+potentials use the nucleon mass m = 1 and the speed-of-light display
+scale c = 10; c enters display quantities only and never feeds back into
+the ODE.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .model import ModelParams, PhasePoint
 from .shooting import NotDecayingError, fit_decay_rate
 
 __all__ = [
-    "PhysicalScales",
     "PlateauMetrics",
     "InsufficientHorizonError",
     "DivergentNormError",
@@ -26,8 +26,10 @@ __all__ = [
     "plateau_metrics",
     "radial_norm",
     "profile_table",
-    "DEFAULT_SCALES",
 ]
+
+_M = 1.0                   # nucleon mass
+_C = 10.0                  # speed-of-light display scale
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -36,23 +38,6 @@ class InsufficientHorizonError(RuntimeError):
 
 class DivergentNormError(RuntimeError):
     """Radial norm requested for a trajectory with no decaying tail."""
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Nucleon mass m and speed-of-light display scale c."""
-
-    m: float = 1.0
-    c: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not (self.m > 0.0 and math.isfinite(self.m)):
-            raise ValueError("m must be positive and finite")
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise ValueError("c must be positive and finite")
-
-
-DEFAULT_SCALES = PhysicalScales()
 
 
 @dataclass(frozen=True)
@@ -85,7 +70,7 @@ def densities(p: PhasePoint | Trajectory) -> tuple[float, float]:
     return gsq - fsq, gsq + fsq
 
 
-def potentials(p: PhasePoint | Trajectory, scales: PhysicalScales,
+def potentials(p: PhasePoint | Trajectory,
                params: ModelParams) -> tuple[float, float, float, float]:
     """Leading-order meson potentials (S, V, V+S, V-S) at a phase point.
 
@@ -93,7 +78,7 @@ def potentials(p: PhasePoint | Trajectory, scales: PhysicalScales,
     the sum and difference channels are returned from their own reduced
     formulas, which agree with S + V and V - S to roundoff.
     """
-    m, c = scales.m, scales.c
+    m, c = _M, _C
     fsq = p.f * p.f
     gsq = p.g * p.g
     s_pot = -m * c * c * gsq + fsq / (4.0 * m)
@@ -171,12 +156,11 @@ def radial_norm(traj: Trajectory) -> tuple[float, float]:
     return float(4.0 * math.pi * norm_0), float(4.0 * math.pi * norm_s)
 
 
-def profile_table(traj: Trajectory, scales: PhysicalScales,
-                  params: ModelParams) -> dict[str, np.ndarray]:
+def profile_table(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarray]:
     """Column table of the physics profile along the trajectory samples."""
     f, g = traj.f, traj.g
     rho_s, rho_0 = densities(traj)
-    s_pot, v_pot, v_plus_s, v_minus_s = potentials(traj, scales, params)
+    s_pot, v_pot, v_plus_s, v_minus_s = potentials(traj, params)
     return {
         "r": traj.r,
         "f": f,

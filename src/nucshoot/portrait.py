@@ -26,7 +26,6 @@ from .model import ModelParams, PhasePoint, Regime, classify_regime, energy
 __all__ = [
     "Branch",
     "LevelSetCurve",
-    "AdmissibleRegionReport",
     "UndefinedLiftError",
     "quartic_residual",
     "discriminant",
@@ -58,16 +57,6 @@ class LevelSetCurve:
     branch: Branch
     samples: np.ndarray            # shape (n, 2), columns (f, g)
     domain: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class AdmissibleRegionReport:
-    params: ModelParams
-    boundary: np.ndarray           # closed polyline, columns (f, g)
-    f_corner: float                # |f| at the g = +-1 corners, sqrt(a-b)
-
-    def contains(self, p: PhasePoint) -> bool:
-        return admissible_contains(p, self.params)
 
 
 def quartic_residual(f, g, level: float, params: ModelParams):
@@ -154,19 +143,20 @@ def _sample_branch(level, params, branch, lo, hi, n):
     return np.array(pts) if pts else np.empty((0, 2))
 
 
-def level_curves(params: ModelParams, levels, resolution: int = 200,
-                 f_max: float | None = None) -> list[LevelSetCurve]:
-    """Sampled branches of the level curves for each requested C."""
+def level_curves(params: ModelParams, levels, resolution: int = 200) -> list[LevelSetCurve]:
+    """Sampled branches of the level curves for each requested C.
+
+    Unbounded branches are cut at |f| = 1.25 max(sqrt(a), finite domain
+    ends) + 0.5, past every feature of the curve.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 samples")
     curves: list[LevelSetCurve] = []
     for level in levels:
         level = float(level)
         h1_iv, h2_iv = branch_domains(level, params)
-        cap = f_max
-        if cap is None:
-            finite = [iv[0] for iv in h1_iv] + [iv[1] for iv in h1_iv if math.isfinite(iv[1])]
-            cap = max(finite + [math.sqrt(params.a)]) * 1.25 + 0.5
+        finite = [iv[0] for iv in h1_iv] + [iv[1] for iv in h1_iv if math.isfinite(iv[1])]
+        cap = max(finite + [math.sqrt(params.a)]) * 1.25 + 0.5
         for branch, ivs in ((Branch.H1_PLUS, h1_iv), (Branch.H1_MINUS, h1_iv),
                             (Branch.H2_PLUS, h2_iv), (Branch.H2_MINUS, h2_iv)):
             dom = []
@@ -186,16 +176,16 @@ def level_curves(params: ModelParams, levels, resolution: int = 200,
     return curves
 
 
-def zero_contour(params: ModelParams, resolution: int = 200,
-                 f_max: float | None = None) -> list[LevelSetCurve]:
+def zero_contour(params: ModelParams, resolution: int = 200) -> list[LevelSetCurve]:
     """Branches of the zero-energy curve.
 
     At a = 2b the quartic factors as (b g^2 - f^2)(g^2 - 1) = 0 and the
     generic branch formulas develop a corner where the factors cross, so
-    the four lines g = +-1, g = +-f/sqrt(b) are emitted directly.
+    the four lines g = +-1, g = +-f/sqrt(b) are emitted directly, for
+    |f| <= 1.25 sqrt(a) + 0.5.
     """
     if classify_regime(params) is Regime.CRITICAL:
-        cap = f_max if f_max is not None else math.sqrt(params.a) * 1.25 + 0.5
+        cap = math.sqrt(params.a) * 1.25 + 0.5
         fs = np.linspace(-cap, cap, max(2, resolution))
         rb = math.sqrt(params.b)
         dom = ((-cap, cap),)
@@ -206,7 +196,7 @@ def zero_contour(params: ModelParams, resolution: int = 200,
             LevelSetCurve(0.0, Branch.H2_PLUS, np.column_stack([fs, fs / rb]), dom),
             LevelSetCurve(0.0, Branch.H2_MINUS, np.column_stack([fs, -fs / rb]), dom),
         ]
-    return level_curves(params, [0.0], resolution, f_max)
+    return level_curves(params, [0.0], resolution)
 
 
 def admissible_contains(p: PhasePoint, params: ModelParams) -> bool:
@@ -226,8 +216,8 @@ def admissible_contains(p: PhasePoint, params: ModelParams) -> bool:
     return margin <= 1e-12 * scale and p.g * p.g <= 1.0 + 1e-14
 
 
-def admissible_region(params: ModelParams, resolution: int = 200) -> AdmissibleRegionReport:
-    """Closed boundary polyline of A, corners at (+-sqrt(a-b), +-1).
+def admissible_region(params: ModelParams, resolution: int = 200) -> np.ndarray:
+    """Closed boundary polyline of A, columns (f, g), corners at (+-sqrt(a-b), +-1).
 
     The left/right edges are the hyperbola 2f^2 = a g^2 + (a - 2b) for
     g in [-1, 1]; the top/bottom edges are the segments g = +-1 with
@@ -244,8 +234,7 @@ def admissible_region(params: ModelParams, resolution: int = 200) -> AdmissibleR
     top = np.column_stack([np.linspace(fc, -fc, n), np.ones(n)])
     left = np.column_stack([-f_arc[::-1], gs[::-1]])        # g: 1 -> -1
     bottom = np.column_stack([np.linspace(-fc, fc, n), -np.ones(n)])
-    boundary = np.vstack([right, top, left, bottom, right[:1]])
-    return AdmissibleRegionReport(params, boundary, fc)
+    return np.vstack([right, top, left, bottom, right[:1]])
 
 
 def _lift_angles(rs, fs, gs):
@@ -254,13 +243,18 @@ def _lift_angles(rs, fs, gs):
     return lifted
 
 
-def winding_count(traj, r1: float, r2: float, max_refine: int = 16):
+_MAX_REFINE = 16           # winding_count's midpoint-refinement rounds
+_SIGN_GRID_N = 64          # energy_sign_grid's points per axis
+
+
+def winding_count(traj, r1: float, r2: float):
     """Winding diagnostic on [r1, r2]: (N, lift) with lift columns (r, theta).
 
     theta(r) = -arctan(f/g) lifted continuously; N is the lifted
     increment over pi, which equals the number of g-roots crossed.  The
-    sample set is refined through the dense interpolant until every
-    consecutive jump is below pi/2, so no half-turn can be skipped.
+    sample set is refined through the dense interpolant (at most
+    _MAX_REFINE times) until every consecutive jump is below pi/2, so no
+    half-turn can be skipped.
     """
     rs = traj.r
     mask = (rs >= r1 - 1e-15) & (rs <= r2 + 1e-15)
@@ -270,7 +264,7 @@ def winding_count(traj, r1: float, r2: float, max_refine: int = 16):
     sel_f = list(traj.f[mask])
     sel_g = list(traj.g[mask])
 
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         amp = np.abs(sel_f) + np.abs(sel_g)
         if np.min(amp) <= 1e-10:
             raise UndefinedLiftError(
@@ -300,9 +294,9 @@ def winding_count(traj, r1: float, r2: float, max_refine: int = 16):
 
 
 def energy_sign_grid(params: ModelParams, f_range: tuple[float, float],
-                     g_range: tuple[float, float], n: int = 64):
-    """H evaluated on a regular grid, for sign shading in plots."""
-    fs = np.linspace(f_range[0], f_range[1], n)
-    gs = np.linspace(g_range[0], g_range[1], n)
+                     g_range: tuple[float, float]):
+    """H on a regular 64 x 64 grid, for sign shading in plots."""
+    fs = np.linspace(f_range[0], f_range[1], _SIGN_GRID_N)
+    gs = np.linspace(g_range[0], g_range[1], _SIGN_GRID_N)
     F, G = np.meshgrid(fs, gs)
     return fs, gs, energy(F, G, params)

@@ -87,34 +87,34 @@ def _coord(v: float) -> str:
     return format(v, ".3f")
 
 
+_WIDTH, _HEIGHT, _MARGIN = 800, 600, 40.0    # viewBox size and frame inset, px
+
+
 class _Mapper:
-    def __init__(self, xlim, ylim, width, height, margin):
+    def __init__(self, xlim, ylim):
         self.x0, self.x1 = xlim
         self.y0, self.y1 = ylim
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("degenerate plot limits")
-        self.w = width
-        self.h = height
-        self.m = margin
 
     def x(self, v: float) -> float:
-        return self.m + (v - self.x0) / (self.x1 - self.x0) * (self.w - 2 * self.m)
+        return _MARGIN + (v - self.x0) / (self.x1 - self.x0) * (_WIDTH - 2 * _MARGIN)
 
     def y(self, v: float) -> float:
         # SVG y grows downward
-        return self.h - self.m - (v - self.y0) / (self.y1 - self.y0) * (self.h - 2 * self.m)
+        return _HEIGHT - _MARGIN - (v - self.y0) / (self.y1 - self.y0) * (_HEIGHT - 2 * _MARGIN)
 
 
-def svg_plot(xlim, ylim, polylines, rects=(), points=(), title="",
-             width=800, height=600) -> str:
-    """Fixed-viewBox SVG scene from data-space primitives.
+def svg_plot(xlim, ylim, polylines, rects=(), points=(), title="") -> str:
+    """Fixed 800 x 600 viewBox SVG scene from data-space primitives.
 
     polylines: iterable of (pts, stroke, stroke_width, dash) with pts an
     iterable of (x, y) pairs; rects: (x0, y0, x1, y1, fill) shading
     cells drawn under the curves; points: (x, y, radius_px, fill).
     Non-finite vertices split a polyline into segments.
     """
-    mp = _Mapper(xlim, ylim, width, height, 40.0)
+    width, height, margin = _WIDTH, _HEIGHT, _MARGIN
+    mp = _Mapper(xlim, ylim)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
@@ -125,8 +125,8 @@ def svg_plot(xlim, ylim, polylines, rects=(), points=(), title="",
         out.append(f'<rect x="{_coord(px0)}" y="{_coord(py0)}" '
                    f'width="{_coord(px1 - px0)}" height="{_coord(py1 - py0)}" '
                    f'fill="{fill}"/>')
-    frame = (f'<rect x="{_coord(mp.m)}" y="{_coord(mp.m)}" '
-             f'width="{_coord(width - 2 * mp.m)}" height="{_coord(height - 2 * mp.m)}" '
+    frame = (f'<rect x="{_coord(margin)}" y="{_coord(margin)}" '
+             f'width="{_coord(width - 2 * margin)}" height="{_coord(height - 2 * margin)}" '
              f'fill="none" stroke="black" stroke-width="1"/>')
     out.append(frame)
     for pts, stroke, swidth, dash in polylines:

@@ -69,12 +69,29 @@ class ShotClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ShotOutcome:
+    """A classified shot.  r_x, g_at_rx and H_at_rx are the radius, g and H
+    at the trajectory's end when the shot stopped on an event, else None."""
+
     x0: float
     shot_class: ShotClass
-    r_x: float | None
-    g_at_rx: float | None
-    H_at_rx: float | None
     trajectory: Trajectory
+
+    def _at_event(self, value):
+        if self.trajectory.termination.kind is TerminationKind.EVENT:
+            return float(value[-1])
+        return None
+
+    @property
+    def r_x(self) -> float | None:
+        return self._at_event(self.trajectory.r)
+
+    @property
+    def g_at_rx(self) -> float | None:
+        return self._at_event(self.trajectory.g)
+
+    @property
+    def H_at_rx(self) -> float | None:
+        return self._at_event(self.trajectory.H)
 
 
 @dataclass(frozen=True)
@@ -152,12 +169,6 @@ def _verify_set_i(traj: Trajectory) -> bool:
     return abs(f[-1]) <= _F_EVENT_TOL and g[-1] >= -1e-15
 
 
-def _mirror_outcome(out: ShotOutcome, x0: float) -> ShotOutcome:
-    g_rx = -out.g_at_rx if out.g_at_rx is not None else None
-    return ShotOutcome(x0, out.shot_class, out.r_x, g_rx, out.H_at_rx,
-                       out.trajectory.mirrored())
-
-
 def classify_shot(x0: float, params: ModelParams,
                   config: IntegratorConfig | None = None) -> ShotOutcome:
     """Integrate one shot with the full event set and name what happened.
@@ -170,48 +181,46 @@ def classify_shot(x0: float, params: ModelParams,
     x0 = float(x0)
     if x0 == 0.0:
         traj = exact_trivial(params, cfg.r_max)
-        return ShotOutcome(0.0, ShotClass.TRIVIAL_ZERO, None, None, None, traj)
+        return ShotOutcome(0.0, ShotClass.TRIVIAL_ZERO, traj)
     if x0 < 0.0:
-        return _mirror_outcome(classify_shot(-x0, params, cfg), x0)
-
+        out = classify_shot(-x0, params, cfg)
+        return ShotOutcome(x0, out.shot_class, out.trajectory.mirrored())
     traj = integrate_radial(x0, params, cfg, default_events(x0, params))
+    return ShotOutcome(x0, _shot_class(traj, params), traj)
+
+
+def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
+    """The class of a shot with g(0) > 0 from how its trajectory ended."""
     term = traj.termination
-    min_gsq = float(np.min(traj.g ** 2))
-
-    if term.kind is TerminationKind.BLOWUP:
-        cls = ShotClass.TRAPPED if min_gsq >= 1.0 - _TRAP_TOL else ShotClass.BLOWUP
-        return ShotOutcome(x0, cls, None, None, None, traj)
-    if term.kind is TerminationKind.REACHED_RMAX:
-        cls = ShotClass.TRAPPED if min_gsq >= 1.0 - _TRAP_TOL else ShotClass.UNDETERMINED
-        return ShotOutcome(x0, cls, None, None, None, traj)
-
-    r_x = term.r
-    g_rx = float(traj.g[-1])
-    H_rx = float(traj.H[-1])
+    if term.kind is not TerminationKind.EVENT:
+        if float(np.min(traj.g ** 2)) >= 1.0 - _TRAP_TOL:
+            return ShotClass.TRAPPED
+        if term.kind is TerminationKind.BLOWUP:
+            return ShotClass.BLOWUP
+        return ShotClass.UNDETERMINED
     if len(term.event_kinds) != 1:
         # simultaneous f- and g-zeros cannot happen away from the origin,
         # so a localization tie is numerical ambiguity
-        return ShotOutcome(x0, ShotClass.UNDETERMINED, r_x, g_rx, H_rx, traj)
+        return ShotClass.UNDETERMINED
     kind = term.event_kinds[0]
+    g_rx = float(traj.g[-1])
+    H_rx = float(traj.H[-1])
     if kind is EventKind.F_CROSSES_ZERO:
         sb = math.sqrt(params.b / params.a)
         ok = (_verify_set_i(traj)
               and -1e-15 <= g_rx <= sb + _SET_I_G_TOL
               and H_rx <= _SET_I_H_TOL)
-        cls = ShotClass.IN_SET_I if ok else ShotClass.UNDETERMINED
-        return ShotOutcome(x0, cls, r_x, g_rx, H_rx, traj)
+        return ShotClass.IN_SET_I if ok else ShotClass.UNDETERMINED
     if kind is EventKind.G_CROSSES_ZERO:
-        return ShotOutcome(x0, ShotClass.G_VANISHED_FIRST, r_x, g_rx, H_rx, traj)
+        return ShotClass.G_VANISHED_FIRST
     if kind is EventKind.G_SQUARED_REACHES_ONE:
-        return ShotOutcome(x0, ShotClass.TRAPPED, r_x, g_rx, H_rx, traj)
+        return ShotClass.TRAPPED
     if kind is EventKind.DECAY_DETECTED:
-        return ShotOutcome(x0, ShotClass.DECAYED, r_x, g_rx, H_rx, traj)
-    if kind is EventKind.ENERGY_BARRIER:
-        # the certificate: H at or below the trap level inside the strip
-        ok = 0.0 < g_rx < 1.0 and H_rx <= trap_energy(params)
-        cls = ShotClass.ENERGY_TRAPPED if ok else ShotClass.UNDETERMINED
-        return ShotOutcome(x0, cls, r_x, g_rx, H_rx, traj)
-    return ShotOutcome(x0, ShotClass.UNDETERMINED, r_x, g_rx, H_rx, traj)
+        return ShotClass.DECAYED
+    # the kind left is EnergyBarrier, certified by H at or below the trap
+    # level inside the strip
+    ok = 0.0 < g_rx < 1.0 and H_rx <= trap_energy(params)
+    return ShotClass.ENERGY_TRAPPED if ok else ShotClass.UNDETERMINED
 
 
 def classify_grid(params: ModelParams, xs,
@@ -227,8 +236,9 @@ _FIT_WINDOW = 0.5      # decay fit: trailing fraction of the decreasing tail
 
 
 def seed_bracket(params: ModelParams,
-                 config: IntegratorConfig | None = None) -> tuple[float, float]:
-    """Initial bisection bracket: x_lo in I, x_hi not in I.
+                 config: IntegratorConfig | None = None) -> tuple[ShotOutcome, float]:
+    """Initial bisection bracket (lo_out, x_hi): the InSetI shot at x_lo =
+    lo_out.x0, and x_hi not in I.
 
     x_lo is the midpoint of (sqrt(b/a), sqrt(2b/a)), which lies in I for
     every Supercritical parameter pair; x_hi is found by scanning upward
@@ -261,7 +271,7 @@ def seed_bracket(params: ModelParams,
         while x < 1.0 - _SCAN_DELTA:
             out = classify_shot(x, params, cfg)
             if out.shot_class in _SEED_NON_I:
-                return x_lo, x
+                return lo_out, x
             if out.shot_class is ShotClass.IN_SET_I:
                 resume = x
             elif fallback is None:
@@ -277,12 +287,12 @@ def seed_bracket(params: ModelParams,
             break
         out = classify_shot(x, params, cfg)
         if out.shot_class in _SEED_NON_I:
-            return x_lo, x
+            return lo_out, x
         if out.shot_class is ShotClass.UNDETERMINED and fallback is None:
             fallback = x
         prev = x
     if fallback is not None:
-        return x_lo, fallback
+        return lo_out, fallback
     raise BracketFailureError(
         "every shot up to one ulp below 1 stayed in I: sup I is closer to 1 "
         "than double precision resolves")
@@ -316,8 +326,8 @@ def bisect_ground_state(params: ModelParams,
     if x_tol <= 0.0:
         raise ValueError("x_tol must be positive")
     cfg = config or DEFAULT_CONFIG
-    x_lo, x_hi = seed_bracket(params, cfg)
-    lo_out = classify_shot(x_lo, params, cfg)
+    lo_out, x_hi = seed_bracket(params, cfg)
+    x_lo = lo_out.x0
 
     for _ in range(200):
         if x_hi - x_lo <= x_tol:

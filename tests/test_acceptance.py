@@ -14,7 +14,7 @@ from nucshoot.integrator import (IntegratorConfig, integrate_conservative,
                                  series_start)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_coth,
                             vector_field)
-from nucshoot.physics import PhysicalScales, plateau_metrics, potentials
+from nucshoot.physics import plateau_metrics, potentials
 from nucshoot.portrait import admissible_contains, winding_count
 from nucshoot.shooting import (ShotClass, bisect_ground_state, classify_grid,
                                classify_shot, default_events)
@@ -41,7 +41,7 @@ def test_criterion_1_coth_oracle():
 def test_criterion_2_conservative_energy_drift():
     t0 = time.perf_counter()
     cfg = IntegratorConfig(r_max=50.0)
-    f_edge = P94.admissible_f_bound()
+    f_edge = math.sqrt(P94.a - P94.b)
     rng = np.random.default_rng(20240902)
     done = 0
     while done < 20:
@@ -130,11 +130,10 @@ def test_criterion_7_plateau_ordering_and_channels():
     assert (plateau_metrics(gs94.trajectory).plateau_score
             > plateau_metrics(gs41.trajectory).plateau_score)
 
-    scales = PhysicalScales(m=1.0, c=10.0)
     traj = gs94.trajectory
     vplus = vminus = 0.0
     for f, g in zip(traj.f, traj.g):
-        _, _, vp, vm = potentials(PhasePoint(float(f), float(g)), scales, P94)
+        _, _, vp, vm = potentials(PhasePoint(float(f), float(g)), P94)
         vplus = max(vplus, abs(vp))
         vminus = max(vminus, abs(vm))
     assert vminus / vplus > 10.0

@@ -1,6 +1,5 @@
 """Command-line driver: exit codes, artifacts, precedence, determinism."""
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +16,23 @@ def _usage_exit(argv):
     return exc.value.code
 
 
-def test_usage_failures_exit_64(tmp_path):
+# values that parse but are out of range
+BAD_VALUES = (
+    ["portrait", "--a", "9", "--b", "4", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["classify", "--a", "9", "--b", "4", "--x", "0.8", "--rtol", "1e-16"],
+    ["classify", "--a", "9", "--b", "4", "--x", "0.8", "--r-max", "1e-7"],
+    ["classify", "--a", "9", "--b", "4", "--x", "nan"],
+    ["classify", "--a", "9", "--b", "4", "--x", "inf"],
+    ["sweep", "--a-grid=-1,9", "--b-grid", "4"],
+    ["sweep", "--a-grid=nan", "--b-grid", "4"],
+    ["sweep", "--a-grid", "9", "--b-grid", "0"],
+    ["portrait", "--a", "9", "--b", "4", "--levels=nan"],
+    ["sweep", "--a-grid", "9", "--b-grid", "4", "--jobs", "0"],
+)
+
+
+def test_usage_failures_exit_64(tmp_path, capsys):
     assert _usage_exit([]) == EXIT_USAGE
     assert _usage_exit(["classify", "--no-such-flag"]) == EXIT_USAGE
     assert _usage_exit(["classify", "--x", "0.5"]) == EXIT_USAGE      # missing a, b
@@ -30,6 +45,15 @@ def test_usage_failures_exit_64(tmp_path):
                         "--out", str(tmp_path)]) == EXIT_USAGE
     assert _usage_exit(["sweep", "--a-grid", "", "--b-grid", "4",
                         "--out", str(tmp_path)]) == EXIT_USAGE
+    capsys.readouterr()
+    # one error line, no traceback, and no output directory
+    never = tmp_path / "never"
+    for argv in BAD_VALUES:
+        assert _usage_exit(argv + ["--out", str(never)]) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("nucshoot: error: "), argv
+        assert "Traceback" not in err
+    assert not never.exists()
 
 
 def test_ground_state_regime_rejection(tmp_path, capsys):
@@ -194,13 +218,12 @@ def test_sweep_rows_sorted_and_nonexistence_blank(tmp_path, capsys):
     assert float(row94[6]) == 1.0              # all lemma checks passed
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+def test_sweep_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     base = ["sweep", "--a-grid", "9,4", "--b-grid", "4,1", "--x-tol", "1e-8"]
     assert main(base + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-    monkeypatch.setenv("NUCSHOOT_JOBS", "2")
-    assert main(base + ["--out", str(parallel)]) == EXIT_OK
+    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
     s = (serial / "sweep.csv").read_text()
     p = (parallel / "sweep.csv").read_text()
     assert s.splitlines()[1:] == p.splitlines()[1:]
@@ -224,8 +247,8 @@ def test_verify(tmp_path, capsys):
 
 
 def test_verify_corrupted_tolerances_fail(tmp_path, monkeypatch):
-    # shrink every threshold below attainability: all values are >= 0
-    corrupted = tuple(replace(c, threshold=c.threshold * 1e-8 - 1e-300)
+    # cheap stand-ins whose values exceed their thresholds
+    corrupted = tuple(verify.Check(c.name, lambda config, seed, x_tol: 1.0, 0.5)
                       for c in verify.CHECKS)
     monkeypatch.setattr(verify, "CHECKS", corrupted)
     code = main(["verify", "--out", str(tmp_path)])

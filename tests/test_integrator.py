@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from nucshoot.integrator import (DEFAULT_CONFIG, EventKind, IntegratorConfig,
-                                 StiffnessError, TerminationKind,
-                                 integrate_conservative, integrate_radial,
-                                 integrate_shifted, series_start)
+from nucshoot import integrator
+from nucshoot.integrator import (BLOWUP_THRESHOLD, R_START, EventKind,
+                                 IntegratorConfig, StiffnessError,
+                                 TerminationKind, integrate_conservative,
+                                 integrate_radial, integrate_shifted,
+                                 series_start)
 from nucshoot.model import ModelParams, PhasePoint, energy, exact_coth
 from nucshoot.shooting import bisect_ground_state
 
@@ -26,9 +28,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(atol=0.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(h_init=-1.0)
+        IntegratorConfig(r_max=1e-7)       # not beyond the hand-off radius
     with pytest.raises(ValueError):
-        IntegratorConfig(r_start=5.0, r_max=2.0)
+        IntegratorConfig(r_max=R_START)
     with pytest.raises(ValueError):
         IntegratorConfig(r_max=math.inf)
 
@@ -86,7 +88,8 @@ def test_sample_at_nodes_and_clamping():
 
 
 def test_sample_at_series_region():
-    """Below the handoff radius the Taylor start supplies the values."""
+    """Below the handoff radius, interpolation between the origin and the
+    hand-off rows reproduces the Taylor values."""
     x0 = 0.8
     traj = integrate_radial(x0, P94, IntegratorConfig(r_max=2.0))
     r = 1e-7
@@ -117,15 +120,17 @@ def test_mirrored_trajectory():
         assert mf == -f and mg == -g
 
 
-def test_convergence_order_at_least_four_and_a_half():
+def test_convergence_order_at_least_four_and_a_half(monkeypatch):
     """Fixed-step endpoint errors against a tight reference; log2 slopes."""
     ref = integrate_conservative(PhasePoint(0.3, 0.4), P94,
                                  IntegratorConfig(rtol=1e-12, atol=1e-14, r_max=2.0))
     rf, rg = ref.f[-1], ref.g[-1]
     errs = []
+    cfg = IntegratorConfig(rtol=10.0, atol=10.0, r_max=2.0)
     for h in (0.2, 0.1, 0.05, 0.025):
         # sky-high tolerances pin the controller at h = h_max = h_init
-        cfg = IntegratorConfig(rtol=10.0, atol=10.0, h_init=h, h_max=h, r_max=2.0)
+        monkeypatch.setattr(integrator, "_H_INIT", h)
+        monkeypatch.setattr(integrator, "_H_MAX", h)
         t = integrate_conservative(PhasePoint(0.3, 0.4), P94, cfg)
         errs.append(math.hypot(t.f[-1] - rf, t.g[-1] - rg))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -191,13 +196,13 @@ def test_blowup_termination():
     assert term.r == pytest.approx(1.8787038, abs=1e-3)
     # the final row is bisected onto the threshold surface |f| + |g| = B
     size = abs(traj.f[-1]) + abs(traj.g[-1])
-    assert size == pytest.approx(DEFAULT_CONFIG.blowup_threshold, rel=1e-6)
+    assert size == pytest.approx(BLOWUP_THRESHOLD, rel=1e-6)
 
 
-def test_stiffness_error_carries_radius():
-    cfg = IntegratorConfig(blowup_threshold=1e300)
+def test_stiffness_error_carries_radius(monkeypatch):
+    monkeypatch.setattr(integrator, "BLOWUP_THRESHOLD", 1e300)
     with pytest.raises(StiffnessError) as exc:
-        integrate_radial(5.0, P94, cfg)
+        integrate_radial(5.0, P94)
     assert 0.0 < exc.value.radius < 1.0
     assert "step size underflow" in str(exc.value)
 
@@ -252,8 +257,9 @@ def test_shifted_approaches_conservative_flow():
     assert d1000 <= 1e-2
 
 
-def test_oversized_initial_step_is_clipped():
-    cfg = IntegratorConfig(h_init=50.0, h_max=50.0, r_max=10.0)
-    traj = integrate_conservative(PhasePoint(0.3, 0.4), P94, cfg)
+def test_oversized_initial_step_is_clipped(monkeypatch):
+    monkeypatch.setattr(integrator, "_H_INIT", 50.0)
+    monkeypatch.setattr(integrator, "_H_MAX", 50.0)
+    traj = integrate_conservative(PhasePoint(0.3, 0.4), P94, IntegratorConfig(r_max=10.0))
     assert traj.r_end == 10.0
     assert np.max(np.abs(traj.H - traj.H[0])) <= 1e-7

@@ -126,7 +126,7 @@ def test_gradient_is_rotated_conservative_field():
 
 
 def test_exact_trivial_is_flat_zero():
-    traj = exact_trivial(P94, r_max=10.0, n=11)
+    traj = exact_trivial(P94, r_max=10.0)
     assert traj.f.max() == 0.0 and traj.g.max() == 0.0
     assert np.all(traj.H == 0.0)
     assert traj.r[-1] == 10.0

@@ -7,8 +7,7 @@ import pytest
 from nucshoot.integrator import (IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial)
 from nucshoot.model import ModelParams, PhasePoint, exact_trivial
-from nucshoot.physics import (DEFAULT_SCALES, DivergentNormError,
-                              InsufficientHorizonError, PhysicalScales,
+from nucshoot.physics import (DivergentNormError, InsufficientHorizonError,
                               densities, plateau_metrics, potentials,
                               profile_table, radial_norm)
 
@@ -23,16 +22,6 @@ def _flat(r, f, g, params=P94):
     return Trajectory(r, f, g, params, float(g[0]), term)
 
 
-def test_scales_validation():
-    assert DEFAULT_SCALES.m == 1.0 and DEFAULT_SCALES.c == 10.0
-    with pytest.raises(ValueError):
-        PhysicalScales(m=0.0)
-    with pytest.raises(ValueError):
-        PhysicalScales(c=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalScales(m=math.inf)
-
-
 def test_densities_values():
     rho_s, rho_0 = densities(PhasePoint(0.6, 0.8))
     assert rho_s == pytest.approx(0.28, rel=1e-15)
@@ -40,7 +29,7 @@ def test_densities_values():
 
 
 def test_potentials_frozen_point():
-    s, v, vps, vms = potentials(PhasePoint(0.0, 1.0), DEFAULT_SCALES, P94)
+    s, v, vps, vms = potentials(PhasePoint(0.0, 1.0), P94)
     assert s == pytest.approx(-100.0, rel=1e-15)
     assert v == pytest.approx(95.5, rel=1e-15)
     assert vps == pytest.approx(-4.5, rel=1e-15)
@@ -52,7 +41,7 @@ def test_potential_channels_are_consistent():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p = PhasePoint(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
-        s, v, vps, vms = potentials(p, DEFAULT_SCALES, P94)
+        s, v, vps, vms = potentials(p, P94)
         scale = 1.0 + abs(s) + abs(v)
         assert abs((s + v) - vps) <= 1e-12 * scale
         assert abs((v - s) - vms) <= 1e-12 * scale
@@ -132,13 +121,13 @@ def test_radial_norm_ground_states(gs94, gs41):
 
 
 def test_profile_table_layout(gs41):
-    table = profile_table(gs41.trajectory, DEFAULT_SCALES, ModelParams(4.0, 1.0))
+    table = profile_table(gs41.trajectory, ModelParams(4.0, 1.0))
     assert tuple(table.keys()) == TABLE_COLUMNS
     n = len(gs41.trajectory.r)
     assert all(len(col) == n for col in table.values())
     k = n // 3
     p = PhasePoint(float(table["f"][k]), float(table["g"][k]))
-    s, v, vps, vms = potentials(p, DEFAULT_SCALES, ModelParams(4.0, 1.0))
+    s, v, vps, vms = potentials(p, ModelParams(4.0, 1.0))
     assert table["S"][k] == pytest.approx(s, rel=1e-14)
     assert table["V"][k] == pytest.approx(v, rel=1e-14)
     assert table["V_plus_S"][k] == pytest.approx(vps, rel=1e-14)

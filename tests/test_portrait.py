@@ -6,8 +6,7 @@ import pytest
 
 from nucshoot.integrator import IntegratorConfig, integrate_conservative
 from nucshoot.model import ModelParams, PhasePoint, energy, exact_trivial
-from nucshoot.portrait import (AdmissibleRegionReport, Branch,
-                               UndefinedLiftError, admissible_contains,
+from nucshoot.portrait import (Branch, UndefinedLiftError, admissible_contains,
                                admissible_region, branch_domains,
                                branch_functions, discriminant,
                                energy_sign_grid, level_curves, quartic_residual,
@@ -77,7 +76,7 @@ def test_critical_zero_contour_factors_into_lines():
 
 def test_subcritical_level_curve_spans_all_f():
     p = ModelParams(2.0, 4.0)
-    curves = level_curves(p, [0.0], resolution=64, f_max=3.0)
+    curves = level_curves(p, [0.0], resolution=64)
     assert curves
     for curve in curves:
         assert len(curve.domain) == 1
@@ -100,16 +99,15 @@ def test_conservative_orbit_rides_its_level_set():
 
 
 def test_admissible_region_geometry():
-    rep = admissible_region(P94, resolution=201)
-    assert isinstance(rep, AdmissibleRegionReport)
-    assert rep.f_corner == pytest.approx(math.sqrt(5.0), rel=1e-15)
-    bnd = rep.boundary
+    bnd = admissible_region(P94, resolution=201)
+    assert bnd.shape == (4 * 201 + 1, 2)
+    assert tuple(bnd[201]) == pytest.approx((math.sqrt(5.0), 1.0), rel=1e-15)  # corner
     assert np.array_equal(bnd[0], bnd[-1])        # closed polyline
     assert np.max(np.abs(bnd[:, 1])) <= 1.0 + 1e-15
     assert np.max(np.abs(bnd[:, 0])) == pytest.approx(math.sqrt(5.0), rel=1e-12)
     # every boundary vertex is admissible (boundary belongs to the set)
     for f, g in bnd[::10]:
-        assert rep.contains(PhasePoint(float(f), float(g)))
+        assert admissible_contains(PhasePoint(float(f), float(g)), P94)
 
 
 def test_admissible_membership_and_symmetry():
@@ -135,7 +133,7 @@ def test_admissible_requires_supercritical():
 
 def test_negative_energy_strip_lies_in_admissible_set():
     """H < 0 with g^2 <= 1 forces membership (supercritical only)."""
-    fs, gs, H = energy_sign_grid(P94, (-3.0, 3.0), (-1.0, 1.0), n=81)
+    fs, gs, H = energy_sign_grid(P94, (-3.0, 3.0), (-1.0, 1.0))
     for j in range(len(gs)):
         for i in range(len(fs)):
             if H[j, i] < 0.0:
@@ -143,10 +141,10 @@ def test_negative_energy_strip_lies_in_admissible_set():
 
 
 def test_energy_sign_grid_layout():
-    fs, gs, H = energy_sign_grid(P94, (-2.0, 2.0), (-1.0, 1.0), n=33)
-    assert fs.shape == (33,) and gs.shape == (33,) and H.shape == (33, 33)
+    fs, gs, H = energy_sign_grid(P94, (-2.0, 2.0), (-1.0, 1.0))
+    assert fs.shape == (64,) and gs.shape == (64,) and H.shape == (64, 64)
     # row index is g, column index is f
-    for i, j in ((0, 0), (5, 20), (32, 7)):
+    for i, j in ((0, 0), (5, 20), (32, 7), (63, 40)):
         assert H[j, i] == pytest.approx(
             energy(float(fs[i]), float(gs[j]), P94),
             rel=0, abs=1e-14)

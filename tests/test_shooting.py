@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from nucshoot.integrator import (EventKind, IntegratorConfig, Termination,
+from nucshoot import shooting
+from nucshoot.integrator import (BLOWUP_THRESHOLD, R_START, EventKind,
+                                 IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial)
 from nucshoot.model import ModelParams, energy, exact_trivial, trap_energy
 from nucshoot.shooting import (GroundState, NotDecayingError, ShotClass,
@@ -95,7 +97,7 @@ def test_energy_trapped_by_crossing():
     out = classify_shot(0.5, P32, R200)
     assert out.shot_class is ShotClass.ENERGY_TRAPPED
     assert out.trajectory.termination.event_kinds == (EventKind.ENERGY_BARRIER,)
-    assert out.r_x > R200.r_start
+    assert out.r_x > R_START
     assert out.r_x == out.trajectory.r_end
     assert out.H_at_rx <= trap_energy(P32)
     assert np.all(out.trajectory.H[:-1] > trap_energy(P32))
@@ -107,7 +109,7 @@ def test_energy_trapped_at_handoff():
     out = classify_shot(0.7, P32, R200)
     assert out.shot_class is ShotClass.ENERGY_TRAPPED
     assert out.trajectory.termination.event_kinds == (EventKind.ENERGY_BARRIER,)
-    assert out.r_x == R200.r_start == out.trajectory.r_end
+    assert out.r_x == R_START == out.trajectory.r_end
     assert out.H_at_rx == pytest.approx(-0.309925, rel=0, abs=1e-9)
 
 
@@ -172,7 +174,7 @@ def test_energy_trapped_shots_stay_trapped_under_scipy():
     assert np.all((0.0 < g) & (g < 1.0))
     amp = np.abs(f) + np.abs(g)
     assert amp.min() > 1e-3
-    assert amp.max() < R200.blowup_threshold
+    assert amp.max() < BLOWUP_THRESHOLD
 
 
 def test_classify_grid_matches_pointwise():
@@ -183,23 +185,24 @@ def test_classify_grid_matches_pointwise():
 
 
 def test_seed_bracket_values():
-    lo, hi = seed_bracket(P94)
-    assert lo == pytest.approx(0.804737854124365, rel=0, abs=1e-15)
+    lo_out, hi = seed_bracket(P94)
+    assert lo_out.x0 == pytest.approx(0.804737854124365, rel=0, abs=1e-15)
     assert hi == 0.99999999999999          # geometric phase lands an ulp shy of 1
-    assert classify_shot(lo, P94).shot_class is ShotClass.IN_SET_I
+    assert lo_out.shot_class is ShotClass.IN_SET_I
+    assert classify_shot(lo_out.x0, P94).shot_class is ShotClass.IN_SET_I
 
-    lo41, hi41 = seed_bracket(P41)
-    assert lo41 == pytest.approx(0.6035533905932737, rel=0, abs=1e-15)
+    lo41_out, hi41 = seed_bracket(P41)
+    assert lo41_out.x0 == pytest.approx(0.6035533905932737, rel=0, abs=1e-15)
     assert 0.995 < hi41 < 0.998            # linear scan finds the flip directly
     assert classify_shot(hi41, P41).shot_class is ShotClass.G_VANISHED_FIRST
 
 
 def test_seed_bracket_refines_step_when_needed():
     # sup I at (3, 1) sits past the coarse grid; round 3 (step 1e-4) finds it
-    lo, hi = seed_bracket(ModelParams(3.0, 1.0))
+    lo_out, hi = seed_bracket(ModelParams(3.0, 1.0))
     assert 0.9998 < hi < 0.99991
     assert classify_shot(hi, ModelParams(3.0, 1.0)).shot_class is not ShotClass.IN_SET_I
-    assert lo == pytest.approx(0.6969234250586759, rel=0, abs=1e-15)
+    assert lo_out.x0 == pytest.approx(0.6969234250586759, rel=0, abs=1e-15)
 
 
 def test_seed_bracket_validation():
@@ -207,6 +210,20 @@ def test_seed_bracket_validation():
         seed_bracket(ModelParams(3.0, 2.0))      # a - 2b < 0
     with pytest.raises(ValueError):
         seed_bracket(ModelParams(8.0, 4.0))      # critical is excluded too
+
+
+def test_search_shoots_each_x_once(monkeypatch):
+    """The seed scan's InSetI shot at x_lo is reused, not shot again."""
+    xs = []
+
+    def counting(x0, params, config=None):
+        xs.append(float(x0))
+        return classify_shot(x0, params, config)
+
+    monkeypatch.setattr(shooting, "classify_shot", counting)
+    gs = bisect_ground_state(P94)
+    assert len(xs) == len(set(xs)) == 61
+    assert gs.x_star == pytest.approx(X_STAR_94, rel=0, abs=5e-13)
 
 
 def test_bisect_validation():

@@ -1,6 +1,7 @@
 """Package structure: modules talk to each other through public names only,
 and the package re-exports each layer module's public names."""
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +39,12 @@ def test_package_all_resolves():
     for layer in nucshoot.LAYERS:
         for name in layer.__all__:
             assert getattr(nucshoot, name) is getattr(layer, name)
+
+
+def test_integrator_config_holds_only_the_varied_settings():
+    """Step sizes, the hand-off radius and the blowup level are constants."""
+    names = [f.name for f in dataclasses.fields(nucshoot.IntegratorConfig)]
+    assert names == ["rtol", "atol", "r_max"]
 
 
 def test_names_the_benchmark_reads():
