@@ -182,11 +182,16 @@ def _resolve(args, parser) -> RunConfig:
         cfg.integrator()
     except ValueError as exc:
         parser.error(str(exc))
+    return cfg
+
+
+def _make_out_dir(cfg: RunConfig, parser) -> None:
+    """Create --out once the command's inputs are valid; classify, which
+    writes only to stdout, never calls this."""
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"output directory {cfg.out_dir} is not writable: {exc}")
-    return cfg
 
 
 def _require_params(cfg: RunConfig, parser) -> ModelParams:
@@ -261,6 +266,7 @@ def cmd_ground_state(cfg: RunConfig, parser) -> int:
               f"b = {params.b:g}: the existence theory requires a - 2b > 0 "
               f"(here a - 2b = {params.a - 2 * params.b:g})", file=sys.stderr)
         return EXIT_REGIME
+    _make_out_dir(cfg, parser)
     try:
         gs = bisect_ground_state(params, cfg.integrator(), x_tol=cfg.x_tol)
     except _NUMERICAL_ERRORS as exc:
@@ -330,6 +336,7 @@ def _portrait_rows(curves) -> dict:
 
 def cmd_portrait(cfg: RunConfig, parser) -> int:
     params = _require_params(cfg, parser)
+    _make_out_dir(cfg, parser)
     regime = classify_regime(params)
     curves = []
     for level in cfg.levels:
@@ -427,6 +434,7 @@ def _sweep_row(task: tuple) -> dict:
 def cmd_sweep(cfg: RunConfig, parser) -> int:
     if not cfg.a_grid or not cfg.b_grid:
         parser.error("--a-grid and --b-grid must be nonempty")
+    _make_out_dir(cfg, parser)
     pairs = sorted((a, b) for a in cfg.a_grid for b in cfg.b_grid)
     config = cfg.integrator()
     tasks = [(a, b, config, cfg.x_tol) for a, b in pairs]
@@ -449,6 +457,7 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
 # ---------------------------------------------------------------------- verify
 
 def cmd_verify(cfg: RunConfig, parser) -> int:
+    _make_out_dir(cfg, parser)
     results = []
     for res in run_checks(cfg.integrator(), cfg.seed, cfg.x_tol):
         results.append(res)

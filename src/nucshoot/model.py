@@ -12,9 +12,9 @@ the autonomous companion system, which is Hamiltonian with energy
     H(f, g) = f^2 (1 - g^2) / 2 + a g^4 / 4 - b g^2 / 2.
 
 This module holds the parameter container with its regime taxonomy, the
-vector field, the energy with its trap level, the critical-point catalog,
-the two closed-form solutions (the zero solution and the g == 1
-hyperbolic-cotangent profile), and the map from physical scales to (a, b).
+vector field, the energy with its trap level, the critical-point catalog
+and the two closed-form solutions (the zero solution and the g == 1
+hyperbolic-cotangent profile).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "critical_points",
     "exact_trivial",
     "exact_coth",
-    "map_physical_params",
 ]
 
 # Tolerance band used to flag near-critical coupling combinations; exact
@@ -226,12 +225,3 @@ def exact_coth(r: float, params: ModelParams) -> PhasePoint:
     else:
         f = 1.0 / r - k / math.tanh(k * r)
     return PhasePoint(f, 1.0, r)
-
-
-def map_physical_params(m: float, lam: float, theta: float, mu: float) -> ModelParams:
-    """Translate physical scales to couplings: a = 2 m lam / theta, b = 2 m mu."""
-    if m <= 0.0 or theta <= 0.0:
-        raise ValueError("mass and quartic scale must be strictly positive")
-    if lam < 0.0 or mu < 0.0:
-        raise ValueError("couplings lam, mu must be nonnegative")
-    return ModelParams(2.0 * m * lam / theta, 2.0 * m * mu)

@@ -1,30 +1,25 @@
 """Physical observables along radial trajectories.
 
-Spinor densities, meson potentials, plateau shape diagnostics, and
-radial norms, all derived from the dimensionless (f, g) profile.  The
-potentials use the nucleon mass m = 1 and the speed-of-light display
-scale c = 10; c enters display quantities only and never feeds back into
-the ODE.
+Spinor densities, meson potentials and plateau shape diagnostics, all
+derived from the dimensionless (f, g) profile.  The potentials use the
+nucleon mass m = 1 and the speed-of-light display scale c = 10; c enters
+display quantities only and never feeds back into the ODE.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrator import Trajectory
 from .model import ModelParams, PhasePoint
-from .shooting import NotDecayingError, fit_decay_rate
 
 __all__ = [
     "PlateauMetrics",
     "InsufficientHorizonError",
-    "DivergentNormError",
     "densities",
     "potentials",
     "plateau_metrics",
-    "radial_norm",
     "profile_table",
 ]
 
@@ -34,10 +29,6 @@ _C = 10.0                  # speed-of-light display scale
 
 class InsufficientHorizonError(RuntimeError):
     """g^2 never falls below 10% of its peak within the horizon."""
-
-
-class DivergentNormError(RuntimeError):
-    """Radial norm requested for a trajectory with no decaying tail."""
 
 
 @dataclass(frozen=True)
@@ -128,32 +119,6 @@ def plateau_metrics(traj: Trajectory) -> PlateauMetrics:
         raise InsufficientHorizonError(
             "degenerate profile: 90% and 10% radii coincide")
     return PlateauMetrics(r90, r50, r10, thickness, r50 / thickness, gmax)
-
-
-def radial_norm(traj: Trajectory) -> tuple[float, float]:
-    """4 pi integral of rho r^2 dr for rho_0 and rho_s, tail-corrected.
-
-    Composite trapezoid on the adaptive samples plus the closed-form
-    integral of rho_end * e^{-lambda (r - R)} * r^2 beyond the horizon,
-    with lambda = 2 * fitted amplitude decay rate.  The identically zero
-    solution has norm (0, 0); any other non-decaying trajectory raises
-    DivergentNormError.
-    """
-    r = traj.r
-    rho_s, rho_0 = densities(traj)
-    if float(np.max(rho_0)) == 0.0:
-        return 0.0, 0.0
-    try:
-        rate, _C, _resid = fit_decay_rate(traj)
-    except NotDecayingError as exc:
-        raise DivergentNormError(
-            f"no decaying tail to bound the norm: {exc}") from exc
-    lam = 2.0 * rate
-    r_end = float(r[-1])
-    tail_weight = (r_end * r_end / lam + 2.0 * r_end / lam ** 2 + 2.0 / lam ** 3)
-    norm_0 = np.trapezoid(rho_0 * r * r, r) + float(rho_0[-1]) * tail_weight
-    norm_s = np.trapezoid(rho_s * r * r, r) + float(rho_s[-1]) * tail_weight
-    return float(4.0 * math.pi * norm_0), float(4.0 * math.pi * norm_s)
 
 
 def profile_table(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarray]:

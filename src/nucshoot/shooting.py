@@ -228,29 +228,23 @@ def classify_grid(params: ModelParams, xs,
     return [classify_shot(float(x), params, config) for x in xs]
 
 
-_SEED_NON_I = (ShotClass.G_VANISHED_FIRST, ShotClass.TRAPPED,
-               ShotClass.BLOWUP, ShotClass.DECAYED)
-_SCAN_STEP = 1e-2      # first linear seed-scan step, refined tenfold twice
-_SCAN_DELTA = 1e-6     # the linear scan stops at 1 - _SCAN_DELTA
 _FIT_WINDOW = 0.5      # decay fit: trailing fraction of the decreasing tail
 
 
 def seed_bracket(params: ModelParams,
                  config: IntegratorConfig | None = None) -> tuple[ShotOutcome, float]:
-    """Initial bisection bracket (lo_out, x_hi): the InSetI shot at x_lo =
-    lo_out.x0, and x_hi not in I.
+    """Initial bisection bracket (lo_out, x_hi): an InSetI shot at lo_out.x0
+    and the first x above it that is not in I.
 
-    x_lo is the midpoint of (sqrt(b/a), sqrt(2b/a)), which lies in I for
-    every Supercritical parameter pair; x_hi is found by scanning upward
-    from sqrt(2b/a) toward 1 - _SCAN_DELTA in steps of _SCAN_STEP,
-    refining the step tenfold (twice) if no definitive non-I shot appears.
-    Each refinement resumes at the largest InSetI abscissa already seen.
-
-    Near-critical pairs (2b/a close to 1) push sup I so close to 1 that
-    no fixed-step scan below 1 - _SCAN_DELTA can see past it; when the
-    linear scan comes up empty the search switches to a geometric
-    approach, probing x = 1 - _SCAN_DELTA/10^k until the class flips or
-    the probes run out of floats strictly below 1.
+    The scan starts at the midpoint of (sqrt(b/a), sqrt(2b/a)), which lies
+    in I for every Supercritical pair, then probes x = 1 - u0 * 10^-k for
+    k = 0, 1, ... with u0 = 1 - sqrt(2b/a), clamped to the largest float
+    below 1, so the distance u = 1 - x to the invariant line g = 1 shrinks
+    geometrically.  Every probe is classified like a bisection midpoint
+    (horizon escalation, then anything but InSetI counts as outside I),
+    and the last InSetI probe becomes lo_out.  Near-critical pairs (2b/a
+    close to 1) put sup I within a few ulps of 1; when even the largest
+    float below 1 stays in I the search fails.
     """
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("ground-state bracketing requires a - 2b > 0")
@@ -263,36 +257,15 @@ def seed_bracket(params: ModelParams,
         raise BracketFailureError(
             f"seed x_lo = {x_lo:.6g} classified {lo_out.shot_class.value}, "
             "expected InSetI; integrator settings are likely too loose")
-    step = _SCAN_STEP
-    fallback = None
-    resume = s2b
-    for _ in range(3):
-        x = resume + step
-        while x < 1.0 - _SCAN_DELTA:
-            out = classify_shot(x, params, cfg)
-            if out.shot_class in _SEED_NON_I:
-                return lo_out, x
-            if out.shot_class is ShotClass.IN_SET_I:
-                resume = x
-            elif fallback is None:
-                fallback = x
-            x += step
-        step /= 10.0
-    gap = _SCAN_DELTA
-    prev = resume
-    while True:
-        gap /= 10.0
-        x = 1.0 - gap
-        if not prev < x < 1.0:
-            break
-        out = classify_shot(x, params, cfg)
-        if out.shot_class in _SEED_NON_I:
+    top = math.nextafter(1.0, 0.0)
+    u, x = 1.0 - s2b, x_lo
+    while x < top:
+        x = min(1.0 - u, top)
+        out = _classify_escalating(x, params, cfg)
+        if out.shot_class is not ShotClass.IN_SET_I:
             return lo_out, x
-        if out.shot_class is ShotClass.UNDETERMINED and fallback is None:
-            fallback = x
-        prev = x
-    if fallback is not None:
-        return lo_out, fallback
+        lo_out = out
+        u /= 10.0
     raise BracketFailureError(
         "every shot up to one ulp below 1 stayed in I: sup I is closer to 1 "
         "than double precision resolves")
@@ -316,9 +289,12 @@ def bisect_ground_state(params: ModelParams,
                         x_tol: float = 1e-12) -> GroundState:
     """Bracket sup I to width x_tol and certify the inner trajectory.
 
-    The loop invariant is classify(x_lo) = InSetI and classify(x_hi) is
-    anything else; Undetermined midpoints get a doubled horizon (to 4x)
-    and go to the x_hi side if still undecided.  x* itself is not
+    Bisection starts from seed_bracket's pair: its last InSetI probe and
+    the first probe past it.  The loop invariant is classify(x_lo) =
+    InSetI and classify(x_hi) is anything else; Undetermined midpoints get
+    a doubled horizon (to 4x) and go to the x_hi side if still undecided.
+    When the seed pair is already narrower than x_tol, no midpoint is
+    shot before the final verification shot.  x* itself is not
     numerically attainable, so unless the final midpoint shot decays
     outright, the returned state sits at the final x_lo whose InSetI
     trajectory is the certificate.

@@ -16,7 +16,7 @@ def _usage_exit(argv):
     return exc.value.code
 
 
-# values that parse but are out of range
+# values that parse but are out of range, or a missing or invalid (a, b, x)
 BAD_VALUES = (
     ["portrait", "--a", "9", "--b", "4", "--seed", "-1"],
     ["verify", "--seed", "-1"],
@@ -29,6 +29,8 @@ BAD_VALUES = (
     ["sweep", "--a-grid", "9", "--b-grid", "0"],
     ["portrait", "--a", "9", "--b", "4", "--levels=nan"],
     ["sweep", "--a-grid", "9", "--b-grid", "4", "--jobs", "0"],
+    ["ground-state", "--a", "-1", "--b", "4"],
+    ["classify", "--a", "9", "--b", "4"],
 )
 
 
@@ -54,6 +56,12 @@ def test_usage_failures_exit_64(tmp_path, capsys):
         assert err.splitlines()[-1].startswith("nucshoot: error: "), argv
         assert "Traceback" not in err
     assert not never.exists()
+    # an --out that cannot be created is a usage error too
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["ground-state", "--a", "9", "--b", "4"], ["verify"]):
+        assert _usage_exit(argv + ["--out", str(blocker / "out")]) == EXIT_USAGE
+        assert "is not writable" in capsys.readouterr().err
 
 
 def test_ground_state_regime_rejection(tmp_path, capsys):
@@ -119,8 +127,9 @@ def test_ground_state_reruns_are_byte_identical(tmp_path):
 
 def test_classify_reports_json_on_stdout(tmp_path, capsys):
     code = main(["classify", "--a", "9", "--b", "4", "--x", "0.8",
-                 "--out", str(tmp_path)])
+                 "--out", str(tmp_path / "unused")])
     assert code == EXIT_OK
+    assert not (tmp_path / "unused").exists()   # classify writes only stdout
     payload = json.loads(capsys.readouterr().out)
     assert payload["shot_class"] == "InSetI"
     assert payload["x0"] == 0.8

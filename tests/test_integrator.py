@@ -11,7 +11,7 @@ from nucshoot.integrator import (BLOWUP_THRESHOLD, R_START, EventKind,
                                  integrate_radial, integrate_shifted,
                                  series_start)
 from nucshoot.model import ModelParams, PhasePoint, energy, exact_coth
-from nucshoot.shooting import bisect_ground_state
+from nucshoot.shooting import classify_shot
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
@@ -161,14 +161,14 @@ def test_event_g_crosses_zero_falling():
 
 
 def test_event_decay_detected_threshold_and_floor():
-    """The (2, 0.1) search certifies a shot that decays outright: the
-    detector fires beyond its r = 5 floor on the |f| + |g| = 1e-8 level."""
-    gs = bisect_ground_state(ModelParams(2.0, 0.1))
-    term = gs.trajectory.termination
+    """A (2, 0.1) shot within 1e-12 of x* decays outright: the detector
+    fires beyond its r = 5 floor on the |f| + |g| = 1e-8 level."""
+    out = classify_shot(0.7474616543710928, ModelParams(2.0, 0.1))
+    term = out.trajectory.termination
     assert term.kind is TerminationKind.EVENT
     assert term.event_kinds == (EventKind.DECAY_DETECTED,)
     assert term.r >= 5.0
-    amp = abs(gs.trajectory.f[-1]) + abs(gs.trajectory.g[-1])
+    amp = abs(out.trajectory.f[-1]) + abs(out.trajectory.g[-1])
     assert amp == pytest.approx(1e-8, rel=1e-6)
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from nucshoot.model import (ModelParams, PhasePoint, PointKind, Regime,
                             classify_regime, critical_points, energy,
-                            exact_coth, exact_trivial, map_physical_params,
-                            vector_field)
+                            exact_coth, exact_trivial, vector_field)
 
 P94 = ModelParams(9.0, 4.0)
 
@@ -165,15 +164,6 @@ def test_exact_coth_taylor_window_is_smooth():
 def test_exact_coth_rejects_a_below_b():
     with pytest.raises(ValueError):
         exact_coth(1.0, ModelParams(1.0, 4.0))
-
-
-def test_map_physical_params():
-    params = map_physical_params(m=1.0, lam=4.5, theta=1.0, mu=2.0)
-    assert (params.a, params.b) == (9.0, 4.0)
-    with pytest.raises(ValueError):
-        map_physical_params(m=-1.0, lam=1.0, theta=1.0, mu=1.0)
-    with pytest.raises(ValueError):
-        map_physical_params(m=1.0, lam=1.0, theta=0.0, mu=1.0)
 
 
 def test_phase_point_validation():

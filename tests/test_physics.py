@@ -1,15 +1,14 @@
-"""Densities, potentials, plateau shape metrics, radial norms."""
+"""Densities, potentials, plateau shape metrics, profile tables."""
 import math
 
 import numpy as np
 import pytest
 
-from nucshoot.integrator import (IntegratorConfig, Termination,
+from nucshoot.integrator import (R_START, IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial)
 from nucshoot.model import ModelParams, PhasePoint, exact_trivial
-from nucshoot.physics import (DivergentNormError, InsufficientHorizonError,
-                              densities, plateau_metrics, potentials,
-                              profile_table, radial_norm)
+from nucshoot.physics import (InsufficientHorizonError, densities,
+                              plateau_metrics, potentials, profile_table)
 
 P94 = ModelParams(9.0, 4.0)
 
@@ -70,10 +69,39 @@ def test_plateau_score_is_scale_invariant():
     assert m2.r50 == pytest.approx(2.0 * m1.r50, rel=1e-12)
 
 
+def _scipy_certificate(x0, params):
+    """The shot from g(0) = x0 by scipy's DOP853 in (f, u = 1 - g), which
+    keeps 1 - x0 at full relative precision, up to the rising zero of f."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    a, b = params.a, params.b
+
+    def rhs(r, y):
+        f, u = y
+        g = 1.0 - u
+        return (-(2.0 / r) * f + g * (f * f - a * g * g + b), -f * u * (2.0 - u))
+
+    def f_rises_to_zero(r, y):
+        return y[0]
+    f_rises_to_zero.terminal = True
+    f_rises_to_zero.direction = 1.0
+
+    u0 = 1.0 - x0
+    c1 = x0 * (b - a * x0 * x0) / 3.0          # f'(0)
+    y0 = (c1 * R_START, u0 - 0.5 * c1 * u0 * (2.0 - u0) * R_START ** 2)
+    sol = solve_ivp(rhs, (R_START, 200.0), y0, method="DOP853", rtol=1e-12,
+                    atol=(1e-14, 1e-300), events=f_rises_to_zero,
+                    dense_output=True)
+    assert sol.status == 1                     # stopped on the f event
+    r = np.linspace(R_START, float(sol.t_events[0][0]), 20001)
+    f, u = sol.sol(r)
+    return _flat(r, f, 1.0 - u, params)
+
+
 def test_plateau_ordering_near_critical_vs_far(gs94, gs41):
     m94 = plateau_metrics(gs94.trajectory)
     m41 = plateau_metrics(gs41.trajectory)
-    assert m94.plateau_score == pytest.approx(7.43646161026068, rel=1e-6)
+    oracle = plateau_metrics(_scipy_certificate(gs94.trajectory.x0, P94))
+    assert m94.plateau_score == pytest.approx(oracle.plateau_score, rel=1e-3)
     assert m41.plateau_score == pytest.approx(1.5457155755730292, rel=1e-6)
     assert m94.plateau_score > 4.0 * m41.plateau_score
     assert m94.gsq_max < 1.0
@@ -85,39 +113,6 @@ def test_plateau_requires_enough_horizon():
         plateau_metrics(traj)
     with pytest.raises(InsufficientHorizonError):
         plateau_metrics(exact_trivial(P94, r_max=10.0))
-
-
-def test_radial_norm_exponential_oracle():
-    """g = e^{-r}, f = 0: both norms equal 4 pi / 8 = pi analytically."""
-    r = np.linspace(0.0, 30.0, 4000)
-    g = np.exp(-r)
-    n0, ns = radial_norm(_flat(r, np.zeros_like(r), g, ModelParams(4.0, 1.0)))
-    assert n0 == pytest.approx(math.pi, rel=1e-8)
-    assert ns == pytest.approx(math.pi, rel=1e-8)
-
-
-def test_radial_norm_zero_and_divergent():
-    assert radial_norm(exact_trivial(P94, r_max=20.0)) == (0.0, 0.0)
-    coth = integrate_radial(1.0, ModelParams(2.5, 1.0), IntegratorConfig(r_max=30.0))
-    with pytest.raises(DivergentNormError):
-        radial_norm(coth)
-
-
-def test_radial_norm_ground_states(gs94, gs41):
-    """Both norms are finite; the baryon norm is positive.
-
-    The scalar channel weights f^2 negatively, and on these profiles the
-    large-radius f^2 excess under the r^2 weight makes it negative; the
-    values are frozen from this build.
-    """
-    n0_94, ns_94 = radial_norm(gs94.trajectory)
-    assert n0_94 == pytest.approx(10559.430205952332, rel=1e-6)
-    assert ns_94 == pytest.approx(-6471.605622651227, rel=1e-6)
-    assert n0_94 > 0.0 and math.isfinite(ns_94)
-
-    n0_41, ns_41 = radial_norm(gs41.trajectory)
-    assert n0_41 == pytest.approx(231.09887301312577, rel=1e-6)
-    assert ns_41 == pytest.approx(-39.615616727834606, rel=1e-6)
 
 
 def test_profile_table_layout(gs41):

@@ -22,7 +22,11 @@ GRID = np.linspace(0.01, 0.99, 50)     # acceptance criterion 5's grid
 
 RX_08 = 2.13940806222205
 G_RX_08 = 0.6334209942120211
-X_STAR_94 = 0.9999999999996348      # frozen from this build at defaults
+# x* by scipy's DOP853 in (f, u = 1 - g) with bisection on log u0
+# (bench/oracle.py, bench/reference.json), keyed by kappa = b/a
+X_STAR_SCIPY = {4.0 / 9.0: 1.0 - 2.6201263381153694e-14,
+                0.44: 0.9999999999996699,
+                0.45: 0.9999999999999994}
 X_STAR_41_INDEPENDENT = 0.995181079032138   # independent reference solve
 
 AUDIT_NAMES = (
@@ -184,25 +188,43 @@ def test_classify_grid_matches_pointwise():
         ShotClass.TRIVIAL_ZERO, ShotClass.IN_SET_I, ShotClass.TRAPPED]
 
 
-def test_seed_bracket_values():
-    lo_out, hi = seed_bracket(P94)
-    assert lo_out.x0 == pytest.approx(0.804737854124365, rel=0, abs=1e-15)
-    assert hi == 0.99999999999999          # geometric phase lands an ulp shy of 1
-    assert lo_out.shot_class is ShotClass.IN_SET_I
-    assert classify_shot(lo_out.x0, P94).shot_class is ShotClass.IN_SET_I
+@pytest.fixture
+def shot_xs(monkeypatch):
+    """The x of every classify_shot call the shooting module makes."""
+    xs = []
 
-    lo41_out, hi41 = seed_bracket(P41)
-    assert lo41_out.x0 == pytest.approx(0.6035533905932737, rel=0, abs=1e-15)
-    assert 0.995 < hi41 < 0.998            # linear scan finds the flip directly
-    assert classify_shot(hi41, P41).shot_class is ShotClass.G_VANISHED_FIRST
+    def recording(x0, params, config=None):
+        xs.append(float(x0))
+        return classify_shot(x0, params, config)
+
+    monkeypatch.setattr(shooting, "classify_shot", recording)
+    return xs
 
 
-def test_seed_bracket_refines_step_when_needed():
-    # sup I at (3, 1) sits past the coarse grid; round 3 (step 1e-4) finds it
-    lo_out, hi = seed_bracket(ModelParams(3.0, 1.0))
-    assert 0.9998 < hi < 0.99991
-    assert classify_shot(hi, ModelParams(3.0, 1.0)).shot_class is not ShotClass.IN_SET_I
-    assert lo_out.x0 == pytest.approx(0.6969234250586759, rel=0, abs=1e-15)
+def test_seed_bracket_values(shot_xs):
+    """After x_lo, probe k sits at 1 - u0 10^-k with u0 = 1 - sqrt(2b/a);
+    the last InSetI probe and the first other one form the bracket."""
+    def scan(params):
+        shot_xs.clear()
+        lo_out, hi = seed_bracket(params)
+        sb = math.sqrt(params.b / params.a)
+        s2b = math.sqrt(2.0 * params.b / params.a)
+        assert shot_xs[0] == 0.5 * (sb + s2b)
+        u0 = 1.0 - s2b
+        for k, x in enumerate(shot_xs[1:]):
+            assert x == pytest.approx(1.0 - u0 * 10.0 ** -k, rel=0, abs=2.3e-16)
+        assert shot_xs[-2:] == [lo_out.x0, hi]
+        assert lo_out.shot_class is ShotClass.IN_SET_I
+        assert classify_shot(hi, params).shot_class is not ShotClass.IN_SET_I
+        return lo_out, hi
+
+    lo_out, hi = scan(P94)
+    assert hi - lo_out.x0 <= 1e-12         # the scan alone brackets sup I
+    lo_out, hi = scan(P41)
+    u0 = 1.0 - math.sqrt(0.5)
+    assert lo_out.x0 == pytest.approx(1.0 - u0 / 10.0, rel=0, abs=1e-16)
+    assert hi == pytest.approx(1.0 - u0 / 100.0, rel=0, abs=1e-16)
+    assert classify_shot(hi, P41).shot_class is ShotClass.G_VANISHED_FIRST
 
 
 def test_seed_bracket_validation():
@@ -212,18 +234,11 @@ def test_seed_bracket_validation():
         seed_bracket(ModelParams(8.0, 4.0))      # critical is excluded too
 
 
-def test_search_shoots_each_x_once(monkeypatch):
-    """The seed scan's InSetI shot at x_lo is reused, not shot again."""
-    xs = []
-
-    def counting(x0, params, config=None):
-        xs.append(float(x0))
-        return classify_shot(x0, params, config)
-
-    monkeypatch.setattr(shooting, "classify_shot", counting)
+def test_search_shoots_each_x_once(shot_xs):
+    """The seed scan's InSetI shots are reused, not shot again."""
     gs = bisect_ground_state(P94)
-    assert len(xs) == len(set(xs)) == 61
-    assert gs.x_star == pytest.approx(X_STAR_94, rel=0, abs=5e-13)
+    assert len(shot_xs) == len(set(shot_xs)) == 16
+    assert gs.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
 
 
 def test_bisect_validation():
@@ -237,8 +252,7 @@ def test_ground_state_near_critical(gs94):
     lo, hi = gs94.bracket
     assert hi - lo <= 1e-12
     assert math.sqrt(8.0 / 9.0) < lo <= gs94.x_star <= hi < 1.0
-    assert gs94.x_star == pytest.approx(X_STAR_94, rel=0, abs=5e-13)
-    assert gs94.decay_rate == pytest.approx(2.207031726389679, rel=1e-6)
+    assert gs94.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
     assert gs94.decay_rate >= 7.0 / 9.0 - 0.05
     assert gs94.decay_C > 0.0
     rep = gs94.lemma_report
@@ -261,9 +275,23 @@ def test_ground_state_audit_details(gs94):
 def test_ground_state_matches_independent_solver(gs41):
     assert abs(gs41.x_star - X_STAR_41_INDEPENDENT) <= 1e-10
     assert gs41.lemma_report.passed
-    assert gs41.decay_rate == pytest.approx(1.0824231501509616, rel=1e-6)
     # the certificate trajectory really is the x_lo / x_star shot
     assert gs41.trajectory.x0 == gs41.x_star
+
+
+@pytest.mark.parametrize("a, b, kappa", [(8.0, 3.52, 0.44), (10.0, 4.5, 0.45)])
+def test_near_critical_x_star_matches_scipy(a, b, kappa):
+    gs = bisect_ground_state(ModelParams(a, b))
+    assert gs.x_star == pytest.approx(X_STAR_SCIPY[kappa], rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("b", [4.2, 4.25, 4.3])
+def test_near_critical_ground_states_certify(b):
+    """With a - 2b down to 0.4, sup I lies within a few ulps of 1; the scan
+    reaches it by shooting the largest float below 1 last."""
+    gs = bisect_ground_state(ModelParams(9.0, b))
+    assert math.sqrt(2.0 * b / 9.0) < gs.x_star < 1.0
+    assert gs.lemma_report.passed
 
 
 def test_ground_state_bracket_is_sharp(gs41):
