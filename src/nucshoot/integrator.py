@@ -6,7 +6,10 @@ radial, autonomous companion, shifted-friction): they are the one field
 size is governed by a proportional-integral controller on the embedded
 error estimate; every accepted step stores a quartic dense-output
 segment so events can be localized by bracketed root solving on the
-interpolant and trajectories can be resampled at arbitrary radii.
+interpolant and trajectories can be resampled at arbitrary radii.  The
+step is straight-line float arithmetic: the quartic's coefficients are
+explicit sums over the nonzero entries of the dense-output matrix _P, and
+the event probes evaluate it inline.
 
 The r = 0 singularity of the radial system is never evaluated: the run
 starts at the hand-off radius R_START = 1e-6 from the second-order Taylor
@@ -23,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +151,11 @@ _P = (
     (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0, -1453857185.0 / 822651844.0),
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
 )
+# The same matrix as scalars for the step kernel, named _Psj for stage s and
+# power t^j; the k2 row and the t^1 entries of rows k3..k7 are zero.
+_P11, _P12, _P13, _P14 = _P[0]
+((_P32, _P33, _P34), (_P42, _P43, _P44), (_P52, _P53, _P54),
+ (_P62, _P63, _P64), (_P72, _P73, _P74)) = (row[1:] for row in _P[2:])
 
 # PI controller constants (error exponent 1/5 split into P and I parts).
 # Safety 0.65 runs ~35% more steps than the textbook 0.9 but holds the
@@ -178,22 +187,14 @@ def _segment_eval(seg: tuple, r: float) -> tuple[float, float]:
     return f, g
 
 
-def _probes(seg: tuple, lo: float, r1: float):
-    """Abscissae (lo, three quarter points, r1) of a step scan from lo to r1,
-    and the dense (f, g) at the three quarter points."""
-    q1, q2, q3 = lo + 0.25 * (r1 - lo), lo + 0.5 * (r1 - lo), lo + 0.75 * (r1 - lo)
-    return ((lo, q1, q2, q3, r1),
-            (_segment_eval(seg, q1), _segment_eval(seg, q2), _segment_eval(seg, q3)))
-
-
 class Trajectory:
     """Dense sampled solution with termination cause.
 
     r, f, g and H hold the samples at strictly increasing radii; for the
     radial flow the first sample is the exact initial state (0, 0, x0, H0)
     and the second the Taylor hand-off state at R_START.  Dense-output
-    segments, when present, let sample_at / resample recover the solution
-    between accepted steps to interpolation order 4.
+    segments, when present, let sample_at / sample_on / resample recover
+    the solution between accepted steps to interpolation order 4.
     """
 
     def __init__(self, r, f, g, params: ModelParams, x0: float,
@@ -205,12 +206,18 @@ class Trajectory:
         self.x0 = float(x0)
         self.termination = termination
         self._segments = segments or []
-        self._seg_starts = np.array([s[0] for s in self._segments]) if segments else None
         self.H = energy(self.f, self.g, params)
 
     @property
     def r_end(self) -> float:
         return float(self.r[-1])
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        """The segments as rows r0, h, f0, g0, qf[0..3], qg[0..3] of one
+        array, built when the trajectory is first sampled."""
+        return np.array([(r0, h, f0, g0, *qf, *qg)
+                         for r0, h, f0, g0, qf, qg in self._segments]).T.copy()
 
     def sample_at(self, r: float) -> tuple[float, float]:
         """Interpolated (f, g) at one radius inside the computed range."""
@@ -219,7 +226,7 @@ class Trajectory:
         if r >= self.r[-1]:
             return float(self.f[-1]), float(self.g[-1])
         if self._segments and r >= self._segments[0][0]:
-            idx = int(np.searchsorted(self._seg_starts, r, side="right") - 1)
+            idx = int(np.searchsorted(self._dense[0], r, side="right") - 1)
             idx = min(idx, len(self._segments) - 1)
             return _segment_eval(self._segments[idx], r)
         # no dense segment here: a synthetic trajectory, or the radial span
@@ -228,16 +235,39 @@ class Trajectory:
         g = float(np.interp(r, self.r, self.g))
         return f, g
 
+    def sample_on(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sample_at over a 1-D array of radii, with the same branches and
+        the same arithmetic, so each entry equals the scalar result."""
+        rs = np.asarray(radii, dtype=float)
+        fs = np.interp(rs, self.r, self.f)
+        gs = np.interp(rs, self.r, self.g)
+        hi = rs >= self.r[-1]
+        lo = rs <= self.r[0]
+        fs[hi], gs[hi] = self.f[-1], self.g[-1]
+        fs[lo], gs[lo] = self.f[0], self.g[0]
+        if self._segments:
+            dense = self._dense
+            on = ~(lo | hi) & (rs >= dense[0, 0])
+            x = rs[on]
+            idx = np.minimum(np.searchsorted(dense[0], x, side="right") - 1,
+                             dense.shape[1] - 1)
+            r0, h, f0, g0, qf0, qf1, qf2, qf3, qg0, qg1, qg2, qg3 = dense[:, idx]
+            t = (x - r0) / h
+            t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+            t2 = t * t
+            t3 = t2 * t
+            t4 = t3 * t
+            fs[on] = f0 + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4)
+            gs[on] = g0 + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4)
+        return fs, gs
+
     def resample(self, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uniform-grid (r, f, g) over the computed range with spacing dr."""
         if dr <= 0.0:
             raise ValueError("resample spacing must be positive")
         n = int(math.floor((self.r_end - float(self.r[0])) / dr)) + 1
         grid = float(self.r[0]) + dr * np.arange(n)
-        fs = np.empty(n)
-        gs = np.empty(n)
-        for i, rv in enumerate(grid):
-            fs[i], gs[i] = self.sample_at(float(rv))
+        fs, gs = self.sample_on(grid)
         return grid, fs, gs
 
     def mirrored(self) -> "Trajectory":
@@ -355,18 +385,49 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
             continue
         n_reject = 0
 
-        # dense-output polynomial for this step
-        ks_f = (kf1, kf2, kf3, kf4, kf5, kf6, kf7)
-        ks_g = (kg1, kg2, kg3, kg4, kg5, kg6, kg7)
-        qf = tuple(sum(ks_f[s] * _P[s][j] for s in range(7)) for j in range(4))
-        qg = tuple(sum(ks_g[s] * _P[s][j] for s in range(7)) for j in range(4))
-        seg = (r, h, f, g, qf, qg)
+        # dense-output polynomial for this step, summed left to right; the
+        # trailing + 0.0 turns a -0.0 sum into +0.0, so a rest orbit on
+        # f = +0.0 samples +0.0 and its mirrored() twin -0.0
+        qf0 = kf1 * _P11 + 0.0
+        qf1 = kf1 * _P12 + kf3 * _P32 + kf4 * _P42 + kf5 * _P52 + kf6 * _P62 + kf7 * _P72 + 0.0
+        qf2 = kf1 * _P13 + kf3 * _P33 + kf4 * _P43 + kf5 * _P53 + kf6 * _P63 + kf7 * _P73 + 0.0
+        qf3 = kf1 * _P14 + kf3 * _P34 + kf4 * _P44 + kf5 * _P54 + kf6 * _P64 + kf7 * _P74 + 0.0
+        qg0 = kg1 * _P11 + 0.0
+        qg1 = kg1 * _P12 + kg3 * _P32 + kg4 * _P42 + kg5 * _P52 + kg6 * _P62 + kg7 * _P72 + 0.0
+        qg2 = kg1 * _P13 + kg3 * _P33 + kg4 * _P43 + kg5 * _P53 + kg6 * _P63 + kg7 * _P73 + 0.0
+        qg3 = kg1 * _P14 + kg3 * _P34 + kg4 * _P44 + kg5 * _P54 + kg6 * _P64 + kg7 * _P74 + 0.0
+        seg = (r, h, f, g, (qf0, qf1, qf2, qf3), (qg0, qg1, qg2, qg3))
 
-        # -- event scan on the accepted step; the interior probes catch a
-        # double crossing inside one step and are shared by every event
-        # whose scan starts at r
+        # -- event scan on the accepted step; the interior probes at the
+        # quarter points catch a double crossing inside one step and are
+        # shared by every event whose scan starts at r.  Each probe is
+        # _segment_eval(seg, p) written out.
         candidates = []
-        shared = _probes(seg, r, r1) if event_fns else None
+        if event_fns:
+            d = r1 - r
+            p1, p2, p3 = r + 0.25 * d, r + 0.5 * d, r + 0.75 * d
+            t = (p1 - r) / h
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            t2 = t * t
+            t3 = t2 * t
+            t4 = t3 * t
+            s1 = (f + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4),
+                  g + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4))
+            t = (p2 - r) / h
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            t2 = t * t
+            t3 = t2 * t
+            t4 = t3 * t
+            s2 = (f + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4),
+                  g + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4))
+            t = (p3 - r) / h
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            t2 = t * t
+            t3 = t2 * t
+            t4 = t3 * t
+            s3 = (f + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4),
+                  g + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4))
+            shared = ((r, p1, p2, p3, r1), (s1, s2, s3))
         for i, (_, direction, vfn, r_floor, _) in enumerate(event_fns):
             if r1 <= r_floor:
                 continue
@@ -375,7 +436,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                 xs, (s1, s2, s3) = shared
             else:
                 v_lo = vfn(*_segment_eval(seg, r_floor))
-                xs, (s1, s2, s3) = _probes(seg, r_floor, r1)
+                d = r1 - r_floor
+                xs = (r_floor, r_floor + 0.25 * d, r_floor + 0.5 * d, r_floor + 0.75 * d, r1)
+                s1, s2, s3 = (_segment_eval(seg, p) for p in xs[1:4])
             v_hi = vfn(f5, g5)
             prev_vals[i] = v_hi
             vs = (v_lo, vfn(*s1), vfn(*s2), vfn(*s3), v_hi)

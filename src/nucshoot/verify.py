@@ -31,18 +31,13 @@ class Check:
     threshold: float
 
 
-def _eval_on(traj, grid) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray([traj.sample_at(float(r)) for r in grid])
-    return arr[:, 0], arr[:, 1]
-
-
 def _coth_oracle(config: IntegratorConfig, seed: int, x_tol: float) -> float:
     """Sup error of the x = 1 shot against the closed-form g == 1 profile."""
     params = ModelParams(2.5, 1.0)
     config = replace(config, r_max=10.0)
     traj = integrate_radial(1.0, params, config)
     grid = np.linspace(R_START, 10.0, 2001)
-    fs, gs = _eval_on(traj, grid)
+    fs, gs = traj.sample_on(grid)
     exact = [exact_coth(float(r), params) for r in grid]
     fe = np.asarray([p.f for p in exact])
     ge = np.asarray([p.g for p in exact])
@@ -100,10 +95,10 @@ def _shifted(config: IntegratorConfig, seed: int, x_tol: float) -> float:
     p0 = PhasePoint(0.3, 0.5)
     config = replace(config, r_max=5.0)
     grid = np.linspace(0.0, 5.0, 501)
-    rf, rg = _eval_on(integrate_conservative(p0, params, config), grid)
+    rf, rg = integrate_conservative(p0, params, config).sample_on(grid)
     dists = []
     for rho in (10.0, 100.0, 1000.0):
-        sf, sg = _eval_on(integrate_shifted(p0, rho, params, config), grid)
+        sf, sg = integrate_shifted(p0, rho, params, config).sample_on(grid)
         dists.append(float(max(np.max(np.abs(sf - rf)), np.max(np.abs(sg - rg)))))
     return dists[2] if dists[0] > dists[1] > dists[2] else math.inf
 

@@ -1,5 +1,6 @@
 """Adaptive integration: accuracy, events, terminations, dense output."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,42 @@ def test_dense_output_conserves_energy_between_nodes():
     assert np.max(np.abs(h - traj.H[0])) <= 1e-7
 
 
+def test_dense_output_matrix_and_step_kernel():
+    """P_s(1) is the fifth-order weight B_s of stage s, so every quartic
+    segment ends on the node the step accepted."""
+    weights = (Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192),
+               Fraction(-2187, 6784), Fraction(11, 84), 0)
+    for row, b_s in zip(integrator._P, weights, strict=True):
+        assert abs(sum(map(Fraction, row)) - b_s) <= 1e-15
+    traj = integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0))
+    segments = traj._segments
+    assert len(segments) == len(traj.r) - 2 > 100
+    for seg, f1, g1 in zip(segments, traj.f[2:], traj.g[2:]):
+        f, g = integrator._segment_eval(seg, seg[0] + seg[1])
+        assert abs(f - f1) <= 4e-16 * max(1.0, abs(f1))
+        assert abs(g - g1) <= 4e-16 * max(1.0, abs(g1))
+
+
+def test_resample_equals_sample_at_loop():
+    """The array evaluator and the scalar one agree bit for bit: on radial
+    shots from the origin clamp through the linear span below R_START to
+    the end clamp, and on a conservative orbit with no such span."""
+    short = integrate_radial(0.8, P94, IntegratorConfig(r_max=2.0 ** -16))
+    assert np.count_nonzero(short.resample(2.0 ** -23)[0] < R_START) == 9
+    cases = [
+        (short, 2.0 ** -23),
+        (integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0)), 0.005),
+        (integrate_conservative(PhasePoint(0.3, 0.4), P94,
+                                IntegratorConfig(r_max=10.0)), 0.01),
+    ]
+    for traj, dr in cases:
+        grid, fs, gs = traj.resample(dr)
+        assert grid[0] == traj.r[0] and grid[-1] == traj.r_end
+        loop = np.array([traj.sample_at(float(r)) for r in grid])
+        assert np.array_equal(fs, loop[:, 0])
+        assert np.array_equal(gs, loop[:, 1])
+
+
 def test_sample_at_nodes_and_clamping():
     traj = integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0))
     k = len(traj.r) // 2
@@ -118,6 +155,11 @@ def test_mirrored_trajectory():
         f, g = traj.sample_at(r)
         mf, mg = m.sample_at(r)
         assert mf == -f and mg == -g
+    # sign for sign: the mirror of the rest orbit on f = +0.0 samples -0.0
+    rest = integrate_conservative(PhasePoint(0.0, -0.5), P41, IntegratorConfig(r_max=3.0))
+    for r in (0.1, 2.5):
+        assert math.copysign(1.0, rest.sample_at(r)[0]) == 1.0
+        assert math.copysign(1.0, rest.mirrored().sample_at(r)[0]) == -1.0
 
 
 def test_convergence_order_at_least_four_and_a_half(monkeypatch):
