@@ -220,7 +220,7 @@ def build_parser() -> _Parser:
         p.add_argument("--r-max", dest="r_max", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
 
-    p_gs = sub.add_parser("ground-state", help="bisect x* and audit the trajectory")
+    p_gs = sub.add_parser("ground-state", help="find x* by ITP and audit the trajectory")
     common(p_gs)
     p_gs.add_argument("--x-tol", dest="x_tol", type=float, default=None)
 

@@ -3,10 +3,12 @@
 The regular radial solution is parametrized by x = g(0) (f(0) = 0 is
 forced).  Shots are classified by which phase-plane event occurs first;
 the set I collects shots whose f vanishes (from below) strictly before
-g does.  The ground state sits at x* = sup I and is approached by
-bisection on the indicator "x in I", which is numerically decidable on
-either side of x* but not at it: the deliverable is a bracket of width
-x_tol plus a certified trajectory at the inner endpoint.
+g does.  The ground state sits at x* = sup I.  The indicator "x in I" is
+numerically decidable on either side of x* but not at it, so the search
+keeps a bracket with x_lo in I and x_hi outside it, and closes it by ITP
+root-finding on the miss r_x^2 H(r_x) at the first event, which is
+linear in x - x* near x* (see _miss); the deliverable is a bracket of
+width x_tol plus a certified trajectory at the inner endpoint.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class BracketFailureError(RuntimeError):
 
 
 class PrecisionExhaustedError(RuntimeError):
-    """Bisection exhausted its horizon budget without a certifiable shot."""
+    """The search exhausted its horizon budget without a certifiable shot."""
 
 
 class NotDecayingError(RuntimeError):
@@ -232,19 +234,20 @@ _FIT_WINDOW = 0.5      # decay fit: trailing fraction of the decreasing tail
 
 
 def seed_bracket(params: ModelParams,
-                 config: IntegratorConfig | None = None) -> tuple[ShotOutcome, float]:
-    """Initial bisection bracket (lo_out, x_hi): an InSetI shot at lo_out.x0
-    and the first x above it that is not in I.
+                 config: IntegratorConfig | None = None
+                 ) -> tuple[ShotOutcome, ShotOutcome]:
+    """Initial search bracket (lo_out, hi_out): an InSetI shot at lo_out.x0
+    and the first shot above it that is not in I.
 
     The scan starts at the midpoint of (sqrt(b/a), sqrt(2b/a)), which lies
     in I for every Supercritical pair, then probes x = 1 - u0 * 10^-k for
     k = 0, 1, ... with u0 = 1 - sqrt(2b/a), clamped to the largest float
     below 1, so the distance u = 1 - x to the invariant line g = 1 shrinks
-    geometrically.  Every probe is classified like a bisection midpoint
-    (horizon escalation, then anything but InSetI counts as outside I),
-    and the last InSetI probe becomes lo_out.  Near-critical pairs (2b/a
-    close to 1) put sup I within a few ulps of 1; when even the largest
-    float below 1 stays in I the search fails.
+    geometrically.  Every probe is classified like a search shot (horizon
+    escalation, then anything but InSetI counts as outside I), the last
+    InSetI probe becomes lo_out and the probe after it hi_out.
+    Near-critical pairs (2b/a close to 1) put sup I within a few ulps of
+    1; when even the largest float below 1 stays in I the search fails.
     """
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("ground-state bracketing requires a - 2b > 0")
@@ -263,7 +266,7 @@ def seed_bracket(params: ModelParams,
         x = min(1.0 - u, top)
         out = _classify_escalating(x, params, cfg)
         if out.shot_class is not ShotClass.IN_SET_I:
-            return lo_out, x
+            return lo_out, out
         lo_out = out
         u /= 10.0
     raise BracketFailureError(
@@ -284,38 +287,77 @@ def _classify_escalating(x0: float, params: ModelParams,
     return out
 
 
+def _miss(out: ShotOutcome) -> float | None:
+    """Signed miss r_x^2 H(r_x) of a shot: negative in I, positive past it.
+
+    Near the origin saddle g solves g'' + (2/r) g' = b g, with solutions
+    e^{+-sqrt(b) r}/r, so the first event comes at r_x ~ c + ln(1/|x -
+    x*|)/(2 sqrt(b)) and H there scales like (x - x*)/r_x^2; the r_x^2
+    factor leaves a miss that is linear in x - x* to about 1%.  A Decayed
+    shot sits at x* itself.  Other classes carry no miss (None).
+    """
+    if out.shot_class in (ShotClass.IN_SET_I, ShotClass.G_VANISHED_FIRST):
+        return out.r_x ** 2 * out.H_at_rx
+    if out.shot_class is ShotClass.DECAYED:
+        return 0.0
+    return None
+
+
 def bisect_ground_state(params: ModelParams,
                         config: IntegratorConfig | None = None,
                         x_tol: float = 1e-12) -> GroundState:
     """Bracket sup I to width x_tol and certify the inner trajectory.
 
-    Bisection starts from seed_bracket's pair: its last InSetI probe and
-    the first probe past it.  The loop invariant is classify(x_lo) =
-    InSetI and classify(x_hi) is anything else; Undetermined midpoints get
-    a doubled horizon (to 4x) and go to the x_hi side if still undecided.
-    When the seed pair is already narrower than x_tol, no midpoint is
-    shot before the final verification shot.  x* itself is not
-    numerically attainable, so unless the final midpoint shot decays
-    outright, the returned state sits at the final x_lo whose InSetI
-    trajectory is the certificate.
+    The search starts from seed_bracket's pair, its last InSetI probe and
+    the first probe past it, and closes the bracket by ITP (Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020) on the miss r_x^2 H(r_x) of _miss:
+    regula falsi between the two ends, truncated toward the midpoint and
+    kept x_tol/4 inside both ends, then projected into the ball around
+    the midpoint that bounds the loop at ceil(log2(w0/x_tol)) + 1 shots,
+    one more than bisection.  When an end carries no miss the step is the
+    midpoint.  The loop invariant is classify(x_lo) = InSetI and
+    classify(x_hi) is anything else; Undetermined shots get a doubled
+    horizon (to 4x) and go to the x_hi side if still undecided.  When the
+    seed pair is already narrower than x_tol, nothing is shot before the
+    final verification shot at the midpoint.  x* itself is not
+    numerically attainable, so unless that shot decays outright, the
+    returned state sits at the final x_lo whose InSetI trajectory is the
+    certificate.
     """
     if x_tol <= 0.0:
         raise ValueError("x_tol must be positive")
     cfg = config or DEFAULT_CONFIG
-    lo_out, x_hi = seed_bracket(params, cfg)
-    x_lo = lo_out.x0
+    lo_out, hi_out = seed_bracket(params, cfg)
+    x_lo, x_hi = lo_out.x0, hi_out.x0
+    m_lo, m_hi = _miss(lo_out), _miss(hi_out)
+    # ITP constants: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1, epsilon = x_tol/2
+    w0 = x_hi - x_lo
+    n_max = math.ceil(math.log2(w0 / x_tol)) + 1
+    margin = 0.25 * x_tol
 
-    for _ in range(200):
-        if x_hi - x_lo <= x_tol:
+    for j in range(200):
+        width = x_hi - x_lo
+        if width <= x_tol:
             break
         mid = 0.5 * (x_lo + x_hi)
         if not (x_lo < mid < x_hi):
             break
-        out = _classify_escalating(mid, params, cfg)
+        x = mid
+        if m_lo is not None and m_hi is not None and m_lo < m_hi:
+            x_f = (m_hi * x_lo - m_lo * x_hi) / (m_hi - m_lo)
+            sigma = math.copysign(1.0, mid - x_f)
+            delta = 0.2 / w0 * width * width
+            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+            x_t = min(max(x_t, x_lo + margin), x_hi - margin)
+            rho = 0.5 * x_tol * 2.0 ** (n_max - j) - 0.5 * width
+            x = x_t if abs(x_t - mid) <= rho else mid - sigma * rho
+            if not (x_lo < x < x_hi):
+                x = mid
+        out = _classify_escalating(x, params, cfg)
         if out.shot_class is ShotClass.IN_SET_I:
-            x_lo, lo_out = mid, out
+            x_lo, lo_out, m_lo = x, out, _miss(out)
         else:
-            x_hi = mid
+            x_hi, m_hi = x, _miss(out)
 
     mid = 0.5 * (x_lo + x_hi)
     ver = _classify_escalating(mid, params, cfg) if x_lo < mid < x_hi else None

@@ -16,6 +16,7 @@ from nucshoot.shooting import (GroundState, NotDecayingError, ShotClass,
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
+P121 = ModelParams(12.0, 1.0)
 P32 = ModelParams(3.0, 2.0)
 R200 = IntegratorConfig(r_max=200.0)
 GRID = np.linspace(0.01, 0.99, 50)     # acceptance criterion 5's grid
@@ -26,7 +27,10 @@ G_RX_08 = 0.6334209942120211
 # (bench/oracle.py, bench/reference.json), keyed by kappa = b/a
 X_STAR_SCIPY = {4.0 / 9.0: 1.0 - 2.6201263381153694e-14,
                 0.44: 0.9999999999996699,
-                0.45: 0.9999999999999994}
+                0.45: 0.9999999999999994,
+                0.25: 0.9951810790321023,
+                1.0 / 12.0: 0.856300090760454,
+                2.0 / 9.0: 0.989753343958761}
 X_STAR_41_INDEPENDENT = 0.995181079032138   # independent reference solve
 
 AUDIT_NAMES = (
@@ -206,25 +210,25 @@ def test_seed_bracket_values(shot_xs):
     the last InSetI probe and the first other one form the bracket."""
     def scan(params):
         shot_xs.clear()
-        lo_out, hi = seed_bracket(params)
+        lo_out, hi_out = seed_bracket(params)
         sb = math.sqrt(params.b / params.a)
         s2b = math.sqrt(2.0 * params.b / params.a)
         assert shot_xs[0] == 0.5 * (sb + s2b)
         u0 = 1.0 - s2b
         for k, x in enumerate(shot_xs[1:]):
             assert x == pytest.approx(1.0 - u0 * 10.0 ** -k, rel=0, abs=2.3e-16)
-        assert shot_xs[-2:] == [lo_out.x0, hi]
+        assert shot_xs[-2:] == [lo_out.x0, hi_out.x0]
         assert lo_out.shot_class is ShotClass.IN_SET_I
-        assert classify_shot(hi, params).shot_class is not ShotClass.IN_SET_I
-        return lo_out, hi
+        assert hi_out.shot_class is not ShotClass.IN_SET_I
+        return lo_out, hi_out
 
-    lo_out, hi = scan(P94)
-    assert hi - lo_out.x0 <= 1e-12         # the scan alone brackets sup I
-    lo_out, hi = scan(P41)
+    lo_out, hi_out = scan(P94)
+    assert hi_out.x0 - lo_out.x0 <= 1e-12   # the scan alone brackets sup I
+    lo_out, hi_out = scan(P41)
     u0 = 1.0 - math.sqrt(0.5)
     assert lo_out.x0 == pytest.approx(1.0 - u0 / 10.0, rel=0, abs=1e-16)
-    assert hi == pytest.approx(1.0 - u0 / 100.0, rel=0, abs=1e-16)
-    assert classify_shot(hi, P41).shot_class is ShotClass.G_VANISHED_FIRST
+    assert hi_out.x0 == pytest.approx(1.0 - u0 / 100.0, rel=0, abs=1e-16)
+    assert hi_out.shot_class is ShotClass.G_VANISHED_FIRST
 
 
 def test_seed_bracket_validation():
@@ -235,10 +239,60 @@ def test_seed_bracket_validation():
 
 
 def test_search_shoots_each_x_once(shot_xs):
-    """The seed scan's InSetI shots are reused, not shot again."""
-    gs = bisect_ground_state(P94)
-    assert len(shot_xs) == len(set(shot_xs)) == 16
-    assert gs.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
+    """Seed, ITP and verification shots together: the scan's InSetI shots
+    are reused, not shot again, and a search takes at most 20 shots."""
+    for params, shots, x_abs in ((P94, range(16, 17), 1e-13),  # scan alone
+                                 (P41, range(21), 1e-11),
+                                 (P121, range(21), 1e-11)):
+        shot_xs.clear()
+        gs = bisect_ground_state(params)
+        assert len(shot_xs) == len(set(shot_xs))
+        assert len(shot_xs) in shots
+        assert gs.x_star == pytest.approx(X_STAR_SCIPY[params.b / params.a],
+                                          rel=0, abs=x_abs)
+
+
+@pytest.mark.parametrize("params", [P41, P121, ModelParams(9.0, 2.0)],
+                         ids=["4,1", "12,1", "9,2"])
+def test_miss_is_linear_in_distance_to_x_star(params):
+    """r_x^2 H(r_x) / (x - x*) is flat to 5% over |x - x*| = 1e-8 ... 1e-4
+    and equal on both sides of the scipy x*, while raw H / (x - x*)
+    drifts by more than 30% over the same range."""
+    x_star = X_STAR_SCIPY[params.b / params.a]
+    sides = []
+    for sign, cls in ((-1.0, ShotClass.IN_SET_I), (1.0, ShotClass.G_VANISHED_FIRST)):
+        scaled, raw = [], []
+        for k in range(4, 9):
+            d = sign * 10.0 ** -k
+            out = classify_shot(x_star + d, params)
+            assert out.shot_class is cls
+            scaled.append(shooting._miss(out) / d)
+            raw.append(out.H_at_rx / d)
+        assert max(scaled) / min(scaled) < 1.05
+        assert raw[0] / raw[-1] > 1.3
+        sides.append(sum(scaled) / len(scaled))
+    assert sides[0] / sides[1] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("miss", [
+    lambda out: -1e-12 if out.shot_class is ShotClass.IN_SET_I else 1.0,
+    lambda out: -1.0 if out.shot_class is ShotClass.IN_SET_I else 1e-12,
+    lambda out: None,
+], ids=["hugs_lo", "hugs_hi", "none"])
+def test_itp_keeps_bisection_worst_case(shot_xs, monkeypatch, miss):
+    """Whatever the miss, the shots after the seed scan stay within
+    ceil(log2(w0/x_tol)) + 1 plus the verification shot, and the
+    certificate passes the audit; with no miss ITP is plain bisection."""
+    lo_out, hi_out = seed_bracket(P41)
+    n_seed = len(shot_xs)
+    shot_xs.clear()
+    monkeypatch.setattr(shooting, "_miss", miss)
+    gs = bisect_ground_state(P41)
+    w0 = hi_out.x0 - lo_out.x0
+    assert len(shot_xs) - n_seed <= math.ceil(math.log2(w0 / 1e-12)) + 2
+    assert gs.lemma_report.passed
+    if miss(lo_out) is None:     # plain bisection's x* from the same bracket
+        assert gs.x_star == 0.995181079034256
 
 
 def test_bisect_validation():
