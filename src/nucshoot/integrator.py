@@ -8,8 +8,17 @@ error estimate; every accepted step stores a quartic dense-output
 segment so events can be localized by bracketed root solving on the
 interpolant and trajectories can be resampled at arbitrary radii.  The
 step is straight-line float arithmetic: the quartic's coefficients are
-explicit sums over the nonzero entries of the dense-output matrix _P, and
-the event probes evaluate it inline.
+explicit sums over the nonzero entries of the dense-output matrix _P.
+
+Events are scanned on each accepted step at its ends and three quarter
+points of the quartic.  The quartic moves f by at most
+e_f = h (|qf0| + |qf1| + |qf2| + |qf3|) inside the step, and g by e_g
+likewise; from that box each event kind has a spread, a bound on how far
+its value moves (see EventKind).  A kind's quarter-point probes are
+skipped where its value keeps one strict sign at both ends and exceeds
+4 spreads at the start, since no probe can then change its sign; the
+probes are computed only if some kind is not skipped.  The skip changes
+no result bit.
 
 The r = 0 singularity of the radial system is never evaluated: the run
 starts at the hand-off radius R_START = 1e-6 from the second-order Taylor
@@ -97,6 +106,19 @@ class EventKind(enum.Enum):
         EnergyBarrier        H - model.trap_energy, falling; a level
                              event, so it fires already at the start
                              radius if the initial state is there
+
+    Each kind's spread bounds how far its value can move inside a step
+    whose quartic moves f by at most e_f and g by at most e_g:
+
+        FCrossesZero         e_f
+        GCrossesZero         e_g
+        GSquaredReachesOne   e_g (2|g| + e_g)
+        DecayDetected        e_f + e_g + 2^-52 * 1e-8
+        EnergyBarrier        inf, so it is always scanned
+
+    A step skips a kind's probes when the value at both ends is nonzero
+    with one sign, exceeds 4 spreads in size at the start, and the step
+    does not straddle the kind's r-floor.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
@@ -287,6 +309,14 @@ def series_start(x0: float, params: ModelParams, r_start: float) -> PhasePoint:
     return PhasePoint(c1 * r_start, x0 + d2 * r_start * r_start, r_start)
 
 
+def _quarter_probes(seg: tuple, lo: float, hi: float):
+    """Scan radii lo, three quarter points, hi of [lo, hi] inside seg, and
+    the segment's (f, g) at the three quarter points."""
+    d = hi - lo
+    xs = (lo, lo + 0.25 * d, lo + 0.5 * d, lo + 0.75 * d, hi)
+    return xs, [_segment_eval(seg, p) for p in xs[1:4]]
+
+
 def _bisect_root(fun, lo: float, hi: float, vlo: float, xtol: float) -> float:
     """First root of fun in [lo, hi] given sign(fun(lo)) = sign(vlo) != sign at hi."""
     neg = vlo < 0.0
@@ -305,9 +335,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
-    (kind, direction, value_fn(f, g), r_floor, level) tuples evaluated on
-    accepted steps beyond r_floor.  A level event whose value is already
-    <= 0 at r0 ends the run there, before the first step.
+    (kind, direction, value_fn(f, g), r_floor, level, spread(e_f, e_g, g))
+    tuples evaluated on accepted steps beyond r_floor.  A level event whose
+    value is already <= 0 at r0 ends the run there, before the first step.
     """
     rtol, atol, r_end = cfg.rtol, cfg.atol, cfg.r_max
     h_max, blowup_threshold = _H_MAX, BLOWUP_THRESHOLD
@@ -321,8 +351,8 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     segments = []
 
     r, f, g = r0, f0, g0
-    prev_vals = [vfn(f, g) for _, _, vfn, _, _ in event_fns]
-    at_start = tuple(kind for (kind, _, _, r_floor, level), v in zip(event_fns, prev_vals)
+    prev_vals = [vfn(f, g) for _, _, vfn, _, _, _ in event_fns]
+    at_start = tuple(kind for (kind, _, _, r_floor, level, _), v in zip(event_fns, prev_vals)
                      if level and r > r_floor and v <= 0.0)
     if at_start:
         return rs, fs, gs, segments, Termination(TerminationKind.EVENT, r0, at_start)
@@ -398,50 +428,42 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         qg3 = kg1 * _P14 + kg3 * _P34 + kg4 * _P44 + kg5 * _P54 + kg6 * _P64 + kg7 * _P74 + 0.0
         seg = (r, h, f, g, (qf0, qf1, qf2, qf3), (qg0, qg1, qg2, qg3))
 
-        # -- event scan on the accepted step; the interior probes at the
-        # quarter points catch a double crossing inside one step and are
-        # shared by every event whose scan starts at r.  Each probe is
-        # _segment_eval(seg, p) written out.
+        # -- event scan on the accepted step.  The quarter-point probes
+        # catch a double crossing inside one step; those from r are
+        # computed once, for the first kind that is not skipped.  Why
+        # |v_lo| > 4 spread keeps every probe's value on v_lo's side: a
+        # probe is y + d, d = h * (q0 t + q1 t^2 + ...) with 0 <= t <= 1,
+        # summed in the same order as e_y, and rounding is monotone, so
+        # |d| <= e_y holds exactly and the rounded probe is within 2 e_y of
+        # y.  For f and g the value is the probe itself, so |v_lo| > e_y
+        # already suffices.  The computed sign of g*g - 1 is that of |g| - 1
+        # for every double g, and |v_lo| > 4 spread keeps |g| more than
+        # 2 e_g from 1, or else e_g so far under an ulp of g that every
+        # probe rounds back to g itself.  |f| + |g| is rounded before 1e-8
+        # is taken off; the spread's 2^-52 * 1e-8 term covers that
+        # rounding, without which a sum within an ulp of the level could
+        # round onto it at a probe.
         candidates = []
         if event_fns:
-            d = r1 - r
-            p1, p2, p3 = r + 0.25 * d, r + 0.5 * d, r + 0.75 * d
-            t = (p1 - r) / h
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            t2 = t * t
-            t3 = t2 * t
-            t4 = t3 * t
-            s1 = (f + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4),
-                  g + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4))
-            t = (p2 - r) / h
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            t2 = t * t
-            t3 = t2 * t
-            t4 = t3 * t
-            s2 = (f + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4),
-                  g + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4))
-            t = (p3 - r) / h
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            t2 = t * t
-            t3 = t2 * t
-            t4 = t3 * t
-            s3 = (f + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4),
-                  g + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4))
-            shared = ((r, p1, p2, p3, r1), (s1, s2, s3))
-        for i, (_, direction, vfn, r_floor, _) in enumerate(event_fns):
+            e_f = h * (abs(qf0) + abs(qf1) + abs(qf2) + abs(qf3))
+            e_g = h * (abs(qg0) + abs(qg1) + abs(qg2) + abs(qg3))
+            shared = None
+        for i, (_, direction, vfn, r_floor, _, spread) in enumerate(event_fns):
             if r1 <= r_floor:
                 continue
+            v_lo, v_hi = prev_vals[i], vfn(f5, g5)
+            prev_vals[i] = v_hi
             if r > r_floor:
-                v_lo = prev_vals[i]
-                xs, (s1, s2, s3) = shared
+                if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
+                        and abs(v_lo) > 4.0 * spread(e_f, e_g, g)):
+                    continue
+                if shared is None:
+                    shared = _quarter_probes(seg, r, r1)
+                xs, probes = shared
             else:
                 v_lo = vfn(*_segment_eval(seg, r_floor))
-                d = r1 - r_floor
-                xs = (r_floor, r_floor + 0.25 * d, r_floor + 0.5 * d, r_floor + 0.75 * d, r1)
-                s1, s2, s3 = (_segment_eval(seg, p) for p in xs[1:4])
-            v_hi = vfn(f5, g5)
-            prev_vals[i] = v_hi
-            vs = (v_lo, vfn(*s1), vfn(*s2), vfn(*s3), v_hi)
+                xs, probes = _quarter_probes(seg, r_floor, r1)
+            vs = (v_lo, *(vfn(*s) for s in probes), v_hi)
             for j in range(4):
                 va, vb = vs[j], vs[j + 1]
                 if va == 0.0:
@@ -503,19 +525,26 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
 
 _DECAY_EPS = 1e-8
 _DECAY_R_FLOOR = 5.0
+# twice the rounding unit of |f| + |g| at the decay level
+_DECAY_SLACK = _DECAY_EPS * 2.0 ** -52
 
 
 def _event_functions(events, params: ModelParams):
-    """(kind, direction, value(f, g), r_floor, level) per kind; see EventKind."""
+    """(kind, direction, value(f, g), r_floor, level, spread(e_f, e_g, g))
+    per kind; see EventKind."""
     h_trap = trap_energy(params)
     table = {
-        EventKind.F_CROSSES_ZERO: (+1, lambda f, g: f, 0.0, False),
-        EventKind.G_CROSSES_ZERO: (-1, lambda f, g: g, 0.0, False),
-        EventKind.G_SQUARED_REACHES_ONE: (+1, lambda f, g: g * g - 1.0, 0.0, False),
+        EventKind.F_CROSSES_ZERO: (+1, lambda f, g: f, 0.0, False,
+                                   lambda e_f, e_g, g: e_f),
+        EventKind.G_CROSSES_ZERO: (-1, lambda f, g: g, 0.0, False,
+                                   lambda e_f, e_g, g: e_g),
+        EventKind.G_SQUARED_REACHES_ONE: (+1, lambda f, g: g * g - 1.0, 0.0, False,
+                                          lambda e_f, e_g, g: e_g * (2.0 * abs(g) + e_g)),
         EventKind.DECAY_DETECTED: (-1, lambda f, g: abs(f) + abs(g) - _DECAY_EPS,
-                                   _DECAY_R_FLOOR, False),
+                                   _DECAY_R_FLOOR, False,
+                                   lambda e_f, e_g, g: e_f + e_g + _DECAY_SLACK),
         EventKind.ENERGY_BARRIER: (-1, lambda f, g: energy(f, g, params) - h_trap,
-                                   0.0, True),
+                                   0.0, True, lambda e_f, e_g, g: math.inf),
     }
     return [(kind,) + table[kind] for kind in events]
 

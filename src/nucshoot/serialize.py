@@ -24,8 +24,6 @@ __all__ = [
 
 def float17(x: float) -> str:
     """Decimal string with 17 significant digits (round-trip exact)."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 
@@ -38,19 +36,14 @@ def csv_text(columns: Mapping[str, Sequence]) -> str:
     names = list(columns)
     if not names:
         return "\n"
-    n = len(columns[names[0]])
-    for name in names:
-        if len(columns[name]) != n:
-            raise ValueError(f"column {name!r} has length "
-                             f"{len(columns[name])}, expected {n}")
-    lines = [",".join(names)]
-    for i in range(n):
-        cells = []
-        for name in names:
-            v = columns[name][i]
-            cells.append(v if isinstance(v, str) else float17(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # numpy columns become lists of Python scalars once, not per cell
+    cols = [c.tolist() if hasattr(c, "tolist") else c for c in columns.values()]
+    n = len(cols[0])
+    for name, col in zip(names, cols):
+        if len(col) != n:
+            raise ValueError(f"column {name!r} has length {len(col)}, expected {n}")
+    cells = [[v if isinstance(v, str) else float17(v) for v in col] for col in cols]
+    return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _jsonable(obj):

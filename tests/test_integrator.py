@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucshoot import integrator
 from nucshoot.integrator import (BLOWUP_THRESHOLD, R_START, EventKind,
@@ -305,3 +307,146 @@ def test_oversized_initial_step_is_clipped(monkeypatch):
     traj = integrate_conservative(PhasePoint(0.3, 0.4), P94, IntegratorConfig(r_max=10.0))
     assert traj.r_end == 10.0
     assert np.max(np.abs(traj.H - traj.H[0])) <= 1e-7
+
+
+# -- the event-scan gate: a kind skips its probes on a step only where no
+# probe could change its sign, so scanning every step changes nothing
+
+_EVENT_FUNCTIONS = integrator._event_functions
+
+
+def _probe_every_step(events, params):
+    """_event_functions with every spread inf: no kind ever skips."""
+    return [row[:5] + (lambda e_f, e_g, g: math.inf,)
+            for row in _EVENT_FUNCTIONS(events, params)]
+
+
+def _fingerprint(out):
+    traj = out.trajectory
+    return (traj.r.tobytes(), traj.f.tobytes(), traj.g.tobytes(),
+            repr(traj._segments), traj.termination, out.shot_class)
+
+
+def _assert_gate_changes_nothing(x0, params):
+    gated = _fingerprint(classify_shot(x0, params))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_event_functions", _probe_every_step)
+        every = _fingerprint(classify_shot(x0, params))
+    assert gated == every
+
+
+_SIGN = st.sampled_from((1.0, -1.0))
+_GATE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@_GATE_SETTINGS
+@given(pair=st.sampled_from(("gs94", "gs41")), exponent=st.floats(-12.0, -2.0),
+       side=_SIGN, sign=_SIGN)
+def test_gate_is_bit_identical_near_x_star(request, pair, exponent, side, sign):
+    """Supercritical shots around x*, where f- and g-zeros compete."""
+    gs = request.getfixturevalue(pair)
+    x0 = gs.x_star + side * 10.0 ** exponent
+    _assert_gate_changes_nothing(sign * x0, gs.trajectory.params)
+
+
+@_GATE_SETTINGS
+@given(b=st.floats(0.5, 3.0), ratio=st.floats(1.0, 2.0, exclude_min=True),
+       x0=st.floats(0.02, 0.98), sign=_SIGN)
+def test_gate_is_bit_identical_with_energy_barrier(b, ratio, x0, sign):
+    """b < a <= 2b: EnergyBarrier is armed below sqrt(b/a)."""
+    _assert_gate_changes_nothing(sign * x0, ModelParams(ratio * b, b))
+
+
+@_GATE_SETTINGS
+@given(b=st.floats(0.5, 4.0), ratio=st.floats(0.25, 1.0), x0=st.floats(0.05, 1.5),
+       sign=_SIGN)
+def test_gate_is_bit_identical_for_blowups(b, ratio, x0, sign):
+    """a <= b: shots blow up or ride out to r_max."""
+    _assert_gate_changes_nothing(sign * x0, ModelParams(ratio * b, b))
+
+
+def _rows(kind, gated=True):
+    return (_EVENT_FUNCTIONS if gated else _probe_every_step)([kind], P94)
+
+
+# (kind, (f', g') at r, (f, g) at r = 1, first zero in the kind's
+# direction): each value dips through zero and back around r = 32
+_DOUBLE_ZEROS = [
+    (EventKind.F_CROSSES_ZERO, lambda r: (2.0 * (r - 32.0), 0.0),
+     (31.0 ** 2 - 0.25, 0.5), 32.5),
+    (EventKind.G_CROSSES_ZERO, lambda r: (0.0, 2.0 * (r - 32.0)),
+     (0.5, 31.0 ** 2 - 0.25), 31.5),
+    (EventKind.G_SQUARED_REACHES_ONE, lambda r: (0.0, 0.5 * (r - 32.0)),
+     (0.0, 0.5 + 31.0 ** 2 / 4.0), 32.0 + math.sqrt(2.0)),
+    (EventKind.DECAY_DETECTED, lambda r: (0.0, 4e-9 * (r - 32.0)),
+     (0.0, 2e-9 * 31.0 ** 2 + 5e-9), 32.0 - math.sqrt(2.5)),
+]
+
+
+@pytest.mark.parametrize("kind,field,y0,root", _DOUBLE_ZEROS,
+                         ids=[k.value for k, *_ in _DOUBLE_ZEROS])
+def test_double_zero_inside_one_step_is_localized(kind, field, y0, root):
+    """The value is quadratic in r and integrated exactly, so the steps
+    grow to h_max; the step over r = 32 starts and ends on the far side
+    of zero, and its quarter-point probe at 32.41 sees the dip."""
+    def deriv(r, f, g):
+        return field(r)
+
+    cfg = IntegratorConfig(r_max=100.0)
+    out = integrator._run_dopri(deriv, 1.0, *y0, cfg, _rows(kind))
+    rs, fs, gs, segs, term = out
+    seg = segs[-1]
+    vfn = _rows(kind)[0][2]
+    assert seg[1] == integrator._H_MAX and seg[0] < root < seg[0] + seg[1]
+    v_end = vfn(*integrator._segment_eval(seg, seg[0] + seg[1]))
+    assert vfn(seg[2], seg[3]) * v_end > 0.0
+    assert term.event_kinds == (kind,)
+    assert term.r == pytest.approx(root, rel=0, abs=1e-9)
+    every = integrator._run_dopri(deriv, 1.0, *y0, cfg, _rows(kind, gated=False))
+    assert repr(out) == repr(every)
+
+
+def test_step_ending_exactly_on_zero_fires():
+    """g' = -1 from the g0 that the first step takes to 0.0 exactly."""
+    def deriv(r, f, g):
+        return 0.0, -1.0
+
+    dg = integrator._run_dopri(deriv, 0.0, 0.0, 0.0, IntegratorConfig(r_max=1e-3))[2][-1]
+    one_step = integrator._run_dopri(deriv, 0.0, 0.0, -dg, IntegratorConfig(r_max=1e-3))
+    assert one_step[2][-1] == 0.0
+    *_, term = integrator._run_dopri(deriv, 0.0, 0.0, -dg, IntegratorConfig(r_max=1.0),
+                                     _rows(EventKind.G_CROSSES_ZERO))
+    assert term.event_kinds == (EventKind.G_CROSSES_ZERO,)
+    assert term.r == pytest.approx(1e-3, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("slope", [0.0, 2.0 ** -60, 2.0 ** -45])
+def test_g_one_ulp_below_one(monkeypatch, slope):
+    """g starts one ulp below 1, where g*g - 1 = -2^-52.  Held there, it
+    never fires GSquaredReachesOne and never needs a probe; pushed over
+    1, it fires where the probe-every-step scan does."""
+    def deriv(r, f, g):
+        return 0.0, slope
+
+    probes = []
+    real_probes = integrator._quarter_probes
+
+    def counted(*args):
+        probes.append(args)
+        return real_probes(*args)
+
+    monkeypatch.setattr(integrator, "_quarter_probes", counted)
+    cfg = IntegratorConfig(r_max=50.0)
+    g0 = math.nextafter(1.0, 0.0)
+    kind = EventKind.G_SQUARED_REACHES_ONE
+    out = integrator._run_dopri(deriv, 1.0, 0.3, g0, cfg, _rows(kind))
+    n_gated = len(probes)
+    every = integrator._run_dopri(deriv, 1.0, 0.3, g0, cfg, _rows(kind, gated=False))
+    assert repr(out) == repr(every)
+    term = out[4]
+    if slope < 2.0 ** -54:      # below half an ulp of g per unit r: g stays put
+        assert term.kind is TerminationKind.REACHED_RMAX
+        assert max(out[2]) == g0
+        assert n_gated == 0 < len(probes)
+    else:
+        assert term.event_kinds == (kind,)
