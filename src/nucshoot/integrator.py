@@ -10,15 +10,15 @@ interpolant and trajectories can be resampled at arbitrary radii.  The
 step is straight-line float arithmetic: the quartic's coefficients are
 explicit sums over the nonzero entries of the dense-output matrix _P.
 
-Events are scanned on each accepted step at its ends and three quarter
-points of the quartic.  The quartic moves f by at most
+Every event fires on the first accepted step where its value falls
+through zero (see EventKind).  Events are scanned at the step's ends and
+three quarter points of the quartic.  The quartic moves f by at most
 e_f = h (|qf0| + |qf1| + |qf2| + |qf3|) inside the step, and g by e_g
 likewise; from that box each event kind has a spread, a bound on how far
-its value moves (see EventKind).  A kind's quarter-point probes are
-skipped where its value keeps one strict sign at both ends and exceeds
-4 spreads at the start, since no probe can then change its sign; the
-probes are computed only if some kind is not skipped.  The skip changes
-no result bit.
+its value moves.  A kind's quarter-point probes are skipped where its
+value keeps one strict sign at both ends and exceeds 4 spreads at the
+start, since no probe can then change its sign; the probes are computed
+only if some kind is not skipped.  The skip changes no result bit.
 
 The r = 0 singularity of the radial system is never evaluated: the run
 starts at the hand-off radius R_START = 1e-6 from the second-order Taylor
@@ -95,17 +95,16 @@ DEFAULT_CONFIG = IntegratorConfig()
 class EventKind(enum.Enum):
     """Terminal events of a radial shot; each kind's rule is fixed.
 
-    An event fires on the first accepted step where its value crosses
-    zero in its direction (+1 rising, -1 falling):
+    An event fires on the first accepted step where its value falls
+    through zero, from > 0 to <= 0:
 
-        FCrossesZero         f, rising
-        GCrossesZero         g, falling
-        GSquaredReachesOne   g^2 - 1, rising
-        DecayDetected        |f| + |g| - 1e-8, falling, only beyond r = 5
-                             (f is small near r = 0 by construction)
-        EnergyBarrier        H - model.trap_energy, falling; a level
-                             event, so it fires already at the start
-                             radius if the initial state is there
+        FCrossesZero         -f
+        GCrossesZero         g
+        GSquaredReachesOne   1 - g^2
+        DecayDetected        |f| + |g| - 1e-8
+        EnergyBarrier        H - model.trap_energy; a level event, so it
+                             fires already at the start radius if the
+                             initial state is there
 
     Each kind's spread bounds how far its value can move inside a step
     whose quartic moves f by at most e_f and g by at most e_g:
@@ -117,8 +116,7 @@ class EventKind(enum.Enum):
         EnergyBarrier        inf, so it is always scanned
 
     A step skips a kind's probes when the value at both ends is nonzero
-    with one sign, exceeds 4 spreads in size at the start, and the step
-    does not straddle the kind's r-floor.
+    with one sign and exceeds 4 spreads in size at the start.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
@@ -194,8 +192,8 @@ _TIE_DR = 1e-12            # simultaneous-event ambiguity threshold
 
 
 def _segment_eval(seg: tuple, r: float) -> tuple[float, float]:
-    """Evaluate one dense segment at radius r."""
-    r0, h, f0, g0, qf, qg = seg
+    """Evaluate one dense segment (r0, h, f0, g0, qf0..qf3, qg0..qg3) at r."""
+    r0, h, f0, g0, qf0, qf1, qf2, qf3, qg0, qg1, qg2, qg3 = seg
     t = (r - r0) / h
     if t < 0.0:
         t = 0.0
@@ -204,8 +202,8 @@ def _segment_eval(seg: tuple, r: float) -> tuple[float, float]:
     t2 = t * t
     t3 = t2 * t
     t4 = t3 * t
-    f = f0 + h * (qf[0] * t + qf[1] * t2 + qf[2] * t3 + qf[3] * t4)
-    g = g0 + h * (qg[0] * t + qg[1] * t2 + qg[2] * t3 + qg[3] * t4)
+    f = f0 + h * (qf0 * t + qf1 * t2 + qf2 * t3 + qf3 * t4)
+    g = g0 + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4)
     return f, g
 
 
@@ -215,8 +213,8 @@ class Trajectory:
     r, f, g and H hold the samples at strictly increasing radii; for the
     radial flow the first sample is the exact initial state (0, 0, x0, H0)
     and the second the Taylor hand-off state at R_START.  Dense-output
-    segments, when present, let sample_at / sample_on / resample recover
-    the solution between accepted steps to interpolation order 4.
+    segments, when present, let sample_on / resample recover the solution
+    between accepted steps to interpolation order 4.
     """
 
     def __init__(self, r, f, g, params: ModelParams, x0: float,
@@ -236,30 +234,19 @@ class Trajectory:
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        """The segments as rows r0, h, f0, g0, qf[0..3], qg[0..3] of one
+        """The segments as rows r0, h, f0, g0, qf0..qf3, qg0..qg3 of one
         array, built when the trajectory is first sampled."""
-        return np.array([(r0, h, f0, g0, *qf, *qg)
-                         for r0, h, f0, g0, qf, qg in self._segments]).T.copy()
+        return np.array(self._segments).T.copy()
 
-    def sample_at(self, r: float) -> tuple[float, float]:
-        """Interpolated (f, g) at one radius inside the computed range."""
-        if r <= self.r[0]:
-            return float(self.f[0]), float(self.g[0])
-        if r >= self.r[-1]:
-            return float(self.f[-1]), float(self.g[-1])
-        if self._segments and r >= self._segments[0][0]:
-            idx = int(np.searchsorted(self._dense[0], r, side="right") - 1)
-            idx = min(idx, len(self._segments) - 1)
-            return _segment_eval(self._segments[idx], r)
-        # no dense segment here: a synthetic trajectory, or the radial span
-        # from the origin to the hand-off, where f is linear to O(r^3)
-        f = float(np.interp(r, self.r, self.f))
-        g = float(np.interp(r, self.r, self.g))
-        return f, g
+    def sample_on(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolated (f, g) at a 1-D array of radii.
 
-    def sample_on(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sample_at over a 1-D array of radii, with the same branches and
-        the same arithmetic, so each entry equals the scalar result."""
+        Radii at or beyond either end take that end's sample; inside, the
+        dense segment holding the radius is evaluated with _segment_eval's
+        arithmetic.  Below the first segment (a synthetic trajectory, or the
+        radial span from the origin to the hand-off, where f is linear to
+        O(r^3)) the samples are interpolated linearly.
+        """
         rs = np.asarray(radii, dtype=float)
         fs = np.interp(rs, self.r, self.f)
         gs = np.interp(rs, self.r, self.g)
@@ -294,8 +281,7 @@ class Trajectory:
 
     def mirrored(self) -> "Trajectory":
         """The sign-mapped trajectory (f, g) -> (-f, -g), same radii."""
-        segs = [(r0, h, -f0, -g0, tuple(-q for q in qf), tuple(-q for q in qg))
-                for (r0, h, f0, g0, qf, qg) in self._segments] or None
+        segs = [seg[:2] + tuple(-v for v in seg[2:]) for seg in self._segments] or None
         return Trajectory(self.r.copy(), -self.f, -self.g, self.params, -self.x0,
                           self.termination, segs)
 
@@ -317,16 +303,15 @@ def _quarter_probes(seg: tuple, lo: float, hi: float):
     return xs, [_segment_eval(seg, p) for p in xs[1:4]]
 
 
-def _bisect_root(fun, lo: float, hi: float, vlo: float, xtol: float) -> float:
-    """First root of fun in [lo, hi] given sign(fun(lo)) = sign(vlo) != sign at hi."""
-    neg = vlo < 0.0
+def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
+    """First radius in [lo, hi] where fun falls to <= 0, given fun(lo) > 0
+    and fun(hi) <= 0."""
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        vm = fun(mid)
-        if (vm < 0.0) == neg and vm != 0.0:
-            lo = mid
-        else:
+        if fun(mid) <= 0.0:
             hi = mid
+        else:
+            lo = mid
     return hi
 
 
@@ -335,9 +320,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
-    (kind, direction, value_fn(f, g), r_floor, level, spread(e_f, e_g, g))
-    tuples evaluated on accepted steps beyond r_floor.  A level event whose
-    value is already <= 0 at r0 ends the run there, before the first step.
+    (kind, value_fn(f, g), level, spread(e_f, e_g, g)) tuples evaluated on
+    accepted steps.  A level event whose value is already <= 0 at r0 ends
+    the run there, before the first step.
     """
     rtol, atol, r_end = cfg.rtol, cfg.atol, cfg.r_max
     h_max, blowup_threshold = _H_MAX, BLOWUP_THRESHOLD
@@ -351,9 +336,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
     segments = []
 
     r, f, g = r0, f0, g0
-    prev_vals = [vfn(f, g) for _, _, vfn, _, _, _ in event_fns]
-    at_start = tuple(kind for (kind, _, _, r_floor, level, _), v in zip(event_fns, prev_vals)
-                     if level and r > r_floor and v <= 0.0)
+    prev_vals = [vfn(f, g) for _, vfn, _, _ in event_fns]
+    at_start = tuple(kind for (kind, _, level, _), v in zip(event_fns, prev_vals)
+                     if level and v <= 0.0)
     if at_start:
         return rs, fs, gs, segments, Termination(TerminationKind.EVENT, r0, at_start)
     kf1, kg1 = deriv(r, f, g)
@@ -426,7 +411,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         qg1 = kg1 * _P12 + kg3 * _P32 + kg4 * _P42 + kg5 * _P52 + kg6 * _P62 + kg7 * _P72 + 0.0
         qg2 = kg1 * _P13 + kg3 * _P33 + kg4 * _P43 + kg5 * _P53 + kg6 * _P63 + kg7 * _P73 + 0.0
         qg3 = kg1 * _P14 + kg3 * _P34 + kg4 * _P44 + kg5 * _P54 + kg6 * _P64 + kg7 * _P74 + 0.0
-        seg = (r, h, f, g, (qf0, qf1, qf2, qf3), (qg0, qg1, qg2, qg3))
+        seg = (r, h, f, g, qf0, qf1, qf2, qf3, qg0, qg1, qg2, qg3)
 
         # -- event scan on the accepted step.  The quarter-point probes
         # catch a double crossing inside one step; those from r are
@@ -436,7 +421,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         # summed in the same order as e_y, and rounding is monotone, so
         # |d| <= e_y holds exactly and the rounded probe is within 2 e_y of
         # y.  For f and g the value is the probe itself, so |v_lo| > e_y
-        # already suffices.  The computed sign of g*g - 1 is that of |g| - 1
+        # already suffices.  The computed sign of 1 - g*g is that of 1 - |g|
         # for every double g, and |v_lo| > 4 spread keeps |g| more than
         # 2 e_g from 1, or else e_g so far under an ulp of g that every
         # probe rounds back to g itself.  |f| + |g| is rounded before 1e-8
@@ -447,44 +432,29 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
         if event_fns:
             e_f = h * (abs(qf0) + abs(qf1) + abs(qf2) + abs(qf3))
             e_g = h * (abs(qg0) + abs(qg1) + abs(qg2) + abs(qg3))
-            shared = None
-        for i, (_, direction, vfn, r_floor, _, spread) in enumerate(event_fns):
-            if r1 <= r_floor:
-                continue
+            probes = None
+        for i, (_, vfn, _, spread) in enumerate(event_fns):
             v_lo, v_hi = prev_vals[i], vfn(f5, g5)
             prev_vals[i] = v_hi
-            if r > r_floor:
-                if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
-                        and abs(v_lo) > 4.0 * spread(e_f, e_g, g)):
-                    continue
-                if shared is None:
-                    shared = _quarter_probes(seg, r, r1)
-                xs, probes = shared
-            else:
-                v_lo = vfn(*_segment_eval(seg, r_floor))
-                xs, probes = _quarter_probes(seg, r_floor, r1)
+            if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
+                    and abs(v_lo) > 4.0 * spread(e_f, e_g, g)):
+                continue
+            if probes is None:
+                xs, probes = _quarter_probes(seg, r, r1)
             vs = (v_lo, *(vfn(*s) for s in probes), v_hi)
             for j in range(4):
-                va, vb = vs[j], vs[j + 1]
-                if va == 0.0:
-                    continue
-                rising = va < 0.0 <= vb
-                falling = va > 0.0 >= vb
-                if (rising and direction >= 0) or (falling and direction <= 0):
+                if vs[j] > 0.0 >= vs[j + 1]:
                     def ev(rv, _vfn=vfn):
                         return _vfn(*_segment_eval(seg, rv))
-                    r_loc = _bisect_root(ev, xs[j], xs[j + 1], va, _EVENT_DR)
-                    candidates.append((r_loc, i))
+                    candidates.append((_bisect_root(ev, xs[j], xs[j + 1], _EVENT_DR), i))
                     break
 
-        size1 = abs(f5) + abs(g5)
-        if size1 > blowup_threshold:
+        if abs(f5) + abs(g5) > blowup_threshold:
             def ev_blow(rv):
                 fv, gv = _segment_eval(seg, rv)
-                return abs(fv) + abs(gv) - blowup_threshold
-            v0 = abs(f) + abs(g) - blowup_threshold
-            if v0 < 0.0:
-                r_loc = _bisect_root(ev_blow, r, r1, v0, _EVENT_DR)
+                return blowup_threshold - (abs(fv) + abs(gv))
+            if blowup_threshold - (abs(f) + abs(g)) > 0.0:
+                r_loc = _bisect_root(ev_blow, r, r1, _EVENT_DR)
             else:
                 r_loc = r
             candidates.append((r_loc, None))
@@ -524,27 +494,22 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
 
 
 _DECAY_EPS = 1e-8
-_DECAY_R_FLOOR = 5.0
 # twice the rounding unit of |f| + |g| at the decay level
 _DECAY_SLACK = _DECAY_EPS * 2.0 ** -52
 
 
 def _event_functions(events, params: ModelParams):
-    """(kind, direction, value(f, g), r_floor, level, spread(e_f, e_g, g))
-    per kind; see EventKind."""
+    """(kind, value(f, g), level, spread(e_f, e_g, g)) per kind; see EventKind."""
     h_trap = trap_energy(params)
     table = {
-        EventKind.F_CROSSES_ZERO: (+1, lambda f, g: f, 0.0, False,
-                                   lambda e_f, e_g, g: e_f),
-        EventKind.G_CROSSES_ZERO: (-1, lambda f, g: g, 0.0, False,
-                                   lambda e_f, e_g, g: e_g),
-        EventKind.G_SQUARED_REACHES_ONE: (+1, lambda f, g: g * g - 1.0, 0.0, False,
+        EventKind.F_CROSSES_ZERO: (lambda f, g: -f, False, lambda e_f, e_g, g: e_f),
+        EventKind.G_CROSSES_ZERO: (lambda f, g: g, False, lambda e_f, e_g, g: e_g),
+        EventKind.G_SQUARED_REACHES_ONE: (lambda f, g: 1.0 - g * g, False,
                                           lambda e_f, e_g, g: e_g * (2.0 * abs(g) + e_g)),
-        EventKind.DECAY_DETECTED: (-1, lambda f, g: abs(f) + abs(g) - _DECAY_EPS,
-                                   _DECAY_R_FLOOR, False,
+        EventKind.DECAY_DETECTED: (lambda f, g: abs(f) + abs(g) - _DECAY_EPS, False,
                                    lambda e_f, e_g, g: e_f + e_g + _DECAY_SLACK),
-        EventKind.ENERGY_BARRIER: (-1, lambda f, g: energy(f, g, params) - h_trap,
-                                   0.0, True, lambda e_f, e_g, g: math.inf),
+        EventKind.ENERGY_BARRIER: (lambda f, g: energy(f, g, params) - h_trap, True,
+                                   lambda e_f, e_g, g: math.inf),
     }
     return [(kind,) + table[kind] for kind in events]
 

@@ -237,12 +237,6 @@ def admissible_region(params: ModelParams, resolution: int = 200) -> np.ndarray:
     return np.vstack([right, top, left, bottom, right[:1]])
 
 
-def _lift_angles(rs, fs, gs):
-    theta = np.arctan2(-np.asarray(fs), np.asarray(gs))
-    lifted = np.unwrap(theta)
-    return lifted
-
-
 _MAX_REFINE = 16           # winding_count's midpoint-refinement rounds
 _SIGN_GRID_N = 64          # energy_sign_grid's points per axis
 
@@ -256,40 +250,26 @@ def winding_count(traj, r1: float, r2: float):
     _MAX_REFINE times) until every consecutive jump is below pi/2, so no
     half-turn can be skipped.
     """
-    rs = traj.r
-    mask = (rs >= r1 - 1e-15) & (rs <= r2 + 1e-15)
+    mask = (traj.r >= r1 - 1e-15) & (traj.r <= r2 + 1e-15)
     if mask.sum() < 2:
         raise ValueError("window [r1, r2] must contain at least two samples")
-    sel_r = list(rs[mask])
-    sel_f = list(traj.f[mask])
-    sel_g = list(traj.g[mask])
+    rs, fs, gs = traj.r[mask], traj.f[mask], traj.g[mask]
 
     for _ in range(_MAX_REFINE):
-        amp = np.abs(sel_f) + np.abs(sel_g)
-        if np.min(amp) <= 1e-10:
+        if np.min(np.abs(fs) + np.abs(gs)) <= 1e-10:
             raise UndefinedLiftError(
                 "trajectory passes within 1e-10 of the origin; angle lift undefined")
-        theta = _lift_angles(sel_r, sel_f, sel_g)
-        jumps = np.abs(np.diff(theta))
-        bad = np.nonzero(jumps >= 0.5 * math.pi)[0]
+        theta = np.unwrap(np.arctan2(-fs, gs))
+        bad = np.nonzero(np.abs(np.diff(theta)) >= 0.5 * math.pi)[0]
         if len(bad) == 0:
             n = int(round((theta[-1] - theta[0]) / math.pi))
-            lift = np.column_stack([sel_r, theta])
-            return n, lift
-        # insert midpoints across every oversized jump and retry
-        new_r, new_f, new_g = [sel_r[0]], [sel_f[0]], [sel_g[0]]
-        bad_set = set(bad.tolist())
-        for i in range(len(sel_r) - 1):
-            if i in bad_set:
-                rm = 0.5 * (sel_r[i] + sel_r[i + 1])
-                fm, gm = traj.sample_at(rm)
-                new_r.append(rm)
-                new_f.append(fm)
-                new_g.append(gm)
-            new_r.append(sel_r[i + 1])
-            new_f.append(sel_f[i + 1])
-            new_g.append(sel_g[i + 1])
-        sel_r, sel_f, sel_g = new_r, new_f, new_g
+            return n, np.column_stack([rs, theta])
+        # insert a midpoint across every oversized jump and retry
+        r_mid = 0.5 * (rs[bad] + rs[bad + 1])
+        f_mid, g_mid = traj.sample_on(r_mid)
+        rs = np.insert(rs, bad + 1, r_mid)
+        fs = np.insert(fs, bad + 1, f_mid)
+        gs = np.insert(gs, bad + 1, g_mid)
     raise RuntimeError("winding lift did not stabilize under refinement")
 
 

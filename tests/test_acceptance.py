@@ -29,9 +29,10 @@ def test_criterion_1_coth_oracle():
     cfg = IntegratorConfig(rtol=1e-9, r_max=10.0)
     traj = integrate_radial(1.0, params, cfg)
     assert traj.r_end == 10.0
+    rs = np.linspace(1e-3, 10.0, 1001)
+    fs, gs = traj.sample_on(rs)
     worst = 0.0
-    for r in np.linspace(1e-3, 10.0, 1001):
-        f, g = traj.sample_at(float(r))
+    for r, f, g in zip(rs, fs, gs):
         ex = exact_coth(float(r), params)
         worst = max(worst, abs(f - ex.f), abs(g - ex.g))
     assert worst <= 1e-6
@@ -68,10 +69,7 @@ def test_criterion_3_dissipation_identity():
         dr = 1e-3
         rs = np.arange(0.2, hi, dr)
         assert len(rs) >= 50
-        fs = np.empty_like(rs)
-        gs = np.empty_like(rs)
-        for i, rv in enumerate(rs):
-            fs[i], gs[i] = traj.sample_at(float(rv))
+        fs, gs = traj.sample_on(rs)
         H = energy(fs, gs, P94)
         dH = (-H[4:] + 8.0 * H[3:-1] - 8.0 * H[1:-3] + H[:-4]) / (12.0 * dr)
         rhs = -(2.0 / rs) * fs * fs * (1.0 - gs * gs)
@@ -149,12 +147,9 @@ def test_criterion_8_shifted_system_convergence():
 
     def supdiff(rho):
         t = integrate_shifted(p0, rho, P94, cfg)
-        worst = 0.0
-        for rv in grid:
-            fs, gv = t.sample_at(float(rv))
-            fc, gc = ref.sample_at(float(rv))
-            worst = max(worst, abs(fs - fc), abs(gv - gc))
-        return worst
+        fs, gv = t.sample_on(grid)
+        fc, gc = ref.sample_on(grid)
+        return max(np.max(np.abs(fs - fc)), np.max(np.abs(gv - gc)))
 
     diffs = [supdiff(rho) for rho in (10.0, 100.0, 1000.0)]
     assert diffs[0] > diffs[1] > diffs[2]

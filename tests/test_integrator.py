@@ -1,4 +1,5 @@
 """Adaptive integration: accuracy, events, terminations, dense output."""
+import bisect
 import math
 from fractions import Fraction
 
@@ -23,6 +24,12 @@ P41 = ModelParams(4.0, 1.0)
 RX_08_94 = 2.13940806222205
 # frozen at defaults: first falling g-zero for x0 = 0.95 at (9, 1)
 RX_095_91 = 2.719237514944339
+
+
+def _sample(traj, r):
+    """(f, g) at one radius through Trajectory.sample_on."""
+    fs, gs = traj.sample_on([r])
+    return fs[0], gs[0]
 
 
 def test_config_validation():
@@ -53,9 +60,10 @@ def test_radial_tracks_coth_profile():
     """x0 = 1 rides the invariant g = 1 line; f follows the closed form."""
     params = ModelParams(2.5, 1.0)
     traj = integrate_radial(1.0, params, IntegratorConfig(r_max=10.0))
+    rs = np.linspace(0.0, 10.0, 501)
+    fs, gs = traj.sample_on(rs)
     worst = 0.0
-    for r in np.linspace(0.0, 10.0, 501):
-        f, g = traj.sample_at(float(r))
+    for r, f, g in zip(rs, fs, gs):
         ex = exact_coth(float(r), params)
         worst = max(worst, abs(f - ex.f), abs(g - ex.g))
     assert worst <= 1e-6
@@ -96,10 +104,26 @@ def test_dense_output_matrix_and_step_kernel():
         assert abs(g - g1) <= 4e-16 * max(1.0, abs(g1))
 
 
-def test_resample_equals_sample_at_loop():
-    """The array evaluator and the scalar one agree bit for bit: on radial
-    shots from the origin clamp through the linear span below R_START to
-    the end clamp, and on a conservative orbit with no such span."""
+def _sample_reference(traj, r):
+    """One radius the long way: end clamps, then the segment whose start
+    is the last one at or below r, evaluated by _segment_eval, or linear
+    interpolation below the first segment."""
+    if r <= traj.r[0]:
+        return traj.f[0], traj.g[0]
+    if r >= traj.r[-1]:
+        return traj.f[-1], traj.g[-1]
+    starts = [seg[0] for seg in traj._segments]
+    if starts and r >= starts[0]:
+        return integrator._segment_eval(traj._segments[bisect.bisect_right(starts, r) - 1], r)
+    return np.interp(r, traj.r, traj.f), np.interp(r, traj.r, traj.g)
+
+
+def test_sample_on_equals_segment_eval_loop():
+    """The array sampler matches a per-point segment evaluation bit for
+    bit: on radial shots from the origin clamp through the linear span
+    below R_START to the end clamp, and on a conservative orbit with no
+    such span; on a uniform grid and on the nodes, where a segment starts
+    and the one before it ends."""
     short = integrate_radial(0.8, P94, IntegratorConfig(r_max=2.0 ** -16))
     assert np.count_nonzero(short.resample(2.0 ** -23)[0] < R_START) == 9
     cases = [
@@ -111,19 +135,23 @@ def test_resample_equals_sample_at_loop():
     for traj, dr in cases:
         grid, fs, gs = traj.resample(dr)
         assert grid[0] == traj.r[0] and grid[-1] == traj.r_end
-        loop = np.array([traj.sample_at(float(r)) for r in grid])
+        loop = np.array([_sample_reference(traj, float(r)) for r in grid])
         assert np.array_equal(fs, loop[:, 0])
         assert np.array_equal(gs, loop[:, 1])
+        node_fs, node_gs = traj.sample_on(traj.r)
+        nodes = np.array([_sample_reference(traj, float(r)) for r in traj.r])
+        assert np.array_equal(node_fs, nodes[:, 0])
+        assert np.array_equal(node_gs, nodes[:, 1])
 
 
 def test_sample_at_nodes_and_clamping():
     traj = integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0))
     k = len(traj.r) // 2
-    f, g = traj.sample_at(float(traj.r[k]))
+    f, g = _sample(traj, float(traj.r[k]))
     assert f == pytest.approx(traj.f[k], rel=0, abs=1e-12)
     assert g == pytest.approx(traj.g[k], rel=0, abs=1e-12)
-    assert traj.sample_at(99.0) == (traj.f[-1], traj.g[-1])
-    assert traj.sample_at(0.0) == (0.0, 0.8)
+    assert _sample(traj, 99.0) == (traj.f[-1], traj.g[-1])
+    assert _sample(traj, 0.0) == (0.0, 0.8)
 
 
 def test_sample_at_series_region():
@@ -132,7 +160,7 @@ def test_sample_at_series_region():
     x0 = 0.8
     traj = integrate_radial(x0, P94, IntegratorConfig(r_max=2.0))
     r = 1e-7
-    f, g = traj.sample_at(r)
+    f, g = _sample(traj, r)
     c1 = x0 * (P94.b - P94.a * x0 * x0) / 3.0
     assert f == pytest.approx(c1 * r, rel=1e-9)
     assert g == pytest.approx(x0 + 0.5 * c1 * (1.0 - x0 * x0) * r * r, rel=1e-12)
@@ -154,14 +182,14 @@ def test_mirrored_trajectory():
     assert m.x0 == -0.8
     assert np.array_equal(m.f, -traj.f) and np.array_equal(m.g, -traj.g)
     for r in (0.3, 1.1, 2.7):
-        f, g = traj.sample_at(r)
-        mf, mg = m.sample_at(r)
+        f, g = _sample(traj, r)
+        mf, mg = _sample(m, r)
         assert mf == -f and mg == -g
     # sign for sign: the mirror of the rest orbit on f = +0.0 samples -0.0
     rest = integrate_conservative(PhasePoint(0.0, -0.5), P41, IntegratorConfig(r_max=3.0))
     for r in (0.1, 2.5):
-        assert math.copysign(1.0, rest.sample_at(r)[0]) == 1.0
-        assert math.copysign(1.0, rest.mirrored().sample_at(r)[0]) == -1.0
+        assert math.copysign(1.0, _sample(rest, r)[0]) == 1.0
+        assert math.copysign(1.0, _sample(rest.mirrored(), r)[0]) == -1.0
 
 
 def test_convergence_order_at_least_four_and_a_half(monkeypatch):
@@ -204,9 +232,9 @@ def test_event_g_crosses_zero_falling():
     assert np.all(traj.g[:-1] > 0.0)
 
 
-def test_event_decay_detected_threshold_and_floor():
+def test_event_decay_detected_threshold():
     """A (2, 0.1) shot within 1e-12 of x* decays outright: the detector
-    fires beyond its r = 5 floor on the |f| + |g| = 1e-8 level."""
+    fires on the |f| + |g| = 1e-8 level, far out past r = 5."""
     out = classify_shot(0.7474616543710928, ModelParams(2.0, 0.1))
     term = out.trajectory.termination
     assert term.kind is TerminationKind.EVENT
@@ -289,12 +317,9 @@ def test_shifted_approaches_conservative_flow():
 
     def supdiff(rho):
         t = integrate_shifted(PhasePoint(0.3, 0.5), rho, P94, cfg)
-        worst = 0.0
-        for rv in grid:
-            fs, gs = t.sample_at(float(rv))
-            fc, gc = ref.sample_at(float(rv))
-            worst = max(worst, abs(fs - fc), abs(gs - gc))
-        return worst
+        fs, gs = t.sample_on(grid)
+        fc, gc = ref.sample_on(grid)
+        return max(np.max(np.abs(fs - fc)), np.max(np.abs(gs - gc)))
 
     d10, d1000 = supdiff(10.0), supdiff(1000.0)
     assert d1000 < d10
@@ -317,7 +342,7 @@ _EVENT_FUNCTIONS = integrator._event_functions
 
 def _probe_every_step(events, params):
     """_event_functions with every spread inf: no kind ever skips."""
-    return [row[:5] + (lambda e_f, e_g, g: math.inf,)
+    return [row[:3] + (lambda e_f, e_g, g: math.inf,)
             for row in _EVENT_FUNCTIONS(events, params)]
 
 
@@ -369,8 +394,9 @@ def _rows(kind, gated=True):
     return (_EVENT_FUNCTIONS if gated else _probe_every_step)([kind], P94)
 
 
-# (kind, (f', g') at r, (f, g) at r = 1, first zero in the kind's
-# direction): each value dips through zero and back around r = 32
+# (kind, (f', g') at r, (f, g) at r = 1, first radius where the kind's
+# value falls through zero): each value dips through zero and back
+# around r = 32
 _DOUBLE_ZEROS = [
     (EventKind.F_CROSSES_ZERO, lambda r: (2.0 * (r - 32.0), 0.0),
      (31.0 ** 2 - 0.25, 0.5), 32.5),
@@ -396,7 +422,7 @@ def test_double_zero_inside_one_step_is_localized(kind, field, y0, root):
     out = integrator._run_dopri(deriv, 1.0, *y0, cfg, _rows(kind))
     rs, fs, gs, segs, term = out
     seg = segs[-1]
-    vfn = _rows(kind)[0][2]
+    vfn = _rows(kind)[0][1]
     assert seg[1] == integrator._H_MAX and seg[0] < root < seg[0] + seg[1]
     v_end = vfn(*integrator._segment_eval(seg, seg[0] + seg[1]))
     assert vfn(seg[2], seg[3]) * v_end > 0.0
@@ -422,7 +448,7 @@ def test_step_ending_exactly_on_zero_fires():
 
 @pytest.mark.parametrize("slope", [0.0, 2.0 ** -60, 2.0 ** -45])
 def test_g_one_ulp_below_one(monkeypatch, slope):
-    """g starts one ulp below 1, where g*g - 1 = -2^-52.  Held there, it
+    """g starts one ulp below 1, where 1 - g*g = 2^-52.  Held there, it
     never fires GSquaredReachesOne and never needs a probe; pushed over
     1, it fires where the probe-every-step scan does."""
     def deriv(r, f, g):

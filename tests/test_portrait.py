@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nucshoot.integrator import IntegratorConfig, integrate_conservative
+from nucshoot.integrator import (IntegratorConfig, Termination, TerminationKind,
+                                 Trajectory, integrate_conservative)
 from nucshoot.model import ModelParams, PhasePoint, energy, exact_trivial
 from nucshoot.portrait import (Branch, UndefinedLiftError, admissible_contains,
                                admissible_region, branch_domains,
@@ -162,6 +163,21 @@ def test_winding_counts_g_roots():
     assert lift.shape[1] == 2
     # lift increment matches the reported count
     assert (lift[-1, 1] - lift[0, 1]) / math.pi == pytest.approx(n, abs=0.5)
+
+
+def test_winding_refines_coarse_samples():
+    """Samples 2 apart on the unit circle turn 2 rad each, past pi/2: the
+    lift inserts interpolated midpoints until every jump is below pi/2,
+    then counts the 12 roots of g = cos r on [0, 38].  A chord's midpoint
+    bisects its angle, so one round at r = 1, 3, ..., 37 suffices."""
+    rs = np.arange(0.0, 40.0, 2.0)
+    term = Termination(TerminationKind.REACHED_RMAX, 38.0)
+    traj = Trajectory(rs, -np.sin(rs), np.cos(rs), P94, 1.0, term)
+    n, lift = winding_count(traj, 0.0, 38.0)
+    assert len(lift) > len(rs)
+    assert np.array_equal(lift[1::2, 0], rs[:-1] + 1.0)
+    assert np.all(np.abs(np.diff(lift[:, 1])) < 0.5 * math.pi)
+    assert n == 12
 
 
 def test_winding_zero_for_non_rotating_shot():

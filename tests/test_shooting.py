@@ -252,6 +252,29 @@ def test_search_shoots_each_x_once(shot_xs):
                                           rel=0, abs=x_abs)
 
 
+def test_short_horizon_escalates_and_still_certifies(monkeypatch):
+    """At r_max = 6 the shots near x* at (9, 4) end Undetermined; the
+    search doubles the horizon for them and still lands on the scipy x*.
+    A Decayed shot's miss is 0, a Trapped shot carries none."""
+    horizons = []
+
+    def recording(x0, params, config=None):
+        horizons.append(config.r_max)
+        return classify_shot(x0, params, config)
+
+    monkeypatch.setattr(shooting, "classify_shot", recording)
+    gs = bisect_ground_state(P94, IntegratorConfig(r_max=6.0))
+    assert set(horizons) == {6.0, 12.0}
+    assert gs.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
+    assert gs.lemma_report.passed
+    decayed = classify_shot(0.7474616543710928, ModelParams(2.0, 0.1))
+    assert decayed.shot_class is ShotClass.DECAYED
+    assert shooting._miss(decayed) == 0.0
+    trapped = classify_shot(1.1, P94)
+    assert trapped.shot_class is ShotClass.TRAPPED
+    assert shooting._miss(trapped) is None
+
+
 @pytest.mark.parametrize("params", [P41, P121, ModelParams(9.0, 2.0)],
                          ids=["4,1", "12,1", "9,2"])
 def test_miss_is_linear_in_distance_to_x_star(params):
