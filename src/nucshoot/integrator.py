@@ -20,20 +20,32 @@ value keeps one strict sign at both ends and exceeds 4 spreads at the
 start, since no probe can then change its sign; the probes are computed
 only if some kind is not skipped.  The skip changes no result bit.
 
-The r = 0 singularity of the radial system is never evaluated: the run
-starts at the hand-off radius R_START = 1e-6 from the second-order Taylor
-state of the regular solution,
+The r = 0 singularity of the radial system is never evaluated.  The
+regular solution is a power series, f odd and g even in r, whose
+coefficients follow from (r^2 f)' = r^2 N and g' = M by Cauchy products:
 
-    f(r) = f'(0) r + O(r^3),        f'(0) = x (b - a x^2) / 3,
-    g(r) = x + f'(0) (1 - x^2) r^2 / 2 + O(r^4),
+    (k + 2) f_k = N_{k-1},   N = g (f^2 - a g^2 + b),
+        k g_k = M_{k-1},     M = f (1 - g^2),
 
-whose truncation error there sits far below the absolute tolerance.
+from f_0 = 0, g_0 = x.  A radial run sums it to order 40 in units of x
+(Hairer, Norsett and Wanner, Solving ODEs I, the Taylor-series start)
+and hands off to the stepper at the radius r_h where the last two terms
+of g / x fall below 1e-16 and those of f / x below 1e-16 sqrt(a); under
+the scaling (a, b) -> (l^2 a, l^2 b), f_k -> l^(k+1) f_k and g_k -> l^k
+g_k, so r_h -> r_h / l.  The span [0, r_h] is scanned for events on the
+series (see _series_span).  That tail rule puts r_h near 0.4 of the
+series' radius of convergence rho (1e-16^(1/40) = 0.4), and a
+fifth-order step h errs about (h/rho)^5, so the stepper's first trial
+step, r_h rtol^(1/5), errs about rtol/100: the run starts without a
+rejected step and resolves the core below the tolerance.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,16 +65,16 @@ __all__ = [
     "integrate_conservative",
     "integrate_shifted",
     "DEFAULT_CONFIG",
-    "R_START",
     "BLOWUP_THRESHOLD",
 ]
 
-# Radius of the Taylor hand-off; radial runs start here.
-R_START = 1e-6
 # A run ends as Blowup where |f| + |g| first reaches this level.
 BLOWUP_THRESHOLD = 1e3
-_H_INIT = 1e-3             # first trial step
+_H_INIT = 1e-3             # first trial step of the unsingular flows
 _H_MAX = 10.0              # largest step the controller may take
+_SERIES_ORDER = 20         # f through r^(2*20 - 1), g through r^(2*20)
+_SERIES_TAIL = 1e-16       # bound on the last terms at the hand-off
+_SERIES_ROWS = 4           # samples kept on (0, r_h]; 4 probes per row
 
 
 class StiffnessError(RuntimeError):
@@ -85,8 +97,6 @@ class IntegratorConfig:
             raise ValueError("rtol, atol and r_max must be positive and finite")
         if self.rtol < 1e-14:
             raise ValueError("rtol below 1e-14 is not resolvable in double precision")
-        if self.r_max <= R_START:
-            raise ValueError(f"r_max must exceed the hand-off radius {R_START:g}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -103,8 +113,8 @@ class EventKind(enum.Enum):
         GSquaredReachesOne   1 - g^2
         DecayDetected        |f| + |g| - 1e-8
         EnergyBarrier        H - model.trap_energy; a level event, so it
-                             fires already at the start radius if the
-                             initial state is there
+                             fires already at r = 0 if the initial state
+                             (0, x0) is there
 
     Each kind's spread bounds how far its value can move inside a step
     whose quartic moves f by at most e_f and g by at most e_g:
@@ -210,15 +220,17 @@ def _segment_eval(seg: tuple, r: float) -> tuple[float, float]:
 class Trajectory:
     """Dense sampled solution with termination cause.
 
-    r, f, g and H hold the samples at strictly increasing radii; for the
-    radial flow the first sample is the exact initial state (0, 0, x0, H0)
-    and the second the Taylor hand-off state at R_START.  Dense-output
-    segments, when present, let sample_on / resample recover the solution
-    between accepted steps to interpolation order 4.
+    r, f, g and H hold the samples at strictly increasing radii.  For the
+    radial flow the first sample is the exact initial state (0, 0, x0, H0),
+    the next _SERIES_ROWS are sums of the power series at the origin on
+    (0, r_h], and each further one is an accepted step.  `series` is then
+    (r_h, coefficients as from _series_coefficients, in units of x0), and
+    sample_on sums it on [0, r_h]; the dense-output segments recover
+    the solution between accepted steps to interpolation order 4.
     """
 
     def __init__(self, r, f, g, params: ModelParams, x0: float,
-                 termination: Termination, segments=None):
+                 termination: Termination, segments=None, series=None):
         self.r = np.asarray(r, dtype=float)
         self.f = np.asarray(f, dtype=float)
         self.g = np.asarray(g, dtype=float)
@@ -226,6 +238,7 @@ class Trajectory:
         self.x0 = float(x0)
         self.termination = termination
         self._segments = segments or []
+        self._series = series
         self.H = energy(self.f, self.g, params)
 
     @property
@@ -242,10 +255,9 @@ class Trajectory:
         """Interpolated (f, g) at a 1-D array of radii.
 
         Radii at or beyond either end take that end's sample; inside, the
-        dense segment holding the radius is evaluated with _segment_eval's
-        arithmetic.  Below the first segment (a synthetic trajectory, or the
-        radial span from the origin to the hand-off, where f is linear to
-        O(r^3)) the samples are interpolated linearly.
+        series is summed up to r_h, and beyond it the dense segment holding
+        the radius is evaluated with _segment_eval's arithmetic.  A
+        trajectory with neither (a synthetic one) is interpolated linearly.
         """
         rs = np.asarray(radii, dtype=float)
         fs = np.interp(rs, self.r, self.f)
@@ -254,6 +266,10 @@ class Trajectory:
         lo = rs <= self.r[0]
         fs[hi], gs[hi] = self.f[-1], self.g[-1]
         fs[lo], gs[lo] = self.f[0], self.g[0]
+        if self._series is not None:
+            r_h, coef = self._series
+            on = ~(lo | hi) & (rs <= r_h)
+            fs[on], gs[on] = _series_eval(coef, self.x0, rs[on])
         if self._segments:
             dense = self._dense
             on = ~(lo | hi) & (rs >= dense[0, 0])
@@ -270,6 +286,43 @@ class Trajectory:
             gs[on] = g0 + h * (qg0 * t + qg1 * t2 + qg2 * t3 + qg3 * t4)
         return fs, gs
 
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start radii, speed bounds) of the pieces of the interpolant: the
+        series span, whose bound is _series_speed's, then one per dense
+        segment, whose quartic y0 + h sum q_j t^(j+1) moves each component
+        at most sum (j + 1) |q_j| per unit r; a synthetic trajectory is
+        linear between its samples, at the chord's speed."""
+        starts, speeds = [], []
+        if self._series is not None:
+            r_h, coef = self._series
+            starts.append(0.0)
+            speeds.append(_series_speed(coef, self.x0, r_h))
+        if self._segments:
+            dense = self._dense
+            w = np.arange(1.0, 5.0)[:, None]
+            starts.extend(dense[0])
+            speeds.extend(np.hypot(np.sum(w * np.abs(dense[4:8]), axis=0),
+                                   np.sum(w * np.abs(dense[8:12]), axis=0)))
+        if not starts:
+            starts, dr = self.r[:-1], np.diff(self.r)
+            speeds = np.hypot(np.diff(self.f), np.diff(self.g)) / dr
+        return np.asarray(starts, dtype=float), np.asarray(speeds, dtype=float)
+
+    def drift_bound(self, radii) -> np.ndarray:
+        """For each interval between consecutive increasing radii, a bound on
+        the distance (f, g) can move from its value at either end while r
+        crosses it: the width times the largest speed bound of the pieces
+        of the interpolant (see _pieces) that the interval meets."""
+        rs = np.asarray(radii, dtype=float)
+        starts, speeds = self._pieces
+        first = np.maximum(np.searchsorted(starts, rs, side="right") - 1, 0)
+        last = np.maximum(np.searchsorted(starts, rs[1:], side="left") - 1, first[:-1])
+        # reduceat spans pieces first[i] .. first[i + 1] - 1, or first[i]
+        # alone; the piece holding the right end is added explicitly
+        top = np.maximum(np.maximum.reduceat(speeds, first)[:-1], speeds[last])
+        return np.diff(rs) * top
+
     def resample(self, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uniform-grid (r, f, g) over the computed range with spacing dr."""
         if dr <= 0.0:
@@ -283,16 +336,136 @@ class Trajectory:
         """The sign-mapped trajectory (f, g) -> (-f, -g), same radii."""
         segs = [seg[:2] + tuple(-v for v in seg[2:]) for seg in self._segments] or None
         return Trajectory(self.r.copy(), -self.f, -self.g, self.params, -self.x0,
-                          self.termination, segs)
+                          self.termination, segs, self._series)
+
+
+def _cauchy(u: list, v: list) -> float:
+    """Coefficient m of the product of two power series known through
+    their coefficients 0 .. m (len(u) = len(v) = m + 1)."""
+    return sum(map(operator.mul, u, reversed(v)))
+
+
+def _series_coefficients(x0: float, params: ModelParams) -> np.ndarray:
+    """The regular radial solution from g(0) = x0 in units of x0, as
+    polynomials in s = r^2: f = x0 r U(s) and g = x0 V(s), V(0) = 1.  Row 0
+    holds U_0 .. U_{n-1} and a final 0, row 1 V_0 .. V_n.  In these units
+    (r^2 u)' = r^2 v P and v' = u Q with P = x0^2 (u^2 - a v^2) + b and
+    Q = 1 - x0^2 v^2, so U_m = (V P)_m / (2m + 3) and V_{m+1} = (U Q)_m /
+    (2m + 2).  The coefficients depend on x0 only through x0^2 and do not
+    shrink with it, so none underflows for a tiny x0 and the tail test of
+    _handoff_radius is relative to |x0|."""
+    a, b, k = params.a, params.b, x0 * x0
+    cu, cv = [], [1.0]
+    uu, vv, pp, qq = [], [], [], []     # (u/r)^2, v^2, P, Q
+    for m in range(_SERIES_ORDER):
+        vv.append(_cauchy(cv, cv))
+        pp.append((k * uu[m - 1] if m else b) - k * a * vv[m])
+        cu.append(_cauchy(cv, pp) / (2 * m + 3))
+        uu.append(_cauchy(cu, cu))
+        qq.append((0.0 if m else 1.0) - k * vv[m])
+        cv.append(_cauchy(cu, qq) / (2 * m + 2))
+    return np.array([cu + [0.0], cv])
+
+
+def _handoff_radius(coef: np.ndarray, params: ModelParams) -> float:
+    """Largest r at which the last two terms of V are below _SERIES_TAIL and
+    those of r U below _SERIES_TAIL sqrt(a), so the truncation is relative
+    to |x0|; inf if those coefficients are 0.  Since f_k -> l^(k+1) f_k,
+    g_k -> l^k g_k and sqrt(a) -> l sqrt(a) under (a, b) -> (l^2 a, l^2 b),
+    the radius scales as 1/l."""
+    n = _SERIES_ORDER
+    tail_f = _SERIES_TAIL * math.sqrt(params.a)
+    (*_, f1, f2, _), (*_, g1, g2) = coef.tolist()
+    terms = ((f1, 2 * n - 3, tail_f), (f2, 2 * n - 1, tail_f),
+             (g1, 2 * n - 2, _SERIES_TAIL), (g2, 2 * n, _SERIES_TAIL))
+    return min(((tail / abs(c)) ** (1.0 / k) for c, k, tail in terms if c != 0.0),
+               default=math.inf)
+
+
+def _series_eval(coef: np.ndarray, x0: float, r: np.ndarray):
+    """(f, g) of the series at the radii r, a 1-D array, by Horner's rule
+    in s = r^2 on both rows at once; U's trailing 0 leaves its sum as if
+    its Horner loop started one term later."""
+    s = r * r
+    p = np.zeros((2, len(r)))
+    for c in coef.T[::-1, :, None]:
+        p *= s
+        p += c
+    return x0 * (r * p[0]), x0 * p[1]
+
+
+def _series_speed(coef: np.ndarray, x0: float, r_h: float) -> float:
+    """Bound on |(f', g')| over [0, r_h]: the derivatives' series summed
+    with absolute coefficients at r_h."""
+    m = np.arange(coef.shape[1])
+    s = r_h * r_h
+    df = np.sum((2 * m + 1) * np.abs(coef[0]) * s ** m)
+    dg = np.sum(2 * m[1:] * np.abs(coef[1, 1:]) * r_h ** (2 * m[1:] - 1))
+    return abs(x0) * math.hypot(df, dg)
 
 
 def series_start(x0: float, params: ModelParams, r_start: float) -> PhasePoint:
-    """Second-order Taylor state of the regular radial solution at r_start."""
+    """State of the regular radial solution at r_start > 0 by its power
+    series at the origin, summed to the order a radial run hands off with."""
     if r_start <= 0.0:
         raise ValueError("series handoff radius must be positive")
-    c1 = x0 * (params.b - params.a * x0 * x0) / 3.0     # f'(0)
-    d2 = 0.5 * c1 * (1.0 - x0 * x0)                     # g''(0) / 2
-    return PhasePoint(c1 * r_start, x0 + d2 * r_start * r_start, r_start)
+    f, g = _series_eval(_series_coefficients(x0, params), x0, np.array([float(r_start)]))
+    return PhasePoint(float(f[0]), float(g[0]), r_start)
+
+
+def _series_span(coef: np.ndarray, x0: float, r_h: float, event_fns):
+    """Samples of the series on [0, r_h] and the first event there.
+
+    Probes sit at r_h j / (4 _SERIES_ROWS), j = 0, 1, ..., the origin
+    state (0, x0) first; every fourth is kept as a row.  Blowup is a level
+    event on BLOWUP_THRESHOLD - (|f| + |g|).  A level event fires at the
+    origin where its value there is <= 0; any event fires between the
+    first two probes where its value falls through zero, localized on the
+    series by bisection.  Returns (rs, fs, gs, termination or None); the
+    rows stop at an event.
+    """
+    n = 4 * _SERIES_ROWS
+    pr = r_h * (np.arange(n + 1) / n)
+    pf, pg = _series_eval(coef, x0, pr)
+    pf[0], pg[0] = 0.0, x0
+    threshold = BLOWUP_THRESHOLD
+    rows = [*event_fns, (None, lambda f, g: threshold - (abs(f) + abs(g)), True, None)]
+    candidates = []
+    for kind, vfn, level, _ in rows:
+        v = vfn(pf, pg)
+        if level and v[0] <= 0.0:
+            candidates.append((0.0, kind))
+            continue
+        falls = (v[:-1] > 0.0) & (v[1:] <= 0.0)
+        if falls.any():
+            def ev(rv, _vfn=vfn):
+                return _vfn(*_series_eval(coef, x0, np.array([rv])))[0]
+            j = int(falls.argmax())
+            candidates.append((_bisect_root(ev, float(pr[j]), float(pr[j + 1]), _EVENT_DR),
+                               kind))
+    keep = slice(0, n + 1, 4)
+    rs, fs, gs = pr[keep].tolist(), pf[keep].tolist(), pg[keep].tolist()
+    if not candidates:
+        return rs, fs, gs, None
+    term = _stop(candidates)
+    if term.r == 0.0:
+        return rs[:1], fs[:1], gs[:1], term
+    k = bisect.bisect_left(rs, term.r)
+    f_stop, g_stop = (float(v[0]) for v in _series_eval(coef, x0, np.array([term.r])))
+    return rs[:k] + [term.r], fs[:k] + [f_stop], gs[:k] + [g_stop], term
+
+
+def _stop(candidates) -> Termination:
+    """Termination at the earliest (r, kind) candidate; events localized
+    within _TIE_DR of it are reported together, and blowup (kind None)
+    only when no event ties with it."""
+    candidates.sort(key=lambda c: c[0])
+    r_stop = candidates[0][0]
+    kinds = tuple(kind for rv, kind in candidates
+                  if rv - r_stop <= _TIE_DR and kind is not None)
+    if kinds:
+        return Termination(TerminationKind.EVENT, r_stop, kinds)
+    return Termination(TerminationKind.BLOWUP, r_stop)
 
 
 def _quarter_probes(seg: tuple, lo: float, hi: float):
@@ -316,17 +489,17 @@ def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
 
 
 def _run_dopri(deriv, r0: float, f0: float, g0: float,
-               cfg: IntegratorConfig, event_fns=()):
+               cfg: IntegratorConfig, event_fns=(), h_init: float | None = None):
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
     (kind, value_fn(f, g), level, spread(e_f, e_g, g)) tuples evaluated on
-    accepted steps.  A level event whose value is already <= 0 at r0 ends
-    the run there, before the first step.
+    accepted steps, where every kind fires where its value falls through
+    zero.  The first trial step is h_init, by default _H_INIT.
     """
     rtol, atol, r_end = cfg.rtol, cfg.atol, cfg.r_max
     h_max, blowup_threshold = _H_MAX, BLOWUP_THRESHOLD
-    h = min(_H_INIT, h_max, (r_end - r0))
+    h = min(_H_INIT if h_init is None else h_init, h_max, (r_end - r0))
     if h <= 0.0:
         raise ValueError("empty integration span")
 
@@ -337,10 +510,6 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
 
     r, f, g = r0, f0, g0
     prev_vals = [vfn(f, g) for _, vfn, _, _ in event_fns]
-    at_start = tuple(kind for (kind, _, level, _), v in zip(event_fns, prev_vals)
-                     if level and v <= 0.0)
-    if at_start:
-        return rs, fs, gs, segments, Termination(TerminationKind.EVENT, r0, at_start)
     kf1, kg1 = deriv(r, f, g)
 
     err_prev = 1e-4
@@ -433,7 +602,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
             e_f = h * (abs(qf0) + abs(qf1) + abs(qf2) + abs(qf3))
             e_g = h * (abs(qg0) + abs(qg1) + abs(qg2) + abs(qg3))
             probes = None
-        for i, (_, vfn, _, spread) in enumerate(event_fns):
+        for i, (kind, vfn, _, spread) in enumerate(event_fns):
             v_lo, v_hi = prev_vals[i], vfn(f5, g5)
             prev_vals[i] = v_hi
             if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
@@ -446,7 +615,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
                 if vs[j] > 0.0 >= vs[j + 1]:
                     def ev(rv, _vfn=vfn):
                         return _vfn(*_segment_eval(seg, rv))
-                    candidates.append((_bisect_root(ev, xs[j], xs[j + 1], _EVENT_DR), i))
+                    candidates.append((_bisect_root(ev, xs[j], xs[j + 1], _EVENT_DR), kind))
                     break
 
         if abs(f5) + abs(g5) > blowup_threshold:
@@ -460,19 +629,12 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float,
             candidates.append((r_loc, None))
 
         if candidates:
-            candidates.sort(key=lambda c: c[0])
-            r_stop = candidates[0][0]
-            tied = [i for (rv, i) in candidates if rv - r_stop <= _TIE_DR]
-            f_stop, g_stop = _segment_eval(seg, r_stop)
+            term = _stop(candidates)
+            f_stop, g_stop = _segment_eval(seg, term.r)
             segments.append(seg)
-            rs.append(r_stop)
+            rs.append(term.r)
             fs.append(f_stop)
             gs.append(g_stop)
-            ev_kinds = tuple(event_fns[i][0] for i in tied if i is not None)
-            if ev_kinds:
-                term = Termination(TerminationKind.EVENT, r_stop, ev_kinds)
-            else:
-                term = Termination(TerminationKind.BLOWUP, r_stop)
             return rs, fs, gs, segments, term
 
         # -- accept
@@ -519,20 +681,32 @@ def integrate_radial(x0: float, params: ModelParams,
                      events=()) -> Trajectory:
     """Solve the singular radial system from g(0) = x0, f(0) = 0.
 
-    Runs until r_max, blowup, or the first of the armed `EventKind`s
-    (`events`) to fire; simultaneous
-    events localized within 1e-12 of each other are reported together
-    (the flow cannot vanish two components at once away from the origin,
-    so a tie flags numerical ambiguity, not physics).
+    The power series at the origin covers [0, r_h] (see the module
+    docstring), where a run that r_max or an event ends early stops; the
+    stepper takes over from r_h.  Runs until r_max, blowup, or the first
+    of the armed `EventKind`s (`events`) to fire; simultaneous events
+    localized within 1e-12 of each other are reported together (the flow
+    cannot vanish two components at once away from the origin, so a tie
+    flags numerical ambiguity, not physics).
     """
     cfg = config or DEFAULT_CONFIG
-    p1 = series_start(x0, params, R_START)
-    rs, fs, gs, segs, term = _run_dopri(vector_field(params), R_START, p1.f, p1.g,
-                                        cfg, _event_functions(events, params))
-    rs = [0.0] + rs
-    fs = [0.0] + fs
-    gs = [x0] + gs
-    return Trajectory(rs, fs, gs, params, x0, term, segs)
+    coef = _series_coefficients(x0, params)
+    r_h = min(_handoff_radius(coef, params), cfg.r_max)
+    if not r_h > 0.0:
+        raise StiffnessError(0.0, "power series at the origin overflows")
+    event_fns = _event_functions(events, params)
+    rs, fs, gs, term = _series_span(coef, x0, r_h, event_fns)
+    segs = []
+    if term is None and r_h < cfg.r_max:
+        out = _run_dopri(vector_field(params), r_h, fs[-1], gs[-1], cfg, event_fns,
+                         h_init=r_h * cfg.rtol ** 0.2)
+        rs += out[0][1:]
+        fs += out[1][1:]
+        gs += out[2][1:]
+        segs, term = out[3], out[4]
+    elif term is None:
+        term = Termination(TerminationKind.REACHED_RMAX, r_h)
+    return Trajectory(rs, fs, gs, params, x0, term, segs, (r_h, coef))
 
 
 def integrate_conservative(p0: PhasePoint, params: ModelParams,

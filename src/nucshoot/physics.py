@@ -79,28 +79,34 @@ def potentials(p: PhasePoint | Trajectory,
     return s_pot, v_pot, v_plus_s, v_minus_s
 
 
-def _cross_down(r: np.ndarray, y: np.ndarray, start: int, level: float) -> float | None:
-    """First radius at or after index start where y falls to level."""
+def _cross_down(traj: Trajectory, start: int, level: float) -> float | None:
+    """First radius at or after sample index start where g^2 falls to
+    level.  Between the two samples that bracket it, g^2 is sampled on 64
+    equal parts of the trajectory's dense output and interpolated linearly
+    there, which cuts the interpolation error of the step spacing 4096-fold."""
+    r, y = traj.r, traj.g ** 2
     below = np.nonzero(y[start:] <= level)[0]
     if len(below) == 0:
         return None
     j = start + int(below[0])
     if j == start or y[j] == level:
         return float(r[j])
-    r0, r1 = r[j - 1], r[j]
-    y0, y1 = y[j - 1], y[j]
+    rs = np.linspace(r[j - 1], r[j], 65)
+    ys = traj.sample_on(rs)[1] ** 2
+    k = int(np.nonzero(ys <= level)[0][0])
+    r0, r1 = rs[k - 1], rs[k]
+    y0, y1 = ys[k - 1], ys[k]
     return float(r0 + (r1 - r0) * (y0 - level) / (y0 - y1))
 
 
 def plateau_metrics(traj: Trajectory) -> PlateauMetrics:
-    """Threshold radii of g^2 relative to its peak, by linear interpolation.
+    """Threshold radii of g^2 relative to its peak sample, on the dense output.
 
     Raises InsufficientHorizonError when g^2 never drops below 10% of
     its maximum inside the integrated horizon (non-decaying profile or
     horizon too short), and for degenerate profiles where the 90% and
     10% radii coincide.
     """
-    r = traj.r
     gsq = traj.g ** 2
     imax = int(np.argmax(gsq))
     gmax = float(gsq[imax])
@@ -108,7 +114,7 @@ def plateau_metrics(traj: Trajectory) -> PlateauMetrics:
         raise InsufficientHorizonError("g^2 is identically zero")
     radii = []
     for frac in (0.9, 0.5, 0.1):
-        rq = _cross_down(r, gsq, imax, frac * gmax)
+        rq = _cross_down(traj, imax, frac * gmax)
         if rq is None:
             raise InsufficientHorizonError(
                 f"g^2 stays above {frac:.0%} of its peak up to r = {traj.r_end:.6g}")

@@ -247,8 +247,13 @@ def winding_count(traj, r1: float, r2: float):
     theta(r) = -arctan(f/g) lifted continuously; N is the lifted
     increment over pi, which equals the number of g-roots crossed.  The
     sample set is refined through the dense interpolant (at most
-    _MAX_REFINE times) until every consecutive jump is below pi/2, so no
-    half-turn can be skipped.
+    _MAX_REFINE times) until, on every interval, traj.drift_bound is
+    below the distance of the farther end from the origin: the orbit then
+    stays inside a disc about that end that the origin sees under less
+    than pi, so it turns by less than pi/2 there.  np.unwrap folds a turn
+    of more than pi between two samples into a short jump of the other
+    sign, so the jumps of the samples alone cannot show a coarse sampling
+    of a fast turn.
     """
     mask = (traj.r >= r1 - 1e-15) & (traj.r <= r2 + 1e-15)
     if mask.sum() < 2:
@@ -259,12 +264,13 @@ def winding_count(traj, r1: float, r2: float):
         if np.min(np.abs(fs) + np.abs(gs)) <= 1e-10:
             raise UndefinedLiftError(
                 "trajectory passes within 1e-10 of the origin; angle lift undefined")
-        theta = np.unwrap(np.arctan2(-fs, gs))
-        bad = np.nonzero(np.abs(np.diff(theta)) >= 0.5 * math.pi)[0]
+        size = np.hypot(fs, gs)
+        bad = np.nonzero(traj.drift_bound(rs) >= np.maximum(size[:-1], size[1:]))[0]
         if len(bad) == 0:
+            theta = np.unwrap(np.arctan2(-fs, gs))
             n = int(round((theta[-1] - theta[0]) / math.pi))
             return n, np.column_stack([rs, theta])
-        # insert a midpoint across every oversized jump and retry
+        # insert a midpoint into every interval that may turn too far and retry
         r_mid = 0.5 * (rs[bad] + rs[bad + 1])
         f_mid, g_mid = traj.sample_on(r_mid)
         rs = np.insert(rs, bad + 1, r_mid)

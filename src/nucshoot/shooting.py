@@ -46,8 +46,7 @@ __all__ = [
 
 
 class BracketFailureError(RuntimeError):
-    """The seed scan found no bracket: x_lo left I, or every shot up to an
-    ulp below 1 stayed in I, so sup I is not resolvable in double precision."""
+    """The seed scan found no bracket: its first shot x_lo was not in I."""
 
 
 class PrecisionExhaustedError(RuntimeError):
@@ -243,11 +242,12 @@ def seed_bracket(params: ModelParams,
     in I for every Supercritical pair, then probes x = 1 - u0 * 10^-k for
     k = 0, 1, ... with u0 = 1 - sqrt(2b/a), clamped to the largest float
     below 1, so the distance u = 1 - x to the invariant line g = 1 shrinks
-    geometrically.  Every probe is classified like a search shot (horizon
-    escalation, then anything but InSetI counts as outside I), the last
-    InSetI probe becomes lo_out and the probe after it hi_out.
-    Near-critical pairs (2b/a close to 1) put sup I within a few ulps of
-    1; when even the largest float below 1 stays in I the search fails.
+    geometrically; x = 1 itself, the exact g == 1 solution, is never in I
+    and is the last probe.  Every probe is classified like a search shot
+    (horizon escalation, then anything but InSetI counts as outside I),
+    the last InSetI probe becomes lo_out and the probe after it hi_out.
+    Near-critical pairs (2b/a close to 1) put sup I within an ulp of 1,
+    and the bracket is then (largest float below 1, 1).
     """
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("ground-state bracketing requires a - 2b > 0")
@@ -262,16 +262,13 @@ def seed_bracket(params: ModelParams,
             "expected InSetI; integrator settings are likely too loose")
     top = math.nextafter(1.0, 0.0)
     u, x = 1.0 - s2b, x_lo
-    while x < top:
-        x = min(1.0 - u, top)
+    while True:
+        x = min(1.0 - u, top) if x < top else 1.0
         out = _classify_escalating(x, params, cfg)
-        if out.shot_class is not ShotClass.IN_SET_I:
+        if out.shot_class is not ShotClass.IN_SET_I or x == 1.0:
             return lo_out, out
         lo_out = out
         u /= 10.0
-    raise BracketFailureError(
-        "every shot up to one ulp below 1 stayed in I: sup I is closer to 1 "
-        "than double precision resolves")
 
 
 def _classify_escalating(x0: float, params: ModelParams,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrator import (R_START, IntegratorConfig, integrate_conservative,
+from .integrator import (IntegratorConfig, integrate_conservative,
                          integrate_radial, integrate_shifted)
 from .model import ModelParams, PhasePoint, exact_coth
 from .portrait import admissible_contains
@@ -36,7 +36,7 @@ def _coth_oracle(config: IntegratorConfig, seed: int, x_tol: float) -> float:
     params = ModelParams(2.5, 1.0)
     config = replace(config, r_max=10.0)
     traj = integrate_radial(1.0, params, config)
-    grid = np.linspace(R_START, 10.0, 2001)
+    grid = np.linspace(0.0, 10.0, 2001)
     fs, gs = traj.sample_on(grid)
     exact = [exact_coth(float(r), params) for r in grid]
     fe = np.asarray([p.f for p in exact])

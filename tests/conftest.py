@@ -4,7 +4,7 @@ import re
 import pytest
 
 from nucshoot.model import ModelParams
-from nucshoot.shooting import bisect_ground_state
+from nucshoot.shooting import ShotClass, bisect_ground_state, classify_shot
 
 _ACCEPTANCE: dict[int, bool] = {}
 
@@ -37,3 +37,22 @@ def gs94():
 @pytest.fixture(scope="session")
 def gs41():
     return bisect_ground_state(ModelParams(4.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def decayed21():
+    """A Decayed shot at (2, 0.1), found by bisecting on the shot class
+    inside the search's bracket (InSetI below, GVanishedFirst above)."""
+    params = ModelParams(2.0, 0.1)
+    lo, hi = bisect_ground_state(params).bracket
+    while True:
+        mid = 0.5 * (lo + hi)
+        assert lo < mid < hi, "no shot inside the bracket decays"
+        out = classify_shot(mid, params)
+        if out.shot_class is ShotClass.DECAYED:
+            return out
+        assert out.shot_class in (ShotClass.IN_SET_I, ShotClass.G_VANISHED_FIRST)
+        if out.shot_class is ShotClass.IN_SET_I:
+            lo = mid
+        else:
+            hi = mid

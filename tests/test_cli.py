@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, artifacts, precedence, determinism."""
 import json
+import math
 
 import pytest
 
@@ -21,7 +22,7 @@ BAD_VALUES = (
     ["portrait", "--a", "9", "--b", "4", "--seed", "-1"],
     ["verify", "--seed", "-1"],
     ["classify", "--a", "9", "--b", "4", "--x", "0.8", "--rtol", "1e-16"],
-    ["classify", "--a", "9", "--b", "4", "--x", "0.8", "--r-max", "1e-7"],
+    ["classify", "--a", "9", "--b", "4", "--x", "0.8", "--r-max", "0"],
     ["classify", "--a", "9", "--b", "4", "--x", "nan"],
     ["classify", "--a", "9", "--b", "4", "--x", "inf"],
     ["sweep", "--a-grid=-1,9", "--b-grid", "4"],
@@ -80,13 +81,20 @@ def test_ground_state_numerical_failure(tmp_path, capsys):
     assert "ground-state search failed" in capsys.readouterr().err
 
 
-def test_ground_state_bracket_failure(tmp_path, capsys):
-    """At (9, 4.4) sup I lies closer to 1 than one ulp: no bracket exists."""
+def test_ground_state_at_the_precision_wall(tmp_path, capsys):
+    """At (9, 4.4) sup I lies within an ulp of 1.  The seed scan's last
+    probe, x = 1 on the invariant line g = 1, closes the bracket at the
+    largest float below 1 and the search returns its certificate with
+    both artifacts, not a numerical failure.  Rounding decides its audit
+    at that precision wall, so only the audit's consistency is checked."""
     code = main(["ground-state", "--a", "9", "--b", "4.4", "--out", str(tmp_path)])
-    assert code == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "one ulp below 1" in err and "stayed in I" in err
-    assert "scan_step" not in err and "delta" not in err and "rerun" not in err
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "ground_state.json").read_text())
+    top = math.nextafter(1.0, 0.0)
+    assert payload["bracket"] == [top, 1.0] and payload["x_star"] == top
+    assert payload["all_checks_passed"] is (code == EXIT_OK)
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_ground_state_artifacts(tmp_path, capsys):

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucshoot import integrator
-from nucshoot.integrator import (BLOWUP_THRESHOLD, R_START, EventKind,
+from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  IntegratorConfig, StiffnessError,
                                  TerminationKind, integrate_conservative,
                                  integrate_radial, integrate_shifted,
                                  series_start)
 from nucshoot.model import ModelParams, PhasePoint, energy, exact_coth
-from nucshoot.shooting import classify_shot
+from nucshoot.shooting import classify_shot, default_events
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
@@ -38,9 +38,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(atol=0.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(r_max=1e-7)       # not beyond the hand-off radius
+        IntegratorConfig(r_max=0.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(r_max=R_START)
+        IntegratorConfig(r_max=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(r_max=math.inf)
 
@@ -97,8 +97,10 @@ def test_dense_output_matrix_and_step_kernel():
         assert abs(sum(map(Fraction, row)) - b_s) <= 1e-15
     traj = integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0))
     segments = traj._segments
-    assert len(segments) == len(traj.r) - 2 > 100
-    for seg, f1, g1 in zip(segments, traj.f[2:], traj.g[2:]):
+    rows = 1 + integrator._SERIES_ROWS       # the origin and the series rows
+    assert len(segments) == len(traj.r) - rows > 100
+    assert segments[0][0] == traj.r[rows - 1] == traj._series[0]
+    for seg, f1, g1 in zip(segments, traj.f[rows:], traj.g[rows:]):
         f, g = integrator._segment_eval(seg, seg[0] + seg[1])
         assert abs(f - f1) <= 4e-16 * max(1.0, abs(f1))
         assert abs(g - g1) <= 4e-16 * max(1.0, abs(g1))
@@ -106,8 +108,8 @@ def test_dense_output_matrix_and_step_kernel():
 
 def _sample_reference(traj, r):
     """One radius the long way: end clamps, then the segment whose start
-    is the last one at or below r, evaluated by _segment_eval, or linear
-    interpolation below the first segment."""
+    is the last one at or below r, evaluated by _segment_eval, or below
+    the first segment series_start's sum of the series."""
     if r <= traj.r[0]:
         return traj.f[0], traj.g[0]
     if r >= traj.r[-1]:
@@ -115,19 +117,20 @@ def _sample_reference(traj, r):
     starts = [seg[0] for seg in traj._segments]
     if starts and r >= starts[0]:
         return integrator._segment_eval(traj._segments[bisect.bisect_right(starts, r) - 1], r)
-    return np.interp(r, traj.r, traj.f), np.interp(r, traj.r, traj.g)
+    p = series_start(traj.x0, traj.params, r)
+    return p.f, p.g
 
 
 def test_sample_on_equals_segment_eval_loop():
-    """The array sampler matches a per-point segment evaluation bit for
-    bit: on radial shots from the origin clamp through the linear span
-    below R_START to the end clamp, and on a conservative orbit with no
-    such span; on a uniform grid and on the nodes, where a segment starts
-    and the one before it ends."""
-    short = integrate_radial(0.8, P94, IntegratorConfig(r_max=2.0 ** -16))
-    assert np.count_nonzero(short.resample(2.0 ** -23)[0] < R_START) == 9
+    """The array sampler matches a per-point evaluation bit for bit: on
+    radial shots from the origin clamp through the series span to the end
+    clamp, one of them ending inside that span, and on a conservative
+    orbit with no series; on a uniform grid and on the nodes, where a
+    segment starts and the one before it ends."""
+    short = integrate_radial(0.8, P94, IntegratorConfig(r_max=0.25))
+    assert short._series[0] == short.r_end == 0.25 and not short._segments
     cases = [
-        (short, 2.0 ** -23),
+        (short, 2.0 ** -10),
         (integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0)), 0.005),
         (integrate_conservative(PhasePoint(0.3, 0.4), P94,
                                 IntegratorConfig(r_max=10.0)), 0.01),
@@ -155,25 +158,161 @@ def test_sample_at_nodes_and_clamping():
 
 
 def test_sample_at_series_region():
-    """Below the handoff radius, interpolation between the origin and the
-    hand-off rows reproduces the Taylor values."""
+    """On [0, r_h] sample_on sums the series: it equals series_start, and
+    near the origin the leading terms f'(0) r and x + g''(0) r^2 / 2."""
     x0 = 0.8
     traj = integrate_radial(x0, P94, IntegratorConfig(r_max=2.0))
+    r_h = traj._series[0]
+    assert traj.r[integrator._SERIES_ROWS] == r_h < 2.0
+    rs = np.linspace(0.0, r_h, 97)[1:]
+    fs, gs = traj.sample_on(rs)
+    for r, f, g in zip(rs, fs, gs):
+        p = series_start(x0, P94, float(r))
+        assert (f, g) == (p.f, p.g)
     r = 1e-7
     f, g = _sample(traj, r)
     c1 = x0 * (P94.b - P94.a * x0 * x0) / 3.0
-    assert f == pytest.approx(c1 * r, rel=1e-9)
-    assert g == pytest.approx(x0 + 0.5 * c1 * (1.0 - x0 * x0) * r * r, rel=1e-12)
+    assert f == pytest.approx(c1 * r, rel=1e-12)
+    assert g == pytest.approx(x0 + 0.5 * c1 * (1.0 - x0 * x0) * r * r, rel=1e-15)
 
 
 def test_series_start_matches_taylor():
-    x0, rs = 0.8, 2e-3
-    p = series_start(x0, P94, rs)
-    c1 = x0 * (P94.b - P94.a * x0 * x0) / 3.0
-    assert p.f == pytest.approx(c1 * rs, rel=1e-14)
-    assert p.g == pytest.approx(x0 + 0.5 * c1 * (1.0 - x0 * x0) * rs * rs, rel=1e-14)
+    """The state at the hand-off radius matches a 30-digit mpmath shot:
+    the Taylor-method ODE solver odefun from r = 1e-5, started on the
+    second-order state there, whose error (below 1e-20 at r_h) decays
+    along the regular solution."""
+    mp = pytest.importorskip("mpmath")
+    x0 = 0.8
+    r_h = integrate_radial(x0, P94, IntegratorConfig(r_max=2.0))._series[0]
+    p = series_start(x0, P94, r_h)
+    with mp.workdps(30):
+        a, b, x, r0 = mp.mpf(P94.a), mp.mpf(P94.b), mp.mpf(x0), mp.mpf("1e-5")
+        c1 = x * (b - a * x * x) / 3
+        shot = mp.odefun(lambda r, y: [-2 * y[0] / r + y[1] * (y[0] ** 2 - a * y[1] ** 2 + b),
+                                       y[0] * (1 - y[1] ** 2)],
+                         r0, [c1 * r0, x + c1 * (1 - x * x) * r0 ** 2 / 2])
+        f_ref, g_ref = shot(mp.mpf(r_h))
+        assert abs(p.f - f_ref) <= 1e-13 and abs(p.g - g_ref) <= 1e-13
     with pytest.raises(ValueError):
         series_start(x0, P94, 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("x0", [0.8, 0.99, 1.0 - 3e-14])
+def test_series_is_scale_covariant(lam, x0):
+    """(f, g)(r) -> (l f(l r), g(l r)) maps solutions at (a, b) onto
+    solutions at (l^2 a, l^2 b), so f_k -> l^(k+1) f_k and g_k -> l^k g_k,
+    exactly for a power of two l, and the hand-off radius r_h -> r_h / l."""
+    scaled = ModelParams(lam * lam * P94.a, lam * lam * P94.b)
+    coef = integrator._series_coefficients(x0, P94)
+    m = np.arange(coef.shape[1])
+    factor = lam ** np.array([2 * m + 2, 2 * m])     # f_(2m+1) and g_(2m)
+    assert np.array_equal(integrator._series_coefficients(x0, scaled), factor * coef)
+    r_h = integrator._handoff_radius(coef, P94)
+    assert (integrator._handoff_radius(factor * coef, scaled)
+            == pytest.approx(r_h / lam, rel=1e-14))
+
+
+def test_event_inside_series_span_is_localized():
+    """Just above the center sqrt(b/a) every coefficient is small and r_h
+    would reach past the rising zero of f; the event is localized on the
+    series, where f(r_x) = 0 and the rows stop, and it agrees with a scipy
+    DOP853 shot from r = 1e-6."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    x0 = 2.0 / 3.0 + 1e-6
+    r_h = integrator._handoff_radius(integrator._series_coefficients(x0, P94), P94)
+    traj = integrate_radial(x0, P94, events=default_events(x0, P94))
+    term = traj.termination
+    assert term.event_kinds == (EventKind.F_CROSSES_ZERO,)
+    assert term.r < r_h and not traj._segments
+    assert len(traj.r) <= 2 + integrator._SERIES_ROWS
+    assert abs(traj.f[-1]) <= 1e-15 and np.all(traj.f[1:-1] < 0.0)
+
+    def rhs(r, y):
+        return [-2.0 * y[0] / r + y[1] * (y[0] ** 2 - 9.0 * y[1] ** 2 + 4.0),
+                y[0] * (1.0 - y[1] ** 2)]
+
+    def f_rises(r, y):
+        return y[0]
+    f_rises.terminal, f_rises.direction = True, 1.0
+    c1 = x0 * (4.0 - 9.0 * x0 * x0) / 3.0
+    r0 = 1e-6
+    sol = solve_ivp(rhs, (r0, 10.0), [c1 * r0, x0 + 0.5 * c1 * (1.0 - x0 * x0) * r0 * r0],
+                    method="DOP853", rtol=1e-12, atol=1e-16, events=f_rises)
+    assert term.r == pytest.approx(float(sol.t_events[0][0]), rel=0, abs=1e-8)
+
+
+@pytest.mark.parametrize("x0", [1e-30, 1e-100, 1e-300])
+def test_series_start_for_tiny_x0(x0):
+    """For x0^2 below an ulp the regular solution at (9, 4) is x0 times
+    the linear one, g = x0 sinh(2r) / (2r) and f = g', to rounding; the
+    series in units of x0 hands off at one radius for all such x0, where
+    its state matches that oracle, and no coefficient underflows."""
+    coef = integrator._series_coefficients(x0, P94)
+    assert np.array_equal(coef, integrator._series_coefficients(0.0, P94))
+    assert np.all(coef[:, :-1] != 0.0)
+    r_h = integrator._handoff_radius(coef, P94)
+    assert 2.0 < r_h < 4.0
+    p = series_start(x0, P94, r_h)
+    z = 2.0 * r_h
+    assert p.g == pytest.approx(x0 * math.sinh(z) / z, rel=1e-14)
+    assert p.f == pytest.approx(x0 * 2.0 * (z * math.cosh(z) - math.sinh(z)) / (z * z),
+                                rel=1e-14)
+
+
+@pytest.mark.parametrize("x0, r_max", [(1e-30, 60.0), (1e-100, 150.0)])
+def test_tiny_x0_shot_matches_scipy(x0, r_max):
+    """A shot from a tiny x0 at (9, 4) grows like x0 e^(2r) / r until g
+    is of order one near r = ln(1/x0) / 2, then circles without an armed
+    event.  With the absolute tolerance scaled to x0, its class and end
+    state agree with a scipy DOP853 shot from the second-order state at
+    r = 1e-6 under the same events."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    cfg = IntegratorConfig(atol=1e-12 * x0, r_max=r_max)
+    out = classify_shot(x0, P94, cfg)
+    assert out.shot_class.name == "UNDETERMINED"
+    assert out.trajectory.termination.kind is TerminationKind.REACHED_RMAX
+    assert out.trajectory._series[0] < 4.0
+
+    def rhs(r, y):
+        return [-2.0 * y[0] / r + y[1] * (y[0] ** 2 - 9.0 * y[1] ** 2 + 4.0),
+                y[0] * (1.0 - y[1] ** 2)]
+
+    def g_falls(r, y):
+        return y[1]
+
+    def g_squared_reaches_one(r, y):
+        return 1.0 - y[1] ** 2
+
+    def decays(r, y):
+        return abs(y[0]) + abs(y[1]) - 1e-8
+    for ev in (g_falls, g_squared_reaches_one, decays):
+        ev.terminal, ev.direction = True, -1.0
+    c1 = x0 * 4.0 / 3.0
+    r0 = 1e-6
+    sol = solve_ivp(rhs, (r0, r_max), [c1 * r0, x0 + 0.5 * c1 * r0 * r0], method="DOP853",
+                    rtol=1e-12, atol=1e-14 * x0,
+                    events=(g_falls, g_squared_reaches_one, decays))
+    assert sol.status == 0
+    assert max(abs(out.trajectory.f[-1] - sol.y[0, -1]),
+               abs(out.trajectory.g[-1] - sol.y[1, -1])) <= 1e-7
+
+
+def test_drift_bound_equals_piece_loop():
+    """drift_bound's reduceat equals a loop that takes, per interval, the
+    largest speed of the pieces [start_k, start_(k+1)) it meets, on radii
+    that fall inside pieces, on their starts and across many of them."""
+    traj = integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0))
+    starts, speeds = traj._pieces
+    assert starts[0] == 0.0 and starts[1] == traj._series[0]
+    rs = np.unique(np.concatenate([np.linspace(0.0, 5.0, 7), traj.r[::37],
+                                   [0.5 * traj._series[0]]]))
+    ref = []
+    for lo, hi in zip(rs[:-1], rs[1:]):
+        met = [v for k, v in enumerate(speeds)
+               if starts[k] < hi and (k + 1 == len(starts) or starts[k + 1] > lo)]
+        ref.append((hi - lo) * max(met))
+    assert np.array_equal(traj.drift_bound(rs), ref)
 
 
 def test_mirrored_trajectory():
@@ -232,10 +371,10 @@ def test_event_g_crosses_zero_falling():
     assert np.all(traj.g[:-1] > 0.0)
 
 
-def test_event_decay_detected_threshold():
-    """A (2, 0.1) shot within 1e-12 of x* decays outright: the detector
+def test_event_decay_detected_threshold(decayed21):
+    """A (2, 0.1) shot that close to x* decays outright: the detector
     fires on the |f| + |g| = 1e-8 level, far out past r = 5."""
-    out = classify_shot(0.7474616543710928, ModelParams(2.0, 0.1))
+    out = decayed21
     term = out.trajectory.termination
     assert term.kind is TerminationKind.EVENT
     assert term.event_kinds == (EventKind.DECAY_DETECTED,)

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from nucshoot.integrator import (R_START, IntegratorConfig, Termination,
+from nucshoot.integrator import (IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial)
 from nucshoot.model import ModelParams, PhasePoint, exact_trivial
 from nucshoot.physics import (InsufficientHorizonError, densities,
                               plateau_metrics, potentials, profile_table)
 
 P94 = ModelParams(9.0, 4.0)
+P41 = ModelParams(4.0, 1.0)
 
 TABLE_COLUMNS = ("r", "f", "g", "f_squared", "g_squared", "rho_s", "rho_0",
                  "S", "V", "V_plus_S", "V_minus_S", "H")
@@ -87,12 +88,13 @@ def _scipy_certificate(x0, params):
 
     u0 = 1.0 - x0
     c1 = x0 * (b - a * x0 * x0) / 3.0          # f'(0)
-    y0 = (c1 * R_START, u0 - 0.5 * c1 * u0 * (2.0 - u0) * R_START ** 2)
-    sol = solve_ivp(rhs, (R_START, 200.0), y0, method="DOP853", rtol=1e-12,
+    r0 = 1e-6                                  # second-order start there
+    y0 = (c1 * r0, u0 - 0.5 * c1 * u0 * (2.0 - u0) * r0 ** 2)
+    sol = solve_ivp(rhs, (r0, 200.0), y0, method="DOP853", rtol=1e-12,
                     atol=(1e-14, 1e-300), events=f_rises_to_zero,
                     dense_output=True)
     assert sol.status == 1                     # stopped on the f event
-    r = np.linspace(R_START, float(sol.t_events[0][0]), 20001)
+    r = np.linspace(r0, float(sol.t_events[0][0]), 20001)
     f, u = sol.sol(r)
     return _flat(r, f, 1.0 - u, params)
 
@@ -102,7 +104,8 @@ def test_plateau_ordering_near_critical_vs_far(gs94, gs41):
     m41 = plateau_metrics(gs41.trajectory)
     oracle = plateau_metrics(_scipy_certificate(gs94.trajectory.x0, P94))
     assert m94.plateau_score == pytest.approx(oracle.plateau_score, rel=1e-3)
-    assert m41.plateau_score == pytest.approx(1.5457155755730292, rel=1e-6)
+    oracle = plateau_metrics(_scipy_certificate(gs41.trajectory.x0, P41))
+    assert m41.plateau_score == pytest.approx(oracle.plateau_score, rel=2e-4)
     assert m94.plateau_score > 4.0 * m41.plateau_score
     assert m94.gsq_max < 1.0
 

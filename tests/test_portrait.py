@@ -180,6 +180,25 @@ def test_winding_refines_coarse_samples():
     assert n == 12
 
 
+def test_winding_refines_fast_turns_between_coarse_samples():
+    """A (4, 1) companion orbit from (0.1, 0.05) to r = 100, kept at every
+    400th accepted step with its dense segments intact.  Between two of
+    those samples the orbit turns by about 1.5 pi, which np.unwrap folds
+    into one short jump of the other sign, so the samples alone lift to
+    -3.  The segments' speed bound refines that gap, and the count is the
+    full samples' 13."""
+    params = ModelParams(4.0, 1.0)
+    full = integrate_conservative(PhasePoint(0.1, 0.05), params,
+                                  IntegratorConfig(r_max=100.0))
+    keep = np.r_[0:len(full.r) - 1:400, len(full.r) - 1]
+    coarse = Trajectory(full.r[keep], full.f[keep], full.g[keep], params, full.x0,
+                        full.termination, full._segments)
+    theta = np.unwrap(np.arctan2(-coarse.f, coarse.g))
+    assert round((theta[-1] - theta[0]) / math.pi) == -3
+    assert winding_count(full, 0.0, 100.0)[0] == 13
+    assert winding_count(coarse, 0.0, 100.0)[0] == 13
+
+
 def test_winding_zero_for_non_rotating_shot():
     traj = integrate_conservative(PhasePoint(0.3, 0.4), P94,
                                   IntegratorConfig(r_max=30.0))

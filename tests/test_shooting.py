@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nucshoot import shooting
-from nucshoot.integrator import (BLOWUP_THRESHOLD, R_START, EventKind,
+from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial)
 from nucshoot.model import ModelParams, energy, exact_trivial, trap_energy
@@ -105,20 +105,22 @@ def test_energy_trapped_by_crossing():
     out = classify_shot(0.5, P32, R200)
     assert out.shot_class is ShotClass.ENERGY_TRAPPED
     assert out.trajectory.termination.event_kinds == (EventKind.ENERGY_BARRIER,)
-    assert out.r_x > R_START
+    assert out.r_x > 0.0
     assert out.r_x == out.trajectory.r_end
     assert out.H_at_rx <= trap_energy(P32)
     assert np.all(out.trajectory.H[:-1] > trap_energy(P32))
     assert 0.0 < out.g_at_rx < 1.0
 
 
-def test_energy_trapped_at_handoff():
-    # H(0, 0.7) = -0.309925 already lies below H_trap = -0.25 - 1e-8
+def test_energy_trapped_at_origin():
+    # H(0, 0.7) = -0.309925 already lies below H_trap = -0.25 - 1e-8, so
+    # the level event fires on the initial state itself
     out = classify_shot(0.7, P32, R200)
     assert out.shot_class is ShotClass.ENERGY_TRAPPED
     assert out.trajectory.termination.event_kinds == (EventKind.ENERGY_BARRIER,)
-    assert out.r_x == R_START == out.trajectory.r_end
-    assert out.H_at_rx == pytest.approx(-0.309925, rel=0, abs=1e-9)
+    assert out.trajectory.r.tolist() == [0.0] and out.r_x == 0.0
+    assert out.H_at_rx == energy(0.0, 0.7, P32) == pytest.approx(-0.309925, rel=0, abs=1e-15)
+    assert out.trajectory.sample_on([0.0, 1.0])[1].tolist() == [0.7, 0.7]
 
 
 def test_energy_trapped_mirror_symmetry():
@@ -156,7 +158,9 @@ def test_energy_trapped_shots_stay_trapped_under_scipy():
     in (0, 1), and the shot neither decays nor blows up.
 
     The shots are stacked into one system in s = r - r_x, so each runs at
-    least to r = 200 on a common step sequence.
+    least to r = 200 on a common step sequence.  A shot trapped already
+    at r_x = 0 starts from its second-order state at r = 1e-6 instead,
+    away from the singular origin.
     """
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     outs = [o for o in classify_grid(P32, GRID, R200)
@@ -164,15 +168,20 @@ def test_energy_trapped_shots_stay_trapped_under_scipy():
     assert len(outs) == 40
     n = len(outs)
     a, b = P32.a, P32.b
-    r_x = np.array([o.r_x for o in outs])
+    x = np.array([o.x0 for o in outs])
+    at_origin = np.array([o.r_x == 0.0 for o in outs])
+    assert 0 < at_origin.sum() < n
+    r_x = np.where(at_origin, 1e-6, [o.r_x for o in outs])
+    c1 = x * (b - a * x * x) / 3.0          # f'(0)
 
     def rhs(s, y):
         f, g = y[:n], y[n:]
         return np.concatenate([-2.0 * f / (r_x + s) + g * (f * f - a * g * g + b),
                                f * (1.0 - g * g)])
 
-    y0 = np.concatenate([[o.trajectory.f[-1] for o in outs],
-                         [o.trajectory.g[-1] for o in outs]])
+    y0 = np.concatenate([np.where(at_origin, c1 * 1e-6, [o.trajectory.f[-1] for o in outs]),
+                         np.where(at_origin, x + 0.5e-12 * c1 * (1.0 - x * x),
+                                  [o.trajectory.g[-1] for o in outs])])
     sol = solve_ivp(rhs, (0.0, 200.0 - r_x.min()), y0, method="DOP853",
                     rtol=1e-10, atol=1e-12)
     assert sol.status == 0
@@ -252,7 +261,7 @@ def test_search_shoots_each_x_once(shot_xs):
                                           rel=0, abs=x_abs)
 
 
-def test_short_horizon_escalates_and_still_certifies(monkeypatch):
+def test_short_horizon_escalates_and_still_certifies(monkeypatch, decayed21):
     """At r_max = 6 the shots near x* at (9, 4) end Undetermined; the
     search doubles the horizon for them and still lands on the scipy x*.
     A Decayed shot's miss is 0, a Trapped shot carries none."""
@@ -267,9 +276,8 @@ def test_short_horizon_escalates_and_still_certifies(monkeypatch):
     assert set(horizons) == {6.0, 12.0}
     assert gs.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
     assert gs.lemma_report.passed
-    decayed = classify_shot(0.7474616543710928, ModelParams(2.0, 0.1))
-    assert decayed.shot_class is ShotClass.DECAYED
-    assert shooting._miss(decayed) == 0.0
+    assert decayed21.shot_class is ShotClass.DECAYED
+    assert shooting._miss(decayed21) == 0.0
     trapped = classify_shot(1.1, P94)
     assert trapped.shot_class is ShotClass.TRAPPED
     assert shooting._miss(trapped) is None
