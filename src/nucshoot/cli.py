@@ -25,9 +25,8 @@ from .physics import InsufficientHorizonError, plateau_metrics, profile_table
 from .portrait import (admissible_contains, admissible_region,
                        energy_sign_grid, level_curves, zero_contour)
 from .serialize import SCHEMA_VERSION, csv_text, json_text, svg_plot, write_text
-from .shooting import (BracketFailureError, NotDecayingError,
-                       PrecisionExhaustedError, bisect_ground_state,
-                       classify_shot)
+from .shooting import (BracketFailureError, PrecisionExhaustedError,
+                       bisect_ground_state, classify_shot)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -39,7 +38,7 @@ EXIT_USAGE = 64
 _DEFAULT_SEED = 20240901
 
 _NUMERICAL_ERRORS = (BracketFailureError, PrecisionExhaustedError,
-                     NotDecayingError, StiffnessError)
+                     StiffnessError)
 
 
 class _Parser(argparse.ArgumentParser):

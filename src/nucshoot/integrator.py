@@ -6,7 +6,7 @@ radial, autonomous companion, shifted-friction): they are the one field
 size is governed by a proportional-integral controller on the embedded
 error estimate; every accepted step stores a quartic dense-output
 segment so events can be localized by bracketed root solving on the
-interpolant and trajectories can be resampled at arbitrary radii.  The
+interpolant and trajectories can be sampled at arbitrary radii.  The
 step is straight-line float arithmetic: the quartic's coefficients are
 explicit sums over the nonzero entries of the dense-output matrix _P.
 
@@ -322,15 +322,6 @@ class Trajectory:
         # alone; the piece holding the right end is added explicitly
         top = np.maximum(np.maximum.reduceat(speeds, first)[:-1], speeds[last])
         return np.diff(rs) * top
-
-    def resample(self, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Uniform-grid (r, f, g) over the computed range with spacing dr."""
-        if dr <= 0.0:
-            raise ValueError("resample spacing must be positive")
-        n = int(math.floor((self.r_end - float(self.r[0])) / dr)) + 1
-        grid = float(self.r[0]) + dr * np.arange(n)
-        fs, gs = self.sample_on(grid)
-        return grid, fs, gs
 
     def mirrored(self) -> "Trajectory":
         """The sign-mapped trajectory (f, g) -> (-f, -g), same radii."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ModelParams, Regime, classify_regime, energy, exact_trivial,
+from .model import (ModelParams, Regime, classify_regime, exact_trivial,
                     trap_energy)
 from .integrator import (IntegratorConfig, DEFAULT_CONFIG, EventKind,
                          TerminationKind, Trajectory, integrate_radial)
@@ -33,13 +33,12 @@ __all__ = [
     "LemmaReport",
     "BracketFailureError",
     "PrecisionExhaustedError",
-    "NotDecayingError",
     "default_events",
     "classify_shot",
     "classify_grid",
     "seed_bracket",
     "bisect_ground_state",
-    "fit_decay_rate",
+    "tail_amplitude",
     "dissipation_residual",
     "audit_lemmas",
 ]
@@ -51,10 +50,6 @@ class BracketFailureError(RuntimeError):
 
 class PrecisionExhaustedError(RuntimeError):
     """The search exhausted its horizon budget without a certifiable shot."""
-
-
-class NotDecayingError(RuntimeError):
-    """Trajectory tail is not monotonically decreasing; no rate to fit."""
 
 
 class ShotClass(enum.Enum):
@@ -121,6 +116,9 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class GroundState:
+    """A bracketed ground state.  decay_rate is the tail's exact rate
+    sqrt(b) and decay_C the amplitude of its decaying mode (tail_amplitude)."""
+
     x_star: float
     bracket: tuple[float, float]
     trajectory: Trajectory
@@ -227,9 +225,6 @@ def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
 def classify_grid(params: ModelParams, xs,
                   config: IntegratorConfig | None = None) -> list[ShotOutcome]:
     return [classify_shot(float(x), params, config) for x in xs]
-
-
-_FIT_WINDOW = 0.5      # decay fit: trailing fraction of the decreasing tail
 
 
 def seed_bracket(params: ModelParams,
@@ -369,76 +364,70 @@ def bisect_ground_state(params: ModelParams,
         raise PrecisionExhaustedError(
             f"no certifiable trajectory inside bracket ({x_lo!r}, {x_hi!r})")
 
-    rate, prefactor, _residual = fit_decay_rate(cert.trajectory)
-    gs = GroundState(x_star, (x_lo, x_hi), cert.trajectory, rate, prefactor, None)
+    traj = cert.trajectory
+    gs = GroundState(x_star, (x_lo, x_hi), traj, math.sqrt(params.b),
+                     tail_amplitude(traj), None)
     return replace(gs, lemma_report=audit_lemmas(gs, params))
 
 
-def fit_decay_rate(traj: Trajectory):
-    """Log-linear tail fit of |f| + |g|: returns (rate, prefactor, residual).
+def tail_amplitude(traj: Trajectory) -> float:
+    """Amplitude C of the decaying mode g ~ C e^{-sqrt(b) r} / r of the tail.
 
-    The fit window is the trailing half (in radius) of the maximal
-    strictly-decreasing suffix of |f| + |g|; at least 20 samples must
-    land in it.
+    Linearized at (0, 0) the flow gives y'' = b y for y = r g, with
+    y' = g + r f (1 - g^2), so the decaying part of (y, y') is
+    C e^{-sqrt(b) r} = (sqrt(b) y - y') / (2 sqrt(b)) whatever the growing
+    mode holds.  C is the median of that over the samples with
+    a g^2 <= b/100, where the linearization holds; NaN with fewer than two.
     """
-    r = traj.r
-    amp = np.abs(traj.f) + np.abs(traj.g)
-    if amp.max() == 0.0:
-        raise NotDecayingError("trajectory is identically zero")
-    k0 = _tail_start(r, amp)
-    rs = r[k0:]
-    ls = np.log(amp[k0:])
-    if len(rs) < 20:
-        raise NotDecayingError(
-            f"fit window holds only {len(rs)} samples (need 20)")
-    slope, intercept = np.polyfit(rs, ls, 1)
-    if slope >= 0.0:
-        raise NotDecayingError("tail fit slope is nonnegative")
-    resid = float(np.sqrt(np.mean((ls - (slope * rs + intercept)) ** 2)))
-    return float(-slope), float(math.exp(intercept)), resid
+    a, b = traj.params.a, traj.params.b
+    k = math.sqrt(b)
+    tail = a * traj.g ** 2 <= b / 100.0
+    if np.count_nonzero(tail) < 2:
+        return math.nan
+    r, f, g = traj.r[tail], traj.f[tail], traj.g[tail]
+    y = r * g
+    dy = g + r * f * (1.0 - g * g)
+    return float(np.median((k * y - dy) / (2.0 * k) * np.exp(k * r)))
 
 
-def _tail_start(r: np.ndarray, amp: np.ndarray) -> int:
-    """First index of the trailing _FIT_WINDOW fraction (in radius) of the
-    maximal strictly-decreasing suffix of amp, the decay-fit window."""
+def _tail_start(r: np.ndarray, amp: np.ndarray) -> int | None:
+    """First index of the trailing half (in radius) of the maximal
+    strictly-decreasing suffix of amp, decay_bound's window; None when
+    that suffix holds fewer than 20 samples."""
     k = len(amp) - 1
     while k > 0 and amp[k - 1] > amp[k]:
         k -= 1
     if len(amp) - k < 20:
-        raise NotDecayingError(
-            f"decreasing tail has only {len(amp) - k} samples (need 20)")
-    cut = r[-1] - _FIT_WINDOW * (r[-1] - r[k])
+        return None
+    cut = r[-1] - 0.5 * (r[-1] - r[k])
     return k + int(np.searchsorted(r[k:], cut))
 
 
-def dissipation_residual(traj: Trajectory) -> float:
-    """Sup-norm ratio of d/dr H against -(2/r) f^2 (1 - g^2).
+# 3-point Gauss-Legendre nodes and weights on [-1, 1]
+_GAUSS_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+_GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
-    Measured on a uniform resampling with central differences, masked to
-    |f| > 1e-6: below that the identity's terms sit at the double-
-    precision roundoff floor of H itself and pointwise ratios are noise.
+
+def dissipation_residual(traj: Trajectory) -> float:
+    """Worst step residual of the dissipation identity over the largest
+    step integral.
+
+    Along the radial flow H(r_{i+1}) - H(r_i) = -int (2/r) f^2 (1 - g^2) dr
+    exactly between any two rows; each step's integral is summed by
+    3-point Gauss-Legendre on the trajectory's interpolant.
     """
-    span = traj.r_end - float(traj.r[0])
-    if span <= 0.0:
+    r = traj.r
+    if len(r) < 2:
         return 0.0
-    dr = min(5e-3, span / 400.0)
-    rs, fs, gs = traj.resample(dr)
-    if len(rs) < 5:
-        return 0.0
-    H = energy(fs, gs, traj.params)
-    dH = (H[2:] - H[:-2]) / (2.0 * dr)
-    r_mid = rs[1:-1]
-    f_mid = fs[1:-1]
-    g_mid = gs[1:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = np.where(r_mid > 0.0, -(2.0 / r_mid) * f_mid ** 2 * (1.0 - g_mid ** 2), 0.0)
-    mask = (np.abs(f_mid) > 1e-6) & (r_mid > 0.0)
-    if not mask.any():
-        return 0.0
-    scale = np.max(np.abs(rhs[mask]))
+    half = 0.5 * np.diff(r)
+    nodes = ((r[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel()
+    fs, gs = traj.sample_on(nodes)
+    rate = ((2.0 / nodes) * fs * fs * (1.0 - gs * gs)).reshape(-1, 3)
+    loss = half * (rate @ _GAUSS_WEIGHTS)
+    scale = float(np.max(np.abs(loss)))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(dH[mask] - rhs[mask])) / scale)
+    return float(np.max(np.abs(np.diff(traj.H) + loss))) / scale
 
 
 def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
@@ -481,41 +470,32 @@ def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
     checks.append(LemmaCheck("sign_conditions", worst_sign <= _SIGN_TOL,
                              worst_sign, _SIGN_TOL))
 
-    v = float(np.max(np.abs(f) - math.sqrt(a / 2.0) * g))
+    v = float(np.max(np.abs(f) / math.sqrt(a / 2.0) - g))
     checks.append(LemmaCheck("spinor_ratio_bound", v <= 1e-10, v, 1e-10,
-                             note="|f| <= sqrt(a/2) g"))
+                             note="|f| / sqrt(a/2) <= g"))
 
-    K = params.decay_rate_bound
+    k0 = None if zero else _tail_start(r, amp)
     if zero:
         checks.append(LemmaCheck("decay_bound", True, 0.0, 1.0,
                                  note="identically zero; C = 0"))
-        checks.append(LemmaCheck("decay_rate_bound", True, math.inf, K - 0.05,
-                                 note="vacuous for the zero solution"))
+    elif k0 is None:
+        checks.append(LemmaCheck("decay_bound", False, math.inf, 1e-6,
+                                 note="decreasing tail has fewer than 20 samples"))
     else:
-        try:
-            rate, _pref, resid = fit_decay_rate(traj)
-            # the pointwise bound amp <= C e^{-K r} always holds with the
-            # witnessed constant C = max(amp e^{K r}); the content is that
-            # the tail cannot force C to grow, i.e. the envelope amp e^{K r}
-            # must not increase across the fitted tail window
-            env = amp * np.exp(K * r)
-            c_global = float(np.max(env))
-            tail = env[_tail_start(r, amp):]
-            if len(tail) > 1:
-                growth = float(np.max(np.diff(tail) / np.maximum(tail[:-1], 1e-300)))
-            else:
-                growth = 0.0
-            v = max(growth, 0.0)
-            checks.append(LemmaCheck("decay_bound", v <= 1e-6, v, 1e-6,
-                                     note=f"holds with C = {c_global:.6g}; "
-                                          f"fit residual {resid:.2e}"))
-            checks.append(LemmaCheck("decay_rate_bound", rate >= K - 0.05,
-                                     rate, K - 0.05))
-        except NotDecayingError as exc:
-            checks.append(LemmaCheck("decay_bound", False, math.inf, 1e-6,
-                                     note=str(exc)))
-            checks.append(LemmaCheck("decay_rate_bound", False, math.nan,
-                                     K - 0.05, note=str(exc)))
+        # the pointwise bound amp <= C e^{-K r} always holds with the
+        # witnessed constant C = max(amp e^{K r}); the content is that
+        # the tail cannot force C to grow, i.e. the envelope amp e^{K r}
+        # must not increase across the tail window
+        K = params.decay_rate_bound
+        env = amp * np.exp(K * r)
+        tail = env[k0:]
+        if len(tail) > 1:
+            growth = float(np.max(np.diff(tail) / np.maximum(tail[:-1], 1e-300)))
+        else:
+            growth = 0.0
+        v = max(growth, 0.0)
+        checks.append(LemmaCheck("decay_bound", v <= 1e-6, v, 1e-6,
+                                 note=f"holds with C = {float(np.max(env)):.6g}"))
 
     if zero:
         checks.append(LemmaCheck("winding_zero", True, 0.0, 0.0,

@@ -113,7 +113,7 @@ def test_ground_state_artifacts(tmp_path, capsys):
     assert lo <= payload["x_star"] <= hi
     assert hi - lo <= 1e-8
     assert abs(payload["x_star"] - 0.995181079032138) < 1e-7
-    assert len(payload["lemma_report"]) == 10
+    assert len(payload["lemma_report"]) == 9
     assert payload["config"]["command"] == "ground-state"
     assert payload["config"]["x_tol"] == 1e-8
 

@@ -82,8 +82,7 @@ def test_conservative_energy_drift():
 def test_dense_output_conserves_energy_between_nodes():
     cfg = IntegratorConfig(r_max=10.0)
     traj = integrate_conservative(PhasePoint(0.3, 0.4), P94, cfg)
-    grid, fs, gs = traj.resample(0.01)
-    assert grid[0] == 0.0 and grid[-1] <= 10.0
+    fs, gs = traj.sample_on(np.linspace(0.0, 10.0, 1001))
     h = energy(fs, gs, P94)
     assert np.max(np.abs(h - traj.H[0])) <= 1e-7
 
@@ -130,14 +129,14 @@ def test_sample_on_equals_segment_eval_loop():
     short = integrate_radial(0.8, P94, IntegratorConfig(r_max=0.25))
     assert short._series[0] == short.r_end == 0.25 and not short._segments
     cases = [
-        (short, 2.0 ** -10),
-        (integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0)), 0.005),
+        (short, 257),
+        (integrate_radial(0.8, P94, IntegratorConfig(r_max=5.0)), 1001),
         (integrate_conservative(PhasePoint(0.3, 0.4), P94,
-                                IntegratorConfig(r_max=10.0)), 0.01),
+                                IntegratorConfig(r_max=10.0)), 1001),
     ]
-    for traj, dr in cases:
-        grid, fs, gs = traj.resample(dr)
-        assert grid[0] == traj.r[0] and grid[-1] == traj.r_end
+    for traj, n in cases:
+        grid = np.linspace(traj.r[0], traj.r_end, n)
+        fs, gs = traj.sample_on(grid)
         loop = np.array([_sample_reference(traj, float(r)) for r in grid])
         assert np.array_equal(fs, loop[:, 0])
         assert np.array_equal(gs, loop[:, 1])

@@ -9,6 +9,7 @@ from nucshoot.integrator import (IntegratorConfig, Termination,
 from nucshoot.model import ModelParams, PhasePoint, exact_trivial
 from nucshoot.physics import (InsufficientHorizonError, densities,
                               plateau_metrics, potentials, profile_table)
+from nucshoot.shooting import bisect_ground_state, tail_amplitude
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
@@ -108,6 +109,14 @@ def test_plateau_ordering_near_critical_vs_far(gs94, gs41):
     assert m41.plateau_score == pytest.approx(oracle.plateau_score, rel=2e-4)
     assert m94.plateau_score > 4.0 * m41.plateau_score
     assert m94.gsq_max < 1.0
+
+
+@pytest.mark.parametrize("a, b", [(4.0, 1.0), (12.0, 1.0), (40.0, 5.0)])
+def test_decay_amplitude_matches_scipy_certificate(a, b):
+    params = ModelParams(a, b)
+    gs = bisect_ground_state(params)
+    oracle = tail_amplitude(_scipy_certificate(gs.trajectory.x0, params))
+    assert gs.decay_C == pytest.approx(oracle, rel=1e-5)
 
 
 def test_plateau_requires_enough_horizon():

@@ -156,7 +156,7 @@ def test_winding_counts_g_roots():
     traj = integrate_conservative(PhasePoint(1.0, g0), P94,
                                   IntegratorConfig(r_max=20.0))
     n, lift = winding_count(traj, 0.0, 20.0)
-    _, _, gr = traj.resample(0.005)
+    gr = traj.sample_on(np.linspace(0.0, 20.0, 4001))[1]
     roots = int(np.sum(np.abs(np.diff(np.sign(gr))) == 2))
     assert n != 0
     assert abs(n) == roots
