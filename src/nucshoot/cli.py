@@ -282,6 +282,8 @@ def cmd_ground_state(cfg: RunConfig, parser) -> int:
         "all_checks_passed": bool(gs.lemma_report.passed),
         "regime": classify_regime(params).value,
     }
+    if gs.u_star is not None:
+        payload["u_star"] = gs.u_star
     write_text(cfg.out_dir / "ground_state.json", json_text(payload))
     table = profile_table(gs.trajectory, params)
     write_text(cfg.out_dir / "trajectory.csv", csv_text(table))
@@ -290,6 +292,8 @@ def cmd_ground_state(cfg: RunConfig, parser) -> int:
         print(f"{check.name}: {status}")
     print(f"x_star = {gs.x_star!r}  bracket width = "
           f"{gs.bracket[1] - gs.bracket[0]:.3e}  decay rate = {gs.decay_rate:.6f}")
+    if gs.u_star is not None:
+        print(f"u_star = 1 - x_star = {gs.u_star!r}  (below the float grid of x)")
     return EXIT_OK if gs.lemma_report.passed else EXIT_CHECK_FAILED
 
 

@@ -8,13 +8,17 @@ numerically decidable on either side of x* but not at it, so the search
 keeps a bracket with x_lo in I and x_hi outside it, and closes it by ITP
 root-finding on the miss r_x^2 H(r_x) at the first event, which is
 linear in x - x* near x* (see _miss); the deliverable is a bracket of
-width x_tol plus a certified trajectory at the inner endpoint.
+width x_tol plus a certified trajectory at the inner endpoint.  Near the
+critical line a - 2b = 0, x* lies within an ulp of 1 and the float
+bracket closes at (1 - 2^-53, 1); the search then goes on below the float
+grid in u = 1 - g, by shots solved in (f, u) (see _wall_search).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +26,8 @@ import numpy as np
 from .model import (ModelParams, Regime, classify_regime, exact_trivial,
                     trap_energy)
 from .integrator import (IntegratorConfig, DEFAULT_CONFIG, EventKind,
-                         TerminationKind, Trajectory, integrate_radial)
+                         TerminationKind, Trajectory, integrate_radial,
+                         integrate_wall)
 from .portrait import winding_count, UndefinedLiftError
 
 __all__ = [
@@ -117,7 +122,10 @@ class LemmaReport:
 @dataclass(frozen=True)
 class GroundState:
     """A bracketed ground state.  decay_rate is the tail's exact rate
-    sqrt(b) and decay_C the amplitude of its decaying mode (tail_amplitude)."""
+    sqrt(b) and decay_C the amplitude of its decaying mode (tail_amplitude).
+    u_star is u* = 1 - x* when the bracket closed at the largest float below
+    1 and the search went on in u below the float grid (see _wall_search);
+    the certificate is then that search's shot, else u_star is None."""
 
     x_star: float
     bracket: tuple[float, float]
@@ -125,6 +133,7 @@ class GroundState:
     decay_rate: float
     decay_C: float
     lemma_report: LemmaReport | None
+    u_star: float | None = None
 
 
 _SIGN_TOL = 1e-10
@@ -186,6 +195,19 @@ def classify_shot(x0: float, params: ModelParams,
         return ShotOutcome(x0, out.shot_class, out.trajectory.mirrored())
     traj = integrate_radial(x0, params, cfg, default_events(x0, params))
     return ShotOutcome(x0, _shot_class(traj, params), traj)
+
+
+def _classify_wall_shot(u0: float, params: ModelParams,
+                       config: IntegratorConfig | None = None) -> ShotOutcome:
+    """Classify the shot from g(0) = 1 - u0, 0 < u0 < 1, solved in
+    (f, u = 1 - g) by integrate_wall, with the events of a shot from
+    sqrt(b/a) < x0 < 1; its x0 is 1 - u0 rounded."""
+    traj = integrate_wall(u0, params, config or DEFAULT_CONFIG, _WALL_EVENTS)
+    return ShotOutcome(traj.x0, _shot_class(traj, params), traj)
+
+
+_WALL_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO,
+                EventKind.G_SQUARED_REACHES_ONE)
 
 
 def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
@@ -266,17 +288,62 @@ def seed_bracket(params: ModelParams,
         u /= 10.0
 
 
-def _classify_escalating(x0: float, params: ModelParams,
-                         cfg: IntegratorConfig) -> ShotOutcome:
-    """Classify, doubling r_max (up to 4x) while the horizon is the blocker."""
-    out = classify_shot(x0, params, cfg)
+def _classify_escalating(x0: float, params: ModelParams, cfg: IntegratorConfig,
+                         shoot=None) -> ShotOutcome:
+    """Classify by `shoot` (classify_shot by default, or _classify_wall_shot
+    with x0 read as u0), doubling r_max (up to 4x) while the horizon is the
+    blocker."""
+    shoot = shoot or classify_shot
+    out = shoot(x0, params, cfg)
     factor = 2
     while (out.shot_class is ShotClass.UNDETERMINED
            and out.trajectory.termination.kind is TerminationKind.REACHED_RMAX
            and factor <= 4):
-        out = classify_shot(x0, params, replace(cfg, r_max=cfg.r_max * factor))
+        out = shoot(x0, params, replace(cfg, r_max=cfg.r_max * factor))
         factor *= 2
     return out
+
+
+_WALL_SCAN = 1e-8       # ratio of successive u0 in _wall_search's scan
+
+
+def _wall_search(params: ModelParams, cfg: IntegratorConfig, s_tol: float):
+    """Bracket sup I below the float grid of x: (certificate, u*) or None.
+
+    When sup I lies within an ulp of 1 the float bracket is (1 - 2^-53, 1),
+    and a shot from 1 - 2^-53 is a poor certificate: u* = 1 - x* may be
+    far smaller than 2^-53.  The search goes on in s = ln u0 by shots in
+    (f, u = 1 - g) (_classify_wall_shot): from u0 = 2^-53, which must be in
+    I (else None), it scans u0 down by factors _WALL_SCAN to the first
+    shot outside I, then bisects s to a width of s_tol, i.e. to the
+    relative width s_tol in u.  The certificate is the last InSetI shot,
+    and u* its u0.  If every u0 down to the smallest normal double is in
+    I, that last shot is returned unrefined.
+    """
+    u_in = 2.0 ** -53
+    cert = _classify_escalating(u_in, params, cfg, _classify_wall_shot)
+    if cert.shot_class is not ShotClass.IN_SET_I:
+        return None
+    u_out = u_in
+    while True:
+        u_out *= _WALL_SCAN
+        if u_out < sys.float_info.min:
+            return cert, u_in
+        out = _classify_escalating(u_out, params, cfg, _classify_wall_shot)
+        if out.shot_class is not ShotClass.IN_SET_I:
+            break
+        cert, u_in = out, u_out
+    s_in, s_out = math.log(u_in), math.log(u_out)
+    while s_in - s_out > s_tol:
+        u = math.exp(0.5 * (s_in + s_out))
+        if not u_out < u < u_in:
+            break
+        out = _classify_escalating(u, params, cfg, _classify_wall_shot)
+        if out.shot_class is ShotClass.IN_SET_I:
+            cert, u_in, s_in = out, u, math.log(u)
+        else:
+            u_out, s_out = u, math.log(u)
+    return cert, u_in
 
 
 def _miss(out: ShotOutcome) -> float | None:
@@ -314,7 +381,9 @@ def bisect_ground_state(params: ModelParams,
     final verification shot at the midpoint.  x* itself is not
     numerically attainable, so unless that shot decays outright, the
     returned state sits at the final x_lo whose InSetI trajectory is the
-    certificate.
+    certificate.  When that x_lo is the largest float below 1, the
+    certificate comes instead from _wall_search below the float grid, and
+    u_star reports u*.
     """
     if x_tol <= 0.0:
         raise ValueError("x_tol must be positive")
@@ -363,10 +432,15 @@ def bisect_ground_state(params: ModelParams,
     if cert.shot_class not in (ShotClass.IN_SET_I, ShotClass.DECAYED):
         raise PrecisionExhaustedError(
             f"no certifiable trajectory inside bracket ({x_lo!r}, {x_hi!r})")
+    u_star = None
+    if x_lo == math.nextafter(1.0, 0.0) and cert is lo_out:
+        wall = _wall_search(params, cfg, x_tol)
+        if wall is not None:
+            cert, u_star = wall
 
     traj = cert.trajectory
     gs = GroundState(x_star, (x_lo, x_hi), traj, math.sqrt(params.b),
-                     tail_amplitude(traj), None)
+                     tail_amplitude(traj), None, u_star)
     return replace(gs, lemma_report=audit_lemmas(gs, params))
 
 
@@ -448,8 +522,10 @@ def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
     v = dissipation_residual(traj)
     checks.append(LemmaCheck("energy_dissipation", v <= 1e-4, v, 1e-4))
 
+    # judged on 1 - g^2, which keeps u's precision on the wall chart
     v = float(gsq.max())
-    checks.append(LemmaCheck("g_squared_below_one", v < 1.0, v, 1.0))
+    checks.append(LemmaCheck("g_squared_below_one",
+                             bool(traj.one_minus_g2.min() > 0.0), v, 1.0))
 
     v = float(fsq.max())
     checks.append(LemmaCheck("f_squared_bounded", v < a - b if a > b else False,

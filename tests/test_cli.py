@@ -84,16 +84,16 @@ def test_ground_state_numerical_failure(tmp_path, capsys):
 def test_ground_state_at_the_precision_wall(tmp_path, capsys):
     """At (9, 4.4) sup I lies within an ulp of 1.  The seed scan's last
     probe, x = 1 on the invariant line g = 1, closes the bracket at the
-    largest float below 1 and the search returns its certificate with
-    both artifacts, not a numerical failure.  Rounding decides its audit
-    at that precision wall, so only the audit's consistency is checked."""
+    largest float below 1; the search goes on in u = 1 - g below the
+    float grid, and its certificate passes the audit."""
     code = main(["ground-state", "--a", "9", "--b", "4.4", "--out", str(tmp_path)])
-    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-    capsys.readouterr()
+    assert code == EXIT_OK
+    assert "u_star = " in capsys.readouterr().out
     payload = json.loads((tmp_path / "ground_state.json").read_text())
     top = math.nextafter(1.0, 0.0)
     assert payload["bracket"] == [top, 1.0] and payload["x_star"] == top
-    assert payload["all_checks_passed"] is (code == EXIT_OK)
+    assert 0.0 < payload["u_star"] < 2.0 ** -53
+    assert payload["all_checks_passed"] is True
     assert (tmp_path / "trajectory.csv").exists()
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nucshoot import integrator
 from nucshoot.integrator import (IntegratorConfig, Termination, TerminationKind,
                                  Trajectory, integrate_conservative)
 from nucshoot.model import ModelParams, PhasePoint, energy, exact_trivial
@@ -182,7 +183,7 @@ def test_winding_refines_coarse_samples():
 
 def test_winding_refines_fast_turns_between_coarse_samples():
     """A (4, 1) companion orbit from (0.1, 0.05) to r = 100, kept at every
-    400th accepted step with its dense segments intact.  Between two of
+    100th accepted step with its dense segments intact.  Between two of
     those samples the orbit turns by about 1.5 pi, which np.unwrap folds
     into one short jump of the other sign, so the samples alone lift to
     -3.  The segments' speed bound refines that gap, and the count is the
@@ -190,7 +191,7 @@ def test_winding_refines_fast_turns_between_coarse_samples():
     params = ModelParams(4.0, 1.0)
     full = integrate_conservative(PhasePoint(0.1, 0.05), params,
                                   IntegratorConfig(r_max=100.0))
-    keep = np.r_[0:len(full.r) - 1:400, len(full.r) - 1]
+    keep = np.r_[0:len(full.r) - 1:100 * integrator._ROWS, len(full.r) - 1]
     coarse = Trajectory(full.r[keep], full.f[keep], full.g[keep], params, full.x0,
                         full.termination, full._segments)
     theta = np.unwrap(np.arctan2(-coarse.f, coarse.g))

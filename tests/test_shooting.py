@@ -27,12 +27,14 @@ GRID = np.linspace(0.01, 0.99, 50)     # acceptance criterion 5's grid
 RX_08 = 2.13940806222205
 G_RX_08 = 0.6334209942120211
 # x* by scipy's DOP853 in (f, u = 1 - g) with bisection on log u0
-# (bench/oracle.py, bench/reference.json), keyed by kappa = b/a
+# (bench/oracle.py, bench/reference.json; kappa = 1/9 by oracle.x_star,
+# outside the reference table), keyed by kappa = b/a
 X_STAR_SCIPY = {4.0 / 9.0: 1.0 - 2.6201263381153694e-14,
                 0.44: 0.9999999999996699,
                 0.45: 0.9999999999999994,
                 0.25: 0.9951810790321023,
                 1.0 / 12.0: 0.856300090760454,
+                1.0 / 9.0: 0.9090888273369584,
                 2.0 / 9.0: 0.989753343958761}
 X_STAR_41_INDEPENDENT = 0.995181079032138   # independent reference solve
 
@@ -326,7 +328,16 @@ def test_itp_keeps_bisection_worst_case(shot_xs, monkeypatch, miss):
     assert len(shot_xs) - n_seed <= math.ceil(math.log2(w0 / 1e-12)) + 2
     assert gs.lemma_report.passed
     if miss(lo_out) is None:     # plain bisection's x* from the same bracket
-        assert gs.x_star == 0.995181079034256
+        lo, hi = lo_out.x0, hi_out.x0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if classify_shot(mid, P41).shot_class is ShotClass.IN_SET_I:
+                lo = mid
+            else:
+                hi = mid
+        ver = classify_shot(0.5 * (lo + hi), P41).shot_class
+        in_i = ver in (ShotClass.IN_SET_I, ShotClass.DECAYED)
+        assert gs.x_star == (0.5 * (lo + hi) if in_i else lo)
 
 
 def test_bisect_validation():
@@ -375,11 +386,35 @@ def test_near_critical_x_star_matches_scipy(a, b, kappa):
 
 @pytest.mark.parametrize("b", [4.2, 4.25, 4.3])
 def test_near_critical_ground_states_certify(b):
-    """With a - 2b down to 0.4, sup I lies within a few ulps of 1; the scan
-    reaches it by shooting the largest float below 1 last."""
+    """With a - 2b down to 0.4, sup I lies within an ulp of 1; the scan
+    reaches it by shooting the largest float below 1 last, and the search
+    goes on in u = 1 - g below the float grid."""
     gs = bisect_ground_state(ModelParams(9.0, b))
     assert math.sqrt(2.0 * b / 9.0) < gs.x_star < 1.0
+    assert gs.x_star == math.nextafter(1.0, 0.0)
+    assert 0.0 < gs.u_star < 2.0 ** -53
     assert gs.lemma_report.passed
+
+
+# u* = 1 - x* by scipy's DOP853 in (f, u), bisected on ln u0 (bench/oracle.py)
+U_STAR_SCIPY = {4.2: 2.4862789430145613e-24, 4.3: 4.97578169462204e-37}
+
+
+@pytest.mark.parametrize("b", [4.2, 4.3])
+def test_wall_search_matches_scipy(b):
+    """Below the float grid u* matches the independent (f, u) oracle, and
+    the certificate is the wall search's own InSetI shot from u*."""
+    gs = bisect_ground_state(ModelParams(9.0, b))
+    assert gs.u_star == pytest.approx(U_STAR_SCIPY[b], rel=1e-9)
+    traj = gs.trajectory
+    assert traj.u[0] == gs.u_star and traj.x0 == 1.0
+    assert np.all(traj.one_minus_g2 > 0.0) and traj.g.max() == 1.0
+
+
+def test_wall_search_is_only_for_the_last_ulp():
+    """Away from the wall the search stays in x and reports no u*."""
+    gs = bisect_ground_state(ModelParams(10.0, 4.5))
+    assert gs.u_star is None and gs.trajectory.u is None
 
 
 def test_ground_state_bracket_is_sharp(gs41):
@@ -389,6 +424,23 @@ def test_ground_state_bracket_is_sharp(gs41):
     assert classify_shot(hi + 1e-9, P41).shot_class is ShotClass.G_VANISHED_FIRST
 
 
+def test_anchor_searches_step_count(monkeypatch):
+    """Deterministic cost gate: the five bench anchor searches take at most
+    6,800 accepted steps over all their shots (6,182 measured, 20,897 with
+    the former fifth-order stepper)."""
+    steps = []
+
+    def counted(*args, **kwargs):
+        traj = integrate_radial(*args, **kwargs)
+        steps.append(len(traj._segments))
+        return traj
+
+    monkeypatch.setattr(shooting, "integrate_radial", counted)
+    for a, b in ((9.0, 4.0), (4.0, 1.0), (12.0, 1.0), (9.0, 2.0), (10.0, 4.5)):
+        bisect_ground_state(ModelParams(a, b))
+    assert sum(steps) <= 6800
+
+
 def test_more_ground_states_certify():
     for a, b in ((9.0, 1.0), (12.0, 5.0)):
         gs = bisect_ground_state(ModelParams(a, b))
@@ -396,7 +448,7 @@ def test_more_ground_states_certify():
         assert gs.bracket[1] - gs.bracket[0] <= 1e-12
     # far-from-critical pair lands well inside the unit interval
     gs91 = bisect_ground_state(ModelParams(9.0, 1.0))
-    assert gs91.x_star == pytest.approx(0.9090888273408164, rel=0, abs=1e-12)
+    assert gs91.x_star == pytest.approx(X_STAR_SCIPY[1.0 / 9.0], rel=0, abs=1e-12)
 
 
 def test_interval_interior_is_in_set_i():
@@ -432,20 +484,16 @@ def test_dissipation_residual_flags_the_wrong_flow():
     assert dissipation_residual(shifted) >= 0.5
 
 
-_NEAR_WALL = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: the certificate sits at the g = 1 "
-    "precision wall and decay_bound fails at lam = 1 and 2 only")
-
-
 @pytest.mark.parametrize("kappa, c_rel", [
-    (0.05, 1e-5), (0.125, 1e-5), (0.25, 1e-5), (0.45, 5e-3),
-    pytest.param(0.4875, 5e-3, marks=_NEAR_WALL),
+    (0.05, 1e-5), (0.125, 1e-5), (0.25, 1e-5), (0.45, 5e-3), (0.4875, 5e-3),
 ])
 def test_certificate_is_scale_covariant(kappa, c_rel):
     """(f, g)(r) -> (lam f(lam r), g(lam r)) maps the ground state at (a, b)
     to the one at (lam^2 a, lam^2 b): from a = 4, every check passes or
     fails alike at each lam, the dissipation residual stays at integration
-    error, and decay_C sqrt(a) is invariant."""
+    error, and decay_C sqrt(a) is invariant.  At kappa = 0.4875 sup I lies
+    far below an ulp of 1 (u* ~ 6e-67) and the certificate is the wall
+    search's shot in u."""
     states = [bisect_ground_state(ModelParams(4.0 * lam ** 2, 4.0 * kappa * lam ** 2))
               for lam in (0.25, 1.0, 2.0, 4.0)]
     verdicts = {tuple(c.passed for c in gs.lemma_report.checks) for gs in states}
