@@ -83,7 +83,6 @@ __all__ = [
     "Termination",
     "Trajectory",
     "StiffnessError",
-    "series_start",
     "integrate_radial",
     "integrate_wall",
     "integrate_conservative",
@@ -506,16 +505,6 @@ def _series_speed(coef: np.ndarray, sf: float, sy: float, r_h: float) -> float:
     df = np.sum((2 * m + 1) * np.abs(coef[0]) * s ** m)
     dy = np.sum(2 * m[1:] * np.abs(coef[1, 1:]) * r_h ** (2 * m[1:] - 1))
     return math.hypot(abs(sf) * df, abs(sy) * dy)
-
-
-def series_start(x0: float, params: ModelParams, r_start: float) -> PhasePoint:
-    """State of the regular radial solution at r_start > 0 by its power
-    series at the origin, summed to the order a radial run hands off with."""
-    if r_start <= 0.0:
-        raise ValueError("series handoff radius must be positive")
-    f, g = _series_eval(_series_coefficients(x0, params), x0, x0,
-                        np.array([float(r_start)]))
-    return PhasePoint(float(f[0]), float(g[0]), r_start)
 
 
 def _series_span(coef: np.ndarray, sf: float, sy: float, r_h: float, event_fns):

@@ -27,7 +27,6 @@ __all__ = [
     "Branch",
     "LevelSetCurve",
     "UndefinedLiftError",
-    "quartic_residual",
     "discriminant",
     "branch_functions",
     "branch_domains",
@@ -57,13 +56,6 @@ class LevelSetCurve:
     branch: Branch
     samples: np.ndarray            # shape (n, 2), columns (f, g)
     domain: tuple[tuple[float, float], ...]
-
-
-def quartic_residual(f, g, level: float, params: ModelParams):
-    """Defect of (f, g) against the level-C quartic; zero on the curve."""
-    f2 = np.asarray(f) ** 2
-    g2 = np.asarray(g) ** 2
-    return params.a * g2 * g2 - 2.0 * (f2 + params.b) * g2 + 2.0 * f2 - 4.0 * level
 
 
 def discriminant(f: float, level: float, params: ModelParams) -> float:

@@ -6,12 +6,13 @@ the set I collects shots whose f vanishes (from below) strictly before
 g does.  The ground state sits at x* = sup I.  The indicator "x in I" is
 numerically decidable on either side of x* but not at it, so the search
 keeps a bracket with x_lo in I and x_hi outside it, and closes it by ITP
-root-finding on the miss r_x^2 H(r_x) at the first event, which is
-linear in x - x* near x* (see _miss); the deliverable is a bracket of
+root-finding (_itp) on the miss r_x^2 H(r_x) at the first event, which
+is linear in x - x* near x* (see _miss); the deliverable is a bracket of
 width x_tol plus a certified trajectory at the inner endpoint.  Near the
 critical line a - 2b = 0, x* lies within an ulp of 1 and the float
-bracket closes at (1 - 2^-53, 1); the search then goes on below the float
-grid in u = 1 - g, by shots solved in (f, u) (see _wall_search).
+bracket closes at (1 - 2^-53, 1); the same ITP then goes on below the
+float grid in -ln u0, u = 1 - g, by shots solved in (f, u) (see
+_wall_search).
 """
 
 from __future__ import annotations
@@ -304,46 +305,30 @@ def _classify_escalating(x0: float, params: ModelParams, cfg: IntegratorConfig,
     return out
 
 
-_WALL_SCAN = 1e-8       # ratio of successive u0 in _wall_search's scan
-
-
-def _wall_search(params: ModelParams, cfg: IntegratorConfig, s_tol: float):
+def _wall_search(params: ModelParams, cfg: IntegratorConfig, t_tol: float):
     """Bracket sup I below the float grid of x: (certificate, u*) or None.
 
     When sup I lies within an ulp of 1 the float bracket is (1 - 2^-53, 1),
     and a shot from 1 - 2^-53 is a poor certificate: u* = 1 - x* may be
-    far smaller than 2^-53.  The search goes on in s = ln u0 by shots in
-    (f, u = 1 - g) (_classify_wall_shot): from u0 = 2^-53, which must be in
-    I (else None), it scans u0 down by factors _WALL_SCAN to the first
-    shot outside I, then bisects s to a width of s_tol, i.e. to the
-    relative width s_tol in u.  The certificate is the last InSetI shot,
-    and u* its u0.  If every u0 down to the smallest normal double is in
-    I, that last shot is returned unrefined.
+    far smaller than 2^-53.  Shots in (f, u = 1 - g) (_classify_wall_shot)
+    from u0 = 2^-53, which must be in I (else None), and from the smallest
+    normal double, returned unrefined if in I, bracket t = -ln u0, and
+    _itp closes it to a width t_tol, the relative width t_tol in u.  u* is
+    the certificate's own u0.
     """
-    u_in = 2.0 ** -53
-    cert = _classify_escalating(u_in, params, cfg, _classify_wall_shot)
-    if cert.shot_class is not ShotClass.IN_SET_I:
+    def shoot(u0):
+        return _classify_escalating(u0, params, cfg, _classify_wall_shot)
+
+    u_in, u_out = 2.0 ** -53, sys.float_info.min
+    lo_out = shoot(u_in)
+    if lo_out.shot_class is not ShotClass.IN_SET_I:
         return None
-    u_out = u_in
-    while True:
-        u_out *= _WALL_SCAN
-        if u_out < sys.float_info.min:
-            return cert, u_in
-        out = _classify_escalating(u_out, params, cfg, _classify_wall_shot)
-        if out.shot_class is not ShotClass.IN_SET_I:
-            break
-        cert, u_in = out, u_out
-    s_in, s_out = math.log(u_in), math.log(u_out)
-    while s_in - s_out > s_tol:
-        u = math.exp(0.5 * (s_in + s_out))
-        if not u_out < u < u_in:
-            break
-        out = _classify_escalating(u, params, cfg, _classify_wall_shot)
-        if out.shot_class is ShotClass.IN_SET_I:
-            cert, u_in, s_in = out, u, math.log(u)
-        else:
-            u_out, s_out = u, math.log(u)
-    return cert, u_in
+    hi_out = shoot(u_out)
+    if hi_out.shot_class is ShotClass.IN_SET_I:
+        return hi_out, u_out
+    _, cert, _ = _itp(-math.log(u_in), -math.log(u_out), lo_out, hi_out,
+                      lambda t: shoot(math.exp(-t)), t_tol)
+    return cert, float(cert.trajectory.u[0])
 
 
 def _miss(out: ShotOutcome) -> float | None:
@@ -362,63 +347,74 @@ def _miss(out: ShotOutcome) -> float | None:
     return None
 
 
+def _itp(lo: float, hi: float, lo_out: ShotOutcome, hi_out: ShotOutcome,
+         shoot, tol: float) -> tuple[float, ShotOutcome, float]:
+    """Close the bracket lo < hi, shoot(lo) = lo_out in I and shoot(hi) =
+    hi_out not, to a width tol by ITP (Oliveira and Takahashi, ACM TOMS
+    47(1), 2020) on _miss in the coordinate shoot takes; (lo, lo_out, hi).
+
+    Each step is regula falsi between the ends, truncated toward the
+    midpoint and kept tol/4 inside both ends, then projected into the
+    ball around the midpoint that bounds the loop at ceil(log2(w0/tol))
+    + 1 shots, one more than bisection; the midpoint when an end has no
+    miss.
+    """
+    m_lo, m_hi = _miss(lo_out), _miss(hi_out)
+    # ITP constants: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1, epsilon = tol/2
+    w0 = hi - lo
+    n_max = math.ceil(math.log2(w0 / tol)) + 1
+    margin = 0.25 * tol
+
+    for j in range(200):
+        width = hi - lo
+        if width <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        x = mid
+        if m_lo is not None and m_hi is not None and m_lo < m_hi:
+            x_f = (m_hi * lo - m_lo * hi) / (m_hi - m_lo)
+            sigma = math.copysign(1.0, mid - x_f)
+            delta = 0.2 / w0 * width * width
+            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+            x_t = min(max(x_t, lo + margin), hi - margin)
+            rho = 0.5 * tol * 2.0 ** (n_max - j) - 0.5 * width
+            x = x_t if abs(x_t - mid) <= rho else mid - sigma * rho
+            if not (lo < x < hi):
+                x = mid
+        out = shoot(x)
+        if out.shot_class is ShotClass.IN_SET_I:
+            lo, lo_out, m_lo = x, out, _miss(out)
+        else:
+            hi, m_hi = x, _miss(out)
+    return lo, lo_out, hi
+
+
 def bisect_ground_state(params: ModelParams,
                         config: IntegratorConfig | None = None,
                         x_tol: float = 1e-12) -> GroundState:
     """Bracket sup I to width x_tol and certify the inner trajectory.
 
     The search starts from seed_bracket's pair, its last InSetI probe and
-    the first probe past it, and closes the bracket by ITP (Oliveira and
-    Takahashi, ACM TOMS 47(1), 2020) on the miss r_x^2 H(r_x) of _miss:
-    regula falsi between the two ends, truncated toward the midpoint and
-    kept x_tol/4 inside both ends, then projected into the ball around
-    the midpoint that bounds the loop at ceil(log2(w0/x_tol)) + 1 shots,
-    one more than bisection.  When an end carries no miss the step is the
-    midpoint.  The loop invariant is classify(x_lo) = InSetI and
-    classify(x_hi) is anything else; Undetermined shots get a doubled
-    horizon (to 4x) and go to the x_hi side if still undecided.  When the
-    seed pair is already narrower than x_tol, nothing is shot before the
-    final verification shot at the midpoint.  x* itself is not
-    numerically attainable, so unless that shot decays outright, the
-    returned state sits at the final x_lo whose InSetI trajectory is the
-    certificate.  When that x_lo is the largest float below 1, the
-    certificate comes instead from _wall_search below the float grid, and
+    the first probe past it, and closes the bracket in x by _itp.  The
+    loop invariant is classify(x_lo) = InSetI and classify(x_hi) is
+    anything else; Undetermined shots get a doubled horizon (to 4x) and go
+    to the x_hi side if still undecided.  When the seed pair is already
+    narrower than x_tol, nothing is shot before the final verification
+    shot at the midpoint.  x* itself is not numerically attainable, so
+    unless that shot decays outright, the returned state sits at the final
+    x_lo whose InSetI trajectory is the certificate.  When that x_lo is
+    the largest float below 1, the certificate comes instead from
+    _wall_search, the same _itp in -ln u0 below the float grid, and
     u_star reports u*.
     """
     if x_tol <= 0.0:
         raise ValueError("x_tol must be positive")
     cfg = config or DEFAULT_CONFIG
     lo_out, hi_out = seed_bracket(params, cfg)
-    x_lo, x_hi = lo_out.x0, hi_out.x0
-    m_lo, m_hi = _miss(lo_out), _miss(hi_out)
-    # ITP constants: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1, epsilon = x_tol/2
-    w0 = x_hi - x_lo
-    n_max = math.ceil(math.log2(w0 / x_tol)) + 1
-    margin = 0.25 * x_tol
-
-    for j in range(200):
-        width = x_hi - x_lo
-        if width <= x_tol:
-            break
-        mid = 0.5 * (x_lo + x_hi)
-        if not (x_lo < mid < x_hi):
-            break
-        x = mid
-        if m_lo is not None and m_hi is not None and m_lo < m_hi:
-            x_f = (m_hi * x_lo - m_lo * x_hi) / (m_hi - m_lo)
-            sigma = math.copysign(1.0, mid - x_f)
-            delta = 0.2 / w0 * width * width
-            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-            x_t = min(max(x_t, x_lo + margin), x_hi - margin)
-            rho = 0.5 * x_tol * 2.0 ** (n_max - j) - 0.5 * width
-            x = x_t if abs(x_t - mid) <= rho else mid - sigma * rho
-            if not (x_lo < x < x_hi):
-                x = mid
-        out = _classify_escalating(x, params, cfg)
-        if out.shot_class is ShotClass.IN_SET_I:
-            x_lo, lo_out, m_lo = x, out, _miss(out)
-        else:
-            x_hi, m_hi = x, _miss(out)
+    x_lo, lo_out, x_hi = _itp(lo_out.x0, hi_out.x0, lo_out, hi_out,
+                              lambda x: _classify_escalating(x, params, cfg), x_tol)
 
     mid = 0.5 * (x_lo + x_hi)
     ver = _classify_escalating(mid, params, cfg) if x_lo < mid < x_hi else None
@@ -477,9 +473,13 @@ def _tail_start(r: np.ndarray, amp: np.ndarray) -> int | None:
     return k + int(np.searchsorted(r[k:], cut))
 
 
-# 3-point Gauss-Legendre nodes and weights on [-1, 1]
-_GAUSS_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-_GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# 5-point Gauss-Legendre nodes and weights on [-1, 1]
+_GAUSS_IN = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_GAUSS_OUT = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_GAUSS_NODES = np.array([-_GAUSS_OUT, -_GAUSS_IN, 0.0, _GAUSS_IN, _GAUSS_OUT])
+_W_IN = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
+_W_OUT = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+_GAUSS_WEIGHTS = np.array([_W_OUT, _W_IN, 128.0 / 225.0, _W_IN, _W_OUT])
 
 
 def dissipation_residual(traj: Trajectory) -> float:
@@ -488,7 +488,7 @@ def dissipation_residual(traj: Trajectory) -> float:
 
     Along the radial flow H(r_{i+1}) - H(r_i) = -int (2/r) f^2 (1 - g^2) dr
     exactly between any two rows; each step's integral is summed by
-    3-point Gauss-Legendre on the trajectory's interpolant.
+    5-point Gauss-Legendre on the trajectory's interpolant.
     """
     r = traj.r
     if len(r) < 2:
@@ -496,7 +496,7 @@ def dissipation_residual(traj: Trajectory) -> float:
     half = 0.5 * np.diff(r)
     nodes = ((r[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES).ravel()
     fs, gs = traj.sample_on(nodes)
-    rate = ((2.0 / nodes) * fs * fs * (1.0 - gs * gs)).reshape(-1, 3)
+    rate = ((2.0 / nodes) * fs * fs * (1.0 - gs * gs)).reshape(-1, len(_GAUSS_NODES))
     loss = half * (rate @ _GAUSS_WEIGHTS)
     scale = float(np.max(np.abs(loss)))
     if scale == 0.0:
@@ -520,7 +520,7 @@ def audit_lemmas(gs: GroundState, params: ModelParams) -> LemmaReport:
     checks: list[LemmaCheck] = []
 
     v = dissipation_residual(traj)
-    checks.append(LemmaCheck("energy_dissipation", v <= 1e-4, v, 1e-4))
+    checks.append(LemmaCheck("energy_dissipation", v <= 1e-8, v, 1e-8))
 
     # judged on 1 - g^2, which keeps u's precision on the wall chart
     v = float(gsq.max())

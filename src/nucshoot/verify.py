@@ -115,7 +115,7 @@ def _ground_state(config: IntegratorConfig, seed: int, x_tol: float) -> float:
 CHECKS = (
     Check("coth_oracle", _coth_oracle, 1e-6),
     Check("conservative_energy_drift", _energy_drift, 1e-8),
-    Check("dissipation_identity", _dissipation, 1e-4),
+    Check("dissipation_identity", _dissipation, 1e-8),
     Check("nonexistence_grids", _nonexistence, 0.0),
     Check("shifted_convergence", _shifted, 1e-2),
     Check("ground_state_9_4_audit", _ground_state, 1e-10),

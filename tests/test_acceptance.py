@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from nucshoot.integrator import (IntegratorConfig, integrate_conservative,
-                                 integrate_radial, integrate_shifted,
-                                 series_start)
+                                 integrate_radial, integrate_shifted)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_coth,
                             vector_field)
 from nucshoot.physics import plateau_metrics, potentials
@@ -191,7 +190,7 @@ def test_criterion_10_gradient_and_series():
 
     r0 = 1e-8
     for x in rng.uniform(0.05, 1.3, size=100):
-        p = series_start(float(x), P94, r0)
-        slope = p.f / r0
+        traj = integrate_radial(float(x), P94, IntegratorConfig(r_max=1e-5))
+        slope = traj.sample_on([r0])[0][0] / r0
         assert abs(slope - x * (4.0 - 9.0 * x * x) / 3.0) <= 1e-12
     assert time.perf_counter() - t0 < 2.0

@@ -13,7 +13,7 @@ from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  IntegratorConfig, StiffnessError,
                                  TerminationKind, integrate_conservative,
                                  integrate_radial, integrate_shifted,
-                                 integrate_wall, series_start)
+                                 integrate_wall)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_coth,
                             vector_field)
 from nucshoot.shooting import classify_shot, default_events
@@ -164,10 +164,18 @@ def test_rows_tile_the_segments():
             assert abs(g - traj.g[end - k + 1 + j]) <= 4e-16 * max(1.0, abs(g))
 
 
+def _series_at(x0, params, r):
+    """(f, g) of the regular solution's power series at the origin,
+    summed at the radius r to the order a radial run hands off with."""
+    f, g = integrator._series_eval(integrator._series_coefficients(x0, params),
+                                   x0, x0, np.array([r]))
+    return float(f[0]), float(g[0])
+
+
 def _sample_reference(traj, r):
     """One radius the long way: end clamps, then the segment whose start
     is the last one at or below r, evaluated by _segment_eval, or below
-    the first segment series_start's sum of the series."""
+    the first segment the sum of the series."""
     if r <= traj.r[0]:
         return traj.f[0], traj.g[0]
     if r >= traj.r[-1]:
@@ -175,8 +183,7 @@ def _sample_reference(traj, r):
     starts = [seg[0] for seg in traj._segments]
     if starts and r >= starts[0]:
         return integrator._segment_eval(traj._segments[bisect.bisect_right(starts, r) - 1], r)
-    p = series_start(traj.x0, traj.params, r)
-    return p.f, p.g
+    return _series_at(traj.x0, traj.params, r)
 
 
 def test_sample_on_equals_segment_eval_loop():
@@ -216,8 +223,9 @@ def test_sample_at_nodes_and_clamping():
 
 
 def test_sample_at_series_region():
-    """On [0, r_h] sample_on sums the series: it equals series_start, and
-    near the origin the leading terms f'(0) r and x + g''(0) r^2 / 2."""
+    """On [0, r_h] sample_on sums the series: it equals the series summed
+    point by point, and near the origin the leading terms f'(0) r and
+    x + g''(0) r^2 / 2."""
     x0 = 0.8
     traj = integrate_radial(x0, P94, IntegratorConfig(r_max=2.0))
     r_h = traj._series[0]
@@ -225,8 +233,7 @@ def test_sample_at_series_region():
     rs = np.linspace(0.0, r_h, 97)[1:]
     fs, gs = traj.sample_on(rs)
     for r, f, g in zip(rs, fs, gs):
-        p = series_start(x0, P94, float(r))
-        assert (f, g) == (p.f, p.g)
+        assert (f, g) == _series_at(x0, P94, float(r))
     r = 1e-7
     f, g = _sample(traj, r)
     c1 = x0 * (P94.b - P94.a * x0 * x0) / 3.0
@@ -242,7 +249,7 @@ def test_series_start_matches_taylor():
     mp = pytest.importorskip("mpmath")
     x0 = 0.8
     r_h = integrate_radial(x0, P94, IntegratorConfig(r_max=2.0))._series[0]
-    p = series_start(x0, P94, r_h)
+    f, g = _series_at(x0, P94, r_h)
     with mp.workdps(30):
         a, b, x, r0 = mp.mpf(P94.a), mp.mpf(P94.b), mp.mpf(x0), mp.mpf("1e-5")
         c1 = x * (b - a * x * x) / 3
@@ -250,9 +257,7 @@ def test_series_start_matches_taylor():
                                        y[0] * (1 - y[1] ** 2)],
                          r0, [c1 * r0, x + c1 * (1 - x * x) * r0 ** 2 / 2])
         f_ref, g_ref = shot(mp.mpf(r_h))
-        assert abs(p.f - f_ref) <= 1e-13 and abs(p.g - g_ref) <= 1e-13
-    with pytest.raises(ValueError):
-        series_start(x0, P94, 0.0)
+        assert abs(f - f_ref) <= 1e-13 and abs(g - g_ref) <= 1e-13
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -311,10 +316,10 @@ def test_series_start_for_tiny_x0(x0):
     assert np.all(coef[:, :-1] != 0.0)
     r_h = integrator._handoff_radius(coef, P94)
     assert 2.0 < r_h < 4.0
-    p = series_start(x0, P94, r_h)
+    f, g = _series_at(x0, P94, r_h)
     z = 2.0 * r_h
-    assert p.g == pytest.approx(x0 * math.sinh(z) / z, rel=1e-14)
-    assert p.f == pytest.approx(x0 * 2.0 * (z * math.cosh(z) - math.sinh(z)) / (z * z),
+    assert g == pytest.approx(x0 * math.sinh(z) / z, rel=1e-14)
+    assert f == pytest.approx(x0 * 2.0 * (z * math.cosh(z) - math.sinh(z)) / (z * z),
                                 rel=1e-14)
 
 

@@ -11,7 +11,7 @@ from nucshoot.model import ModelParams, PhasePoint, energy, exact_trivial
 from nucshoot.portrait import (Branch, UndefinedLiftError, admissible_contains,
                                admissible_region, branch_domains,
                                branch_functions, discriminant,
-                               energy_sign_grid, level_curves, quartic_residual,
+                               energy_sign_grid, level_curves,
                                winding_count, zero_contour)
 
 P94 = ModelParams(9.0, 4.0)
@@ -47,8 +47,7 @@ def test_no_branch_below_discriminant():
 def test_curve_samples_satisfy_quartic():
     for level in (-0.3, 0.0, 0.1, 0.25):
         for curve in level_curves(P94, [level], resolution=300):
-            res = quartic_residual(curve.samples[:, 0], curve.samples[:, 1],
-                                   level, P94)
+            res = 4 * (energy(curve.samples[:, 0], curve.samples[:, 1], P94) - level)
             assert np.max(np.abs(res)) <= 1e-9 * (1.0 + abs(level))
 
 
@@ -67,7 +66,7 @@ def test_critical_zero_contour_factors_into_lines():
     curves = zero_contour(p, resolution=101)
     assert len(curves) == 4
     for curve in curves:
-        res = quartic_residual(curve.samples[:, 0], curve.samples[:, 1], 0.0, p)
+        res = 4 * energy(curve.samples[:, 0], curve.samples[:, 1], p)
         assert np.max(np.abs(res)) <= 1e-9
     slanted = [c for c in curves if c.branch in (Branch.H2_PLUS, Branch.H2_MINUS)]
     for c in slanted:
@@ -84,7 +83,7 @@ def test_subcritical_level_curve_spans_all_f():
         assert len(curve.domain) == 1
         lo, hi = curve.domain[0]
         assert lo == -hi   # single mirrored interval through f = 0
-        res = quartic_residual(curve.samples[:, 0], curve.samples[:, 1], 0.0, p)
+        res = 4 * energy(curve.samples[:, 0], curve.samples[:, 1], p)
         assert np.max(np.abs(res)) <= 1e-9
 
 
@@ -96,7 +95,7 @@ def test_level_curves_validation():
 def test_conservative_orbit_rides_its_level_set():
     traj = integrate_conservative(PhasePoint(0.3, 0.4), P94,
                                   IntegratorConfig(r_max=30.0))
-    res = quartic_residual(traj.f, traj.g, float(traj.H[0]), P94)
+    res = 4 * (energy(traj.f, traj.g, P94) - float(traj.H[0]))
     assert np.max(np.abs(res)) <= 1e-7
 
 

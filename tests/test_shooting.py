@@ -1,11 +1,12 @@
 """Shot taxonomy, bracketing, bisection, tail amplitudes, lemma audits."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from nucshoot import shooting
-from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
+from nucshoot.integrator import (BLOWUP_THRESHOLD, DEFAULT_CONFIG, EventKind,
                                  IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial,
                                  integrate_shifted)
@@ -219,6 +220,20 @@ def shot_xs(monkeypatch):
     return xs
 
 
+@pytest.fixture
+def wall_u0s(monkeypatch):
+    """The u0 of every _classify_wall_shot call the shooting module makes."""
+    u0s = []
+    shoot = shooting._classify_wall_shot
+
+    def recording(u0, params, config=None):
+        u0s.append(float(u0))
+        return shoot(u0, params, config)
+
+    monkeypatch.setattr(shooting, "_classify_wall_shot", recording)
+    return u0s
+
+
 def test_seed_bracket_values(shot_xs):
     """After x_lo, probe k sits at 1 - u0 10^-k with u0 = 1 - sqrt(2b/a);
     the last InSetI probe and the first other one form the bracket."""
@@ -315,10 +330,12 @@ def test_miss_is_linear_in_distance_to_x_star(params):
     lambda out: -1.0 if out.shot_class is ShotClass.IN_SET_I else 1e-12,
     lambda out: None,
 ], ids=["hugs_lo", "hugs_hi", "none"])
-def test_itp_keeps_bisection_worst_case(shot_xs, monkeypatch, miss):
+def test_itp_keeps_bisection_worst_case(shot_xs, wall_u0s, monkeypatch, miss):
     """Whatever the miss, the shots after the seed scan stay within
     ceil(log2(w0/x_tol)) + 1 plus the verification shot, and the
-    certificate passes the audit; with no miss ITP is plain bisection."""
+    certificate passes the audit; with no miss ITP is plain bisection,
+    in x and, below the float grid at (9, 4.3), in t = -ln u0, where
+    it stays within the same bound after its two end shots."""
     lo_out, hi_out = seed_bracket(P41)
     n_seed = len(shot_xs)
     shot_xs.clear()
@@ -338,6 +355,10 @@ def test_itp_keeps_bisection_worst_case(shot_xs, monkeypatch, miss):
         ver = classify_shot(0.5 * (lo + hi), P41).shot_class
         in_i = ver in (ShotClass.IN_SET_I, ShotClass.DECAYED)
         assert gs.x_star == (0.5 * (lo + hi) if in_i else lo)
+        cert, u_star = shooting._wall_search(ModelParams(9.0, 4.3), DEFAULT_CONFIG, 1e-12)
+        assert cert.shot_class is ShotClass.IN_SET_I and 0.0 < u_star < 2.0 ** -53
+        w0 = math.log(2.0 ** -53 / sys.float_info.min)
+        assert len(wall_u0s) - 2 <= math.ceil(math.log2(w0 / 1e-12)) + 1
 
 
 def test_bisect_validation():
@@ -365,7 +386,7 @@ def test_ground_state_audit_details(gs94):
     assert rep.check("g_squared_below_one").value > 0.99   # rides the g = 1 wall
     assert rep.check("spinor_ratio_bound").value < 0.0     # strict margin
     assert rep.check("energy_nonincreasing").value <= 1e-10
-    assert rep.check("energy_dissipation").value <= 1e-4
+    assert rep.check("energy_dissipation").value <= 1e-8
     assert rep.check("winding_zero").value == 0.0
     with pytest.raises(KeyError):
         rep.check("no_such_check")
@@ -405,10 +426,20 @@ def test_wall_search_matches_scipy(b):
     """Below the float grid u* matches the independent (f, u) oracle, and
     the certificate is the wall search's own InSetI shot from u*."""
     gs = bisect_ground_state(ModelParams(9.0, b))
-    assert gs.u_star == pytest.approx(U_STAR_SCIPY[b], rel=1e-9)
+    assert gs.u_star == pytest.approx(U_STAR_SCIPY[b], rel=1e-11)
     traj = gs.trajectory
     assert traj.u[0] == gs.u_star and traj.x0 == 1.0
     assert np.all(traj.one_minus_g2 > 0.0) and traj.g.max() == 1.0
+
+
+@pytest.mark.parametrize("a, b", [(9.0, 4.3), (2.0, 0.975)])
+def test_wall_search_shot_count(wall_u0s, a, b):
+    """Deterministic cost gate: below the float grid the ITP closer in
+    -ln u0 takes at most 20 wall shots per search, escalations included
+    (49 and 53 with the former u0 scan and bisection in ln u0)."""
+    gs = bisect_ground_state(ModelParams(a, b))
+    assert gs.u_star is not None and gs.lemma_report.passed
+    assert len(wall_u0s) <= 20
 
 
 def test_wall_search_is_only_for_the_last_ulp():
