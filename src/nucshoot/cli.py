@@ -25,8 +25,7 @@ from .physics import InsufficientHorizonError, plateau_metrics, profile_table
 from .portrait import (admissible_contains, admissible_region,
                        energy_sign_grid, level_curves, zero_contour)
 from .serialize import SCHEMA_VERSION, csv_text, json_text, svg_plot, write_text
-from .shooting import (BracketFailureError, PrecisionExhaustedError,
-                       bisect_ground_state, classify_shot)
+from .shooting import BracketFailureError, bisect_ground_state, classify_shot
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -37,8 +36,7 @@ EXIT_USAGE = 64
 
 _DEFAULT_SEED = 20240901
 
-_NUMERICAL_ERRORS = (BracketFailureError, PrecisionExhaustedError,
-                     StiffnessError)
+_NUMERICAL_ERRORS = (BracketFailureError, StiffnessError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,8 +11,8 @@ is linear in x - x* near x* (see _miss); the deliverable is a bracket of
 width x_tol plus a certified trajectory at the inner endpoint.  Near the
 critical line a - 2b = 0, x* lies within an ulp of 1 and the float
 bracket closes at (1 - 2^-53, 1); the same ITP then goes on below the
-float grid in -ln u0, u = 1 - g, by shots solved in (f, u) (see
-_wall_search).
+float grid in -ln u0, u = 1 - g, from that bracket's InSetI end, by
+shots solved in (f, u) (see bisect_ground_state).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "LemmaCheck",
     "LemmaReport",
     "BracketFailureError",
-    "PrecisionExhaustedError",
     "default_events",
     "classify_shot",
     "classify_grid",
@@ -52,10 +51,6 @@ __all__ = [
 
 class BracketFailureError(RuntimeError):
     """The seed scan found no bracket: its first shot x_lo was not in I."""
-
-
-class PrecisionExhaustedError(RuntimeError):
-    """The search exhausted its horizon budget without a certifiable shot."""
 
 
 class ShotClass(enum.Enum):
@@ -123,10 +118,7 @@ class LemmaReport:
 @dataclass(frozen=True)
 class GroundState:
     """A bracketed ground state.  decay_rate is the tail's exact rate
-    sqrt(b) and decay_C the amplitude of its decaying mode (tail_amplitude).
-    u_star is u* = 1 - x* when the bracket closed at the largest float below
-    1 and the search went on in u below the float grid (see _wall_search);
-    the certificate is then that search's shot, else u_star is None."""
+    sqrt(b) and decay_C the amplitude of its decaying mode (tail_amplitude)."""
 
     x_star: float
     bracket: tuple[float, float]
@@ -134,7 +126,14 @@ class GroundState:
     decay_rate: float
     decay_C: float
     lemma_report: LemmaReport | None
-    u_star: float | None = None
+
+    @property
+    def u_star(self) -> float | None:
+        """u* = 1 - x*, the certificate's u0 when the search went on below
+        the float grid of x (bisect_ground_state) and its trajectory is on
+        the (f, u) chart, else None."""
+        u = self.trajectory.u
+        return None if u is None else float(u[0])
 
 
 _SIGN_TOL = 1e-10
@@ -305,32 +304,6 @@ def _classify_escalating(x0: float, params: ModelParams, cfg: IntegratorConfig,
     return out
 
 
-def _wall_search(params: ModelParams, cfg: IntegratorConfig, t_tol: float):
-    """Bracket sup I below the float grid of x: (certificate, u*) or None.
-
-    When sup I lies within an ulp of 1 the float bracket is (1 - 2^-53, 1),
-    and a shot from 1 - 2^-53 is a poor certificate: u* = 1 - x* may be
-    far smaller than 2^-53.  Shots in (f, u = 1 - g) (_classify_wall_shot)
-    from u0 = 2^-53, which must be in I (else None), and from the smallest
-    normal double, returned unrefined if in I, bracket t = -ln u0, and
-    _itp closes it to a width t_tol, the relative width t_tol in u.  u* is
-    the certificate's own u0.
-    """
-    def shoot(u0):
-        return _classify_escalating(u0, params, cfg, _classify_wall_shot)
-
-    u_in, u_out = 2.0 ** -53, sys.float_info.min
-    lo_out = shoot(u_in)
-    if lo_out.shot_class is not ShotClass.IN_SET_I:
-        return None
-    hi_out = shoot(u_out)
-    if hi_out.shot_class is ShotClass.IN_SET_I:
-        return hi_out, u_out
-    _, cert, _ = _itp(-math.log(u_in), -math.log(u_out), lo_out, hi_out,
-                      lambda t: shoot(math.exp(-t)), t_tol)
-    return cert, float(cert.trajectory.u[0])
-
-
 def _miss(out: ShotOutcome) -> float | None:
     """Signed miss r_x^2 H(r_x) of a shot: negative in I, positive past it.
 
@@ -404,39 +377,54 @@ def bisect_ground_state(params: ModelParams,
     narrower than x_tol, nothing is shot before the final verification
     shot at the midpoint.  x* itself is not numerically attainable, so
     unless that shot decays outright, the returned state sits at the final
-    x_lo whose InSetI trajectory is the certificate.  When that x_lo is
-    the largest float below 1, the certificate comes instead from
-    _wall_search, the same _itp in -ln u0 below the float grid, and
-    u_star reports u*.
+    x_lo whose InSetI trajectory is the certificate.  The verification
+    shot stays although it costs a shot: ITP's last InSetI end may lie
+    nearly a bracket width below x*, and at (8, 3.52), where 1 - x* is a
+    third of x_tol, certifying that end moved the certificate from 3% to
+    88% of 1 - x* away from x* and its plateau_score from 8.4e-3 to 0.17
+    off the scipy shot from x* (7.52).
+
+    When the bracket is (1 - 2^-53, 1), with no float between, the search
+    goes on below the float grid in t = -ln u0, u = 1 - g, by shots solved
+    in (f, u) (_classify_wall_shot).  Its one end shot, from the smallest
+    normal double, is the certificate, unrefined, if it is in I; else _itp
+    closes t to a width x_tol, the relative width x_tol in u, from x_lo's
+    own InSetI shot, whose g(0) = 1 - 2^-53 is the same (solved in (f, g),
+    its miss is a few percent off, which only steers ITP's first step).
+    The certificate is then its last InSetI shot in (f, u), whose u0 is
+    u_star, or x_lo's shot if it lands none.
     """
     if x_tol <= 0.0:
         raise ValueError("x_tol must be positive")
     cfg = config or DEFAULT_CONFIG
     lo_out, hi_out = seed_bracket(params, cfg)
-    x_lo, lo_out, x_hi = _itp(lo_out.x0, hi_out.x0, lo_out, hi_out,
-                              lambda x: _classify_escalating(x, params, cfg), x_tol)
+    x_lo, cert, x_hi = _itp(lo_out.x0, hi_out.x0, lo_out, hi_out,
+                            lambda x: _classify_escalating(x, params, cfg), x_tol)
 
+    x_star = x_lo
     mid = 0.5 * (x_lo + x_hi)
-    ver = _classify_escalating(mid, params, cfg) if x_lo < mid < x_hi else None
-    if ver is not None and ver.shot_class is ShotClass.DECAYED:
-        x_star, cert = mid, ver
-    elif ver is not None and ver.shot_class is ShotClass.IN_SET_I:
-        x_lo, lo_out = mid, ver
-        x_star, cert = x_lo, lo_out
-    else:
-        x_star, cert = x_lo, lo_out
-    if cert.shot_class not in (ShotClass.IN_SET_I, ShotClass.DECAYED):
-        raise PrecisionExhaustedError(
-            f"no certifiable trajectory inside bracket ({x_lo!r}, {x_hi!r})")
-    u_star = None
-    if x_lo == math.nextafter(1.0, 0.0) and cert is lo_out:
-        wall = _wall_search(params, cfg, x_tol)
-        if wall is not None:
-            cert, u_star = wall
+    if x_lo < mid < x_hi:
+        ver = _classify_escalating(mid, params, cfg)
+        if ver.shot_class is ShotClass.DECAYED:
+            x_star, cert = mid, ver
+        elif ver.shot_class is ShotClass.IN_SET_I:
+            x_lo = x_star = mid
+            cert = ver
+    elif x_hi == 1.0:       # the bracket is (1 - 2^-53, 1)
+        def shoot(u0):
+            return _classify_escalating(u0, params, cfg, _classify_wall_shot)
+
+        u_in, u_out = 2.0 ** -53, sys.float_info.min
+        hi_out = shoot(u_out)
+        if hi_out.shot_class is ShotClass.IN_SET_I:
+            cert = hi_out
+        else:
+            _, cert, _ = _itp(-math.log(u_in), -math.log(u_out), cert, hi_out,
+                              lambda t: shoot(math.exp(-t)), x_tol)
 
     traj = cert.trajectory
     gs = GroundState(x_star, (x_lo, x_hi), traj, math.sqrt(params.b),
-                     tail_amplitude(traj), None, u_star)
+                     tail_amplitude(traj), None)
     return replace(gs, lemma_report=audit_lemmas(gs, params))
 
 

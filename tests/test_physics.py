@@ -13,6 +13,7 @@ from nucshoot.shooting import bisect_ground_state, tail_amplitude
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
+X_STAR_044 = 0.9999999999996699     # x* at kappa = 0.44, bench/reference.json
 
 TABLE_COLUMNS = ("r", "f", "g", "f_squared", "g_squared", "rho_s", "rho_0",
                  "S", "V", "V_plus_S", "V_minus_S", "H")
@@ -109,6 +110,19 @@ def test_plateau_ordering_near_critical_vs_far(gs94, gs41):
     assert m41.plateau_score == pytest.approx(oracle.plateau_score, rel=2e-4)
     assert m94.plateau_score > 4.0 * m41.plateau_score
     assert m94.gsq_max < 1.0
+
+
+def test_verification_shot_keeps_the_plateau_at_x_star():
+    """At (8, 3.52), kappa = 0.44, 1 - x* is a third of x_tol.  With the
+    search's midpoint verification shot the certificate's plateau_score
+    stays within 1.5e-2 of the scipy shot from x* (8.4e-3 measured);
+    certifying ITP's last InSetI end instead is 0.167 off, and closing
+    ITP to x_tol / 2 without the shot 0.025."""
+    params = ModelParams(8.0, 3.52)
+    gs = bisect_ground_state(params)
+    oracle = plateau_metrics(_scipy_certificate(X_STAR_044, params))
+    assert (plateau_metrics(gs.trajectory).plateau_score
+            == pytest.approx(oracle.plateau_score, rel=0, abs=1.5e-2))
 
 
 @pytest.mark.parametrize("a, b", [(4.0, 1.0), (12.0, 1.0), (40.0, 5.0)])

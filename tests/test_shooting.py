@@ -1,12 +1,13 @@
 """Shot taxonomy, bracketing, bisection, tail amplitudes, lemma audits."""
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nucshoot import shooting
-from nucshoot.integrator import (BLOWUP_THRESHOLD, DEFAULT_CONFIG, EventKind,
+from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial,
                                  integrate_shifted)
@@ -335,7 +336,7 @@ def test_itp_keeps_bisection_worst_case(shot_xs, wall_u0s, monkeypatch, miss):
     ceil(log2(w0/x_tol)) + 1 plus the verification shot, and the
     certificate passes the audit; with no miss ITP is plain bisection,
     in x and, below the float grid at (9, 4.3), in t = -ln u0, where
-    it stays within the same bound after its two end shots."""
+    it stays within the same bound after its one end shot."""
     lo_out, hi_out = seed_bracket(P41)
     n_seed = len(shot_xs)
     shot_xs.clear()
@@ -355,10 +356,10 @@ def test_itp_keeps_bisection_worst_case(shot_xs, wall_u0s, monkeypatch, miss):
         ver = classify_shot(0.5 * (lo + hi), P41).shot_class
         in_i = ver in (ShotClass.IN_SET_I, ShotClass.DECAYED)
         assert gs.x_star == (0.5 * (lo + hi) if in_i else lo)
-        cert, u_star = shooting._wall_search(ModelParams(9.0, 4.3), DEFAULT_CONFIG, 1e-12)
-        assert cert.shot_class is ShotClass.IN_SET_I and 0.0 < u_star < 2.0 ** -53
+        gs = bisect_ground_state(ModelParams(9.0, 4.3))
+        assert 0.0 < gs.u_star < 2.0 ** -53 and gs.lemma_report.passed
         w0 = math.log(2.0 ** -53 / sys.float_info.min)
-        assert len(wall_u0s) - 2 <= math.ceil(math.log2(w0 / 1e-12)) + 1
+        assert len(wall_u0s) - 1 <= math.ceil(math.log2(w0 / 1e-12)) + 1
 
 
 def test_bisect_validation():
@@ -436,10 +437,29 @@ def test_wall_search_matches_scipy(b):
 def test_wall_search_shot_count(wall_u0s, a, b):
     """Deterministic cost gate: below the float grid the ITP closer in
     -ln u0 takes at most 20 wall shots per search, escalations included
-    (49 and 53 with the former u0 scan and bisection in ln u0)."""
+    (49 and 53 with the former u0 scan and bisection in ln u0), and
+    never shoots u0 = 2^-53 again: the x search's shot from 1 - 2^-53
+    is its InSetI end."""
     gs = bisect_ground_state(ModelParams(a, b))
     assert gs.u_star is not None and gs.lemma_report.passed
     assert len(wall_u0s) <= 20
+    assert 2.0 ** -53 not in wall_u0s
+    assert wall_u0s[0] == sys.float_info.min
+
+
+def test_wall_search_keeps_the_x_shot_without_an_inset_i_wall_shot(monkeypatch):
+    """If no shot below the float grid lands in I, the certificate stays
+    the x search's InSetI shot from 1 - 2^-53 and there is no u*."""
+    shoot = shooting._classify_wall_shot
+
+    def never_in_i(u0, params, config=None):
+        return replace(shoot(u0, params, config), shot_class=ShotClass.G_VANISHED_FIRST)
+
+    monkeypatch.setattr(shooting, "_classify_wall_shot", never_in_i)
+    gs = bisect_ground_state(ModelParams(9.0, 4.3))
+    top = math.nextafter(1.0, 0.0)
+    assert gs.bracket == (top, 1.0) and gs.x_star == top
+    assert gs.trajectory.x0 == top and gs.u_star is None
 
 
 def test_wall_search_is_only_for_the_last_ulp():
