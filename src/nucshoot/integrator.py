@@ -154,6 +154,27 @@ class EventKind(enum.Enum):
 
     A step skips a kind's probes when the value at both ends is nonzero
     with one sign and exceeds 4 spreads in size at the start.
+
+    BlowupCertain is a region, not a value: it fires at the first accepted
+    step end of the stepper (never on the series span) where
+
+        f g > 0,  0 < |g| < 1,  |g| f^2 - (4/r)|f| - 4c >= 0,  c = max(0, a - b).
+
+    It has no probes, no bisection and no spread, since any point of the
+    region proves that the radial shot blows up.  For g > 0 (the sign map
+    covers g < 0), at r0 with f0 > 0 and 0 < g0 < 1: g' = f (1 - g^2) > 0
+    while f > 0, and g = 1 is invariant, so g stays in (g0, 1); on g in
+    [0, 1], g (b - a g^2) >= -c, so for r >= r0
+
+        f' >= g0 f^2 - (2/r0) f - c = g0 (f - f+) (f - f-),
+        f+- = [1/r0 +- sqrt(1/r0^2 + g0 c)] / g0.
+
+    The region is f0 >= 2 f+, so f grows and blows up before r0 + T, T =
+    ln((f0 - f-)/(f0 - f+)) / (g0 (f+ - f-)); f0 > f+ would suffice, and
+    the factor 2 is a margin far above the step's error in (f0, g0).  No
+    other kind can fire first: f keeps its sign, g never reaches 0 or 1,
+    |f| + |g| grows, and by the trap lemma (model.trap_energy) H cannot
+    fall below the trap level on a shot that blows up.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
@@ -161,6 +182,7 @@ class EventKind(enum.Enum):
     G_SQUARED_REACHES_ONE = "GSquaredReachesOne"
     DECAY_DETECTED = "DecayDetected"
     ENERGY_BARRIER = "EnergyBarrier"
+    BLOWUP_CERTAIN = "BlowupCertain"
 
 
 class TerminationKind(enum.Enum):
@@ -584,14 +606,17 @@ def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
 
 
 def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
-               event_fns=(), h_init: float | None = None, units=(1.0, 1.0)):
+               event_fns=(), h_init: float | None = None, units=(1.0, 1.0),
+               blowup_c: float | None = None):
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
     (kind, value_fn(f, g), level, spread(e_f, e_g, g)) tuples evaluated on
     accepted steps, where every kind fires where its value falls through
-    zero.  The first trial step is h_init, by default _H_INIT.  The
-    absolute tolerance of f and g is cfg.atol times their units.
+    zero.  BlowupCertain is armed by its constant blowup_c = max(0, a - b)
+    and fires at a step end in its region (see EventKind).  The first
+    trial step is h_init, by default _H_INIT.  The absolute tolerance of
+    f and g is cfg.atol times their units.
     """
     rtol, r_end = cfg.rtol, cfg.r_max
     atol_f, atol_g = cfg.atol * units[0], cfg.atol * units[1]
@@ -828,6 +853,13 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                     candidates.append((_bisect_root(ev, xs[j], xs[j + 1], _EVENT_DR), kind))
                     break
 
+        # -- the proved blowup region, at the step end only: one product
+        # and one compare on a step with f g <= 0
+        if blowup_c is not None and f1 * g1 > 0.0:
+            af, ag = abs(f1), abs(g1)
+            if ag < 1.0 and ag * af * af >= 4.0 * (af / r1 + blowup_c):
+                candidates.append((r1, EventKind.BLOWUP_CERTAIN))
+
         if abs(f1) + abs(g1) > blowup_threshold:
             def ev_blow(rv):
                 fv, gv = _segment_eval(seg, rv)
@@ -872,7 +904,8 @@ _DECAY_SLACK = _DECAY_EPS * 2.0 ** -52
 
 
 def _event_functions(events, params: ModelParams, wall: bool = False):
-    """(kind, value(f, g), level, spread(e_f, e_g, g)) per kind; see EventKind.
+    """(kind, value(f, g), level, spread(e_f, e_g, g)) per kind with a
+    value; see EventKind.  BlowupCertain has none and is left out.
 
     On the wall chart the functions take (f, u) and evaluate the kind's
     rule at g = 1 - u, except 1 - g^2, which is u (2 - u) there: its sign
@@ -896,7 +929,7 @@ def _event_functions(events, params: ModelParams, wall: bool = False):
         table[EventKind.G_SQUARED_REACHES_ONE] = (
             lambda f, u: u * (2.0 - u), False,
             lambda e_f, e_u, u: e_u * (2.0 * abs(1.0 - u) + e_u))
-    return [(kind,) + table[kind] for kind in events]
+    return [(kind,) + table[kind] for kind in events if kind in table]
 
 
 def _wall_field(params: ModelParams):
@@ -911,7 +944,7 @@ def _wall_field(params: ModelParams):
 
 
 def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, event_fns,
-                params: ModelParams, cfg: IntegratorConfig):
+                params: ModelParams, cfg: IntegratorConfig, blowup_c: float | None = None):
     """The series span from the origin, then the stepper from r_h; returns
     (rs, fs, ys, segments, termination, series)."""
     r_h = min(_handoff_radius(coef, params), cfg.r_max)
@@ -921,7 +954,7 @@ def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, event_fns,
     segs = []
     if term is None and r_h < cfg.r_max:
         out = _run_dopri(deriv, r_h, fs[-1], ys[-1], cfg, event_fns,
-                         h_init=r_h * cfg.rtol ** 0.125, units=units)
+                         h_init=r_h * cfg.rtol ** 0.125, units=units, blowup_c=blowup_c)
         rs += out[0][1:]
         fs += out[1][1:]
         ys += out[2][1:]
@@ -945,13 +978,17 @@ def integrate_radial(x0: float, params: ModelParams,
     of the armed `EventKind`s (`events`) to fire; simultaneous events
     localized within 1e-12 of each other are reported together (the flow
     cannot vanish two components at once away from the origin, so a tie
-    flags numerical ambiguity, not physics).
+    flags numerical ambiguity, not physics).  Blowup is the threshold
+    |f| + |g| = BLOWUP_THRESHOLD, or BlowupCertain's proof if it is armed.
     """
     cfg = config or DEFAULT_CONFIG
     unit = min(1.0, abs(x0)) or 1.0
+    blowup_c = (max(0.0, params.a - params.b)
+                if EventKind.BLOWUP_CERTAIN in events else None)
     rs, fs, gs, segs, term, series = _radial_run(
         _series_coefficients(x0, params), x0, x0, vector_field(params),
-        (unit * math.sqrt(params.a), unit), _event_functions(events, params), params, cfg)
+        (unit * math.sqrt(params.a), unit), _event_functions(events, params), params, cfg,
+        blowup_c)
     return Trajectory(rs, fs, gs, params, x0, term, segs, series)
 
 
@@ -969,9 +1006,12 @@ def integrate_wall(u0: float, params: ModelParams,
     1 - u0 (1.0 once u0 is below half an ulp), g = 1 - u, and u at its
     rows.  Events and r_max act as in integrate_radial; blowup is
     |f| + |u| >= BLOWUP_THRESHOLD, within 1 of the (f, g) level.
+    BlowupCertain is not available on this chart.
     """
     if not u0 >= 0.0:
         raise ValueError("u0 = 1 - g(0) must be nonnegative")
+    if EventKind.BLOWUP_CERTAIN in events:
+        raise ValueError("BlowupCertain is tested in (f, g) only")
     cfg = config or DEFAULT_CONFIG
     unit = min(1.0, u0) or 1.0
     rs, fs, us, segs, term, series = _radial_run(

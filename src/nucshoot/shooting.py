@@ -148,8 +148,11 @@ def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
 
     FCrossesZero is armed only where membership in I is possible at all,
     i.e. sqrt(b/a) < x0 < 1 where f starts out negative; elsewhere a
-    rising f-zero carries no information.  GSquaredReachesOne is armed
-    for 0 < x0 < 1 (starting on or beyond g^2 = 1 makes it meaningless).
+    rising f-zero carries no information.  GSquaredReachesOne and
+    BlowupCertain are armed for 0 < x0 < 1 (starting on or beyond g^2 = 1
+    makes the first meaningless, and the second's proof needs g < 1); a
+    shot in BlowupCertain's region would otherwise only reach the Blowup
+    threshold later, since no other kind can fire first from there.
     EnergyBarrier is armed only where no ground state exists but the trap
     well does (b < a <= 2b) and FCrossesZero is not armed (0 < x0 <=
     sqrt(b/a)), so it never pre-empts the I / non-I decision of a search.
@@ -159,7 +162,7 @@ def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
     if sb < x0 < 1.0:
         events.append(EventKind.F_CROSSES_ZERO)
     if 0.0 < x0 < 1.0:
-        events.append(EventKind.G_SQUARED_REACHES_ONE)
+        events += [EventKind.G_SQUARED_REACHES_ONE, EventKind.BLOWUP_CERTAIN]
     if params.b < params.a <= 2.0 * params.b and 0.0 < x0 <= sb:
         events.append(EventKind.ENERGY_BARRIER)
     return tuple(events)
@@ -213,12 +216,15 @@ _WALL_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO,
 def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
     """The class of a shot with g(0) > 0 from how its trajectory ended."""
     term = traj.termination
-    if term.kind is not TerminationKind.EVENT:
+    if (term.kind is not TerminationKind.EVENT
+            or term.event_kinds == (EventKind.BLOWUP_CERTAIN,)):
+        # a shot that rode within _TRAP_TOL of g^2 = 1 all along is
+        # Trapped, whether it reached r_max or blew up
         if float(np.min(traj.g ** 2)) >= 1.0 - _TRAP_TOL:
             return ShotClass.TRAPPED
-        if term.kind is TerminationKind.BLOWUP:
-            return ShotClass.BLOWUP
-        return ShotClass.UNDETERMINED
+        if term.kind is TerminationKind.REACHED_RMAX:
+            return ShotClass.UNDETERMINED
+        return ShotClass.BLOWUP
     if len(term.event_kinds) != 1:
         # simultaneous f- and g-zeros cannot happen away from the origin,
         # so a localization tie is numerical ambiguity

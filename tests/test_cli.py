@@ -165,6 +165,18 @@ def test_classify_energy_trapped_shot(tmp_path, capsys):
     assert payload["r_end"] == payload["r_x"] < 200.0
 
 
+def test_classify_blowup_certain_shot(tmp_path, capsys):
+    """The (1, 4) shot from 0.8 stops where the blowup is proved, before
+    the threshold |f| + |g| = 1e3 that it reaches at r = 1.8787."""
+    code = main(["classify", "--a", "1", "--b", "4", "--x", "0.8",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["shot_class"] == "Blowup"
+    assert payload["termination"].startswith("Event(BlowupCertain, ")
+    assert payload["r_end"] == payload["r_x"] < 1.8787
+
+
 def test_portrait_artifacts(tmp_path):
     code = main(["portrait", "--a", "9", "--b", "4", "--resolution", "80",
                  "--levels=-0.2,0,0.1", "--out", str(tmp_path)])

@@ -489,6 +489,29 @@ def test_blowup_termination():
     assert size == pytest.approx(BLOWUP_THRESHOLD, rel=1e-6)
 
 
+def test_blowup_certain_ends_at_a_step_end_in_its_region():
+    """Armed, BlowupCertain stops the (1, 4) shot from 0.8 at the end of
+    an accepted step, before the threshold path's r = 1.8787, and the end
+    state lies in the lemma's region (c = 0 for a <= b); its sign-mapped
+    twin from -0.8 stops at the same radius.  From 1.2 the shot keeps
+    g > 1, outside the lemma, and ends at the threshold."""
+    armed = (EventKind.BLOWUP_CERTAIN,)
+    above = integrate_radial(1.2, ModelParams(1.0, 4.0), events=armed)
+    assert above.termination.kind is TerminationKind.BLOWUP
+    traj = integrate_radial(0.8, ModelParams(1.0, 4.0), events=armed)
+    term = traj.termination
+    assert term.event_kinds == (EventKind.BLOWUP_CERTAIN,)
+    assert term.r < 1.8
+    r0, h = traj._segments[-1][:2]
+    assert term.r == r0 + h
+    f, g = traj.f[-1], traj.g[-1]
+    assert f > 0.0 and 0.0 < g < 1.0
+    assert g * f * f >= (4.0 / term.r) * f
+    assert integrate_radial(-0.8, ModelParams(1.0, 4.0), events=armed).termination == term
+    with pytest.raises(ValueError, match="BlowupCertain"):
+        integrate_wall(0.2, ModelParams(1.0, 4.0), events=armed)
+
+
 def test_stiffness_error_carries_radius(monkeypatch):
     monkeypatch.setattr(integrator, "BLOWUP_THRESHOLD", 1e300)
     with pytest.raises(StiffnessError) as exc:

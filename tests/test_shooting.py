@@ -201,6 +201,78 @@ def test_energy_trapped_shots_stay_trapped_under_scipy():
     assert amp.max() < BLOWUP_THRESHOLD
 
 
+def _blowup_certain(out):
+    return out.trajectory.termination.event_kinds == (EventKind.BLOWUP_CERTAIN,)
+
+
+def test_blowup_certain_shots_blow_up_under_scipy():
+    """Continue every BlowupCertain shot of the criterion-5 grids, and of
+    (2.5, 2), where b < a < 2b makes c = a - b positive, from its event
+    state with scipy's DOP853: f g > 0 and 0 < g < 1 hold until |f| + |g|
+    reaches BLOWUP_THRESHOLD, and it is reached before the lemma's bound
+    r0 + T (EventKind)."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    seen = {}
+    for params in (ModelParams(4.0, 4.0), ModelParams(1.0, 4.0), P32, ModelParams(2.5, 2.0)):
+        a, b = params.a, params.b
+        c = max(0.0, a - b)
+
+        def rhs(r, y):
+            f, g = y
+            return [-2.0 * f / r + g * (f * f - a * g * g + b), f * (1.0 - g * g)]
+
+        def threshold(r, y):
+            return abs(y[0]) + abs(y[1]) - BLOWUP_THRESHOLD
+
+        threshold.terminal = True
+        outs = [o for o in classify_grid(params, GRID, R200) if _blowup_certain(o)]
+        seen[(a, b)] = len(outs)
+        for out in outs:
+            assert out.shot_class is ShotClass.BLOWUP
+            r0, f0, g0 = out.r_x, float(out.trajectory.f[-1]), out.g_at_rx
+            root = math.sqrt(1.0 / r0 ** 2 + g0 * c)
+            f_plus, f_minus = (1.0 / r0 + root) / g0, (1.0 / r0 - root) / g0
+            assert f0 >= 2.0 * f_plus * (1.0 - 1e-12)
+            T = math.log((f0 - f_minus) / (f0 - f_plus)) / (g0 * (f_plus - f_minus))
+            sol = solve_ivp(rhs, (r0, r0 + T), [f0, g0], method="DOP853",
+                            events=threshold, rtol=1e-10, atol=1e-12)
+            assert sol.status == 1, (a, b, out.x0, sol.message)
+            f, g = sol.y
+            assert np.all(f * g > 0.0) and np.all((0.0 < g) & (g < 1.0)), (a, b, out.x0)
+    assert seen == {(4.0, 4.0): 50, (1.0, 4.0): 50, (3.0, 2.0): 1, (2.5, 2.0): 9}
+
+
+def test_blowup_certain_changes_no_class_or_search(monkeypatch):
+    """With BlowupCertain armed and disarmed, every shot of the
+    criterion-5 grids and of a signed (9, 4) grid gets the same class,
+    and the five bench anchor searches return bit-identical x*, brackets
+    and certificate rows.  The (9, 4) grid runs to r = 25, not 200: half
+    its shots circle the well to r_max, and the classes are compared at
+    equal horizons."""
+    grids = [(ModelParams(a, b), GRID, R200) for a, b in ((4.0, 4.0), (1.0, 4.0), (3.0, 2.0))]
+    grids.append((P94, np.linspace(-1.2, 1.2, 97), IntegratorConfig(r_max=25.0)))
+    anchors = [ModelParams(a, b) for a, b in
+               ((9.0, 4.0), (4.0, 1.0), (12.0, 1.0), (9.0, 2.0), (10.0, 4.5))]
+
+    def run():
+        outs = [classify_grid(*grid) for grid in grids]
+        searches = [bisect_ground_state(params) for params in anchors]
+        return ([[o.shot_class for o in grid] for grid in outs],
+                sum(map(_blowup_certain, sum(outs, []))),
+                [(gs.x_star, gs.bracket, gs.trajectory.r.tobytes(),
+                  gs.trajectory.f.tobytes(), gs.trajectory.g.tobytes())
+                 for gs in searches])
+
+    armed = run()
+    events = shooting.default_events
+    monkeypatch.setattr(shooting, "default_events", lambda x0, params: tuple(
+        k for k in events(x0, params) if k is not EventKind.BLOWUP_CERTAIN))
+    disarmed = run()
+    assert armed[1] == 101 and disarmed[1] == 0
+    assert armed[0] == disarmed[0]
+    assert armed[2] == disarmed[2]
+
+
 def test_classify_grid_matches_pointwise():
     xs = [0.0, 0.8, 1.2]
     outs = classify_grid(P94, xs)
