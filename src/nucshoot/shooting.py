@@ -5,14 +5,17 @@ forced).  Shots are classified by which phase-plane event occurs first;
 the set I collects shots whose f vanishes (from below) strictly before
 g does.  The ground state sits at x* = sup I.  The indicator "x in I" is
 numerically decidable on either side of x* but not at it, so the search
-keeps a bracket with x_lo in I and x_hi outside it, and closes it by ITP
-root-finding (_itp) on the miss r_x^2 H(r_x) at the first event, which
-is linear in x - x* near x* (see _miss); the deliverable is a bracket of
+keeps a bracket with x_lo in I and x_hi outside it.  Its first pair is
+placed by a law for t* = -ln(1 - x*) against kappa = b/a that joins the
+thin-wall limit kappa -> 1/2 to the cubic-NLS limit kappa -> 0
+(seed_bracket), and the shots' classes prove it.  ITP root-finding
+(_itp) on the miss r_x^2 H(r_x) at the first event, which is linear in
+x - x* near x* (see _miss), closes it; the deliverable is a bracket of
 width x_tol plus a certified trajectory at the inner endpoint.  Near the
 critical line a - 2b = 0, x* lies within an ulp of 1 and the float
-bracket closes at (1 - 2^-53, 1); the same ITP then goes on below the
-float grid in -ln u0, u = 1 - g, from that bracket's InSetI end, by
-shots solved in (f, u) (see bisect_ground_state).
+bracket is (1 - 2^-53, 1) from the start; the same ITP then goes on
+below the float grid in -ln u0, u = 1 - g, from that bracket's InSetI
+end, by shots solved in (f, u) (see bisect_ground_state).
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ __all__ = [
 
 
 class BracketFailureError(RuntimeError):
-    """The seed scan found no bracket: its first shot x_lo was not in I."""
+    """The seed found no bracket: its lowest probe, the midpoint of
+    (sqrt(b/a), sqrt(2b/a)), was not in I."""
 
 
 class ShotClass(enum.Enum):
@@ -255,43 +259,86 @@ def classify_grid(params: ModelParams, xs,
     return [classify_shot(float(x), params, config) for x in xs]
 
 
+# the constants of _t_law and the seed's spread in t, about twice the
+# law's worst error (0.024)
+_Q0 = 4.33738768
+_LAW_C = (-1.1418, -0.1378, -0.6111)
+_LAW_SPREAD = 0.05
+_T_WALL = 53.0 * math.log(2.0)      # -ln 2^-53: x = 1 - e^-t rounds to 1 beyond
+
+
+def _t_law(kappa: float) -> float:
+    """Predicted t* = -ln(1 - x*) at kappa = b/a, 0 < kappa < 1/2.
+
+    t_law = 4/e - 2 ln(2 sqrt(2)/e) + Q(0) sqrt(kappa) + c0 + c1 e + c2 e^2
+    with e = 1 - 2 kappa.  The first two terms are the thin-wall bounce
+    (Coleman, Phys. Rev. D 15, 2929, 1977), which gives t* as kappa -> 1/2;
+    the third is the kappa -> 0 limit, where the model reduces to
+    g'' + (2/r) g' = b g - a g^3 and x* -> Q(0) sqrt(kappa) with Q the
+    3-D cubic NLS ground state.  c0, c1, c2 are a least-squares fit of
+    the remainder to the scipy oracle's t* at the 66 kappa of
+    bench/reference.json (0.0025 ... 0.45); the law is within 0.024 of
+    t* there.
+    """
+    e = 1.0 - 2.0 * kappa
+    c0, c1, c2 = _LAW_C
+    return (4.0 / e - 2.0 * math.log(2.0 * math.sqrt(2.0) / e)
+            + _Q0 * math.sqrt(kappa) + c0 + c1 * e + c2 * e * e)
+
+
 def seed_bracket(params: ModelParams,
                  config: IntegratorConfig | None = None
                  ) -> tuple[ShotOutcome, ShotOutcome]:
     """Initial search bracket (lo_out, hi_out): an InSetI shot at lo_out.x0
     and the first shot above it that is not in I.
 
-    The scan starts at the midpoint of (sqrt(b/a), sqrt(2b/a)), which lies
-    in I for every Supercritical pair, then probes x = 1 - u0 * 10^-k for
-    k = 0, 1, ... with u0 = 1 - sqrt(2b/a), clamped to the largest float
-    below 1, so the distance u = 1 - x to the invariant line g = 1 shrinks
-    geometrically; x = 1 itself, the exact g == 1 solution, is never in I
-    and is the last probe.  Every probe is classified like a search shot
-    (horizon escalation, then anything but InSetI counts as outside I),
-    the last InSetI probe becomes lo_out and the probe after it hi_out.
+    The pair is placed by _t_law in t = -ln(1 - x): x = -expm1(-t) at
+    t = _t_law(b/a) - d, then at _t_law(b/a) + d, d = _LAW_SPREAD.  The
+    lower probe is clamped to [x_floor, 1 - 2^-53], x_floor the midpoint
+    of (sqrt(b/a), sqrt(2b/a)), which lies in I for every Supercritical
+    pair; the upper probe is x = 1, the exact g == 1 solution and never
+    in I, once t passes -ln 2^-53.  A probe on the wrong side of x*
+    becomes the other end of the bracket and doubles d on its own side,
+    so the classes prove the bracket and a bad law costs shots, never an
+    answer.  Every probe is classified like a search shot (horizon
+    escalation, then anything but InSetI counts as outside I).
     Near-critical pairs (2b/a close to 1) put sup I within an ulp of 1,
-    and the bracket is then (largest float below 1, 1).
+    and the bracket is then (1 - 2^-53, 1) in two shots.
     """
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("ground-state bracketing requires a - 2b > 0")
     cfg = config or DEFAULT_CONFIG
-    sb = math.sqrt(params.b / params.a)
-    s2b = math.sqrt(2.0 * params.b / params.a)
-    x_lo = 0.5 * (sb + s2b)
-    lo_out = classify_shot(x_lo, params, cfg)
-    if lo_out.shot_class is not ShotClass.IN_SET_I:
-        raise BracketFailureError(
-            f"seed x_lo = {x_lo:.6g} classified {lo_out.shot_class.value}, "
-            "expected InSetI; integrator settings are likely too loose")
-    top = math.nextafter(1.0, 0.0)
-    u, x = 1.0 - s2b, x_lo
-    while True:
-        x = min(1.0 - u, top) if x < top else 1.0
+    kappa = params.b / params.a
+    x_floor = 0.5 * (math.sqrt(kappa) + math.sqrt(2.0 * kappa))
+    t = _t_law(kappa)
+    lo_out = hi_out = None
+    d = _LAW_SPREAD
+    while lo_out is None:
+        x = min(max(-math.expm1(-(t - d)), x_floor), math.nextafter(1.0, 0.0))
+        d *= 2.0
+        if hi_out is not None and x >= hi_out.x0:
+            continue
         out = _classify_escalating(x, params, cfg)
-        if out.shot_class is not ShotClass.IN_SET_I or x == 1.0:
-            return lo_out, out
-        lo_out = out
-        u /= 10.0
+        if out.shot_class is ShotClass.IN_SET_I:
+            lo_out = out
+        elif x == x_floor:
+            raise BracketFailureError(
+                f"seed x_lo = {x:.6g} classified {out.shot_class.value}, "
+                "expected InSetI; integrator settings are likely too loose")
+        else:
+            hi_out = out
+    d = _LAW_SPREAD
+    while hi_out is None:
+        x = 1.0 if t + d > _T_WALL else -math.expm1(-(t + d))
+        d *= 2.0
+        if x <= lo_out.x0:
+            continue
+        out = _classify_escalating(x, params, cfg)
+        if out.shot_class is ShotClass.IN_SET_I:
+            lo_out = out
+        else:
+            hi_out = out
+    return lo_out, hi_out
 
 
 def _classify_escalating(x0: float, params: ModelParams, cfg: IntegratorConfig,
@@ -336,17 +383,22 @@ def _itp(lo: float, hi: float, lo_out: ShotOutcome, hi_out: ShotOutcome,
     midpoint and kept tol/4 inside both ends, then projected into the
     ball around the midpoint that bounds the loop at ceil(log2(w0/tol))
     + 1 shots, one more than bisection; the midpoint when an end has no
-    miss.
+    miss.  The closing width may exceed tol by two ulps of the bracket's
+    larger end, the rounding of the shot points.
     """
     m_lo, m_hi = _miss(lo_out), _miss(hi_out)
     # ITP constants: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1, epsilon = tol/2
     w0 = hi - lo
     n_max = math.ceil(math.log2(w0 / tol)) + 1
     margin = 0.25 * tol
+    # each shot point rounds by up to an ulp of the bracket, which the
+    # projection passes on; with rho never negative the width after n_max
+    # shots is within two such ulps of tol, which the stop test allows
+    stop = tol + 2.0 * math.ulp(max(abs(lo), abs(hi)))
 
     for j in range(200):
         width = hi - lo
-        if width <= tol:
+        if width <= stop:
             break
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -358,7 +410,7 @@ def _itp(lo: float, hi: float, lo_out: ShotOutcome, hi_out: ShotOutcome,
             delta = 0.2 / w0 * width * width
             x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
             x_t = min(max(x_t, lo + margin), hi - margin)
-            rho = 0.5 * tol * 2.0 ** (n_max - j) - 0.5 * width
+            rho = max(0.5 * tol * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
             x = x_t if abs(x_t - mid) <= rho else mid - sigma * rho
             if not (lo < x < hi):
                 x = mid
@@ -373,22 +425,26 @@ def _itp(lo: float, hi: float, lo_out: ShotOutcome, hi_out: ShotOutcome,
 def bisect_ground_state(params: ModelParams,
                         config: IntegratorConfig | None = None,
                         x_tol: float = 1e-12) -> GroundState:
-    """Bracket sup I to width x_tol and certify the inner trajectory.
+    """Bracket sup I to width x_tol (and the two ulps _itp allows for
+    rounding) and certify the inner trajectory.
 
-    The search starts from seed_bracket's pair, its last InSetI probe and
-    the first probe past it, and closes the bracket in x by _itp.  The
-    loop invariant is classify(x_lo) = InSetI and classify(x_hi) is
-    anything else; Undetermined shots get a doubled horizon (to 4x) and go
-    to the x_hi side if still undecided.  When the seed pair is already
-    narrower than x_tol, nothing is shot before the final verification
-    shot at the midpoint.  x* itself is not numerically attainable, so
-    unless that shot decays outright, the returned state sits at the final
-    x_lo whose InSetI trajectory is the certificate.  The verification
-    shot stays although it costs a shot: ITP's last InSetI end may lie
-    nearly a bracket width below x*, and at (8, 3.52), where 1 - x* is a
-    third of x_tol, certifying that end moved the certificate from 3% to
-    88% of 1 - x* away from x* and its plateau_score from 8.4e-3 to 0.17
-    off the scipy shot from x* (7.52).
+    The search starts from seed_bracket's pair, placed by the law for
+    t* = -ln(1 - x*) and proved by the two shots' classes, and closes the
+    bracket in x by _itp.  The loop invariant is classify(x_lo) = InSetI
+    and classify(x_hi) is anything else; Undetermined shots get a doubled
+    horizon (to 4x) and go to the x_hi side if still undecided.  When the
+    seed pair is already narrower than x_tol, nothing is shot before the
+    final verification shot at the midpoint.  x* itself is not
+    numerically attainable, so unless that shot decays with its tail
+    departing toward f = 0 (_departs_toward_f_zero), the returned state
+    sits at the final x_lo whose InSetI trajectory is the certificate; a
+    verification shot outside I, a Decayed one whose tail departs toward
+    g = 0 included, becomes x_hi.  The verification shot stays although
+    it costs a shot: ITP's last InSetI end may lie nearly a bracket width
+    below x*, and at (8, 3.52), where 1 - x* is a third of x_tol,
+    certifying that end moved the certificate from 3% to 88% of 1 - x*
+    away from x* and its plateau_score from 8.4e-3 to 0.17 off the scipy
+    shot from x* (7.52).
 
     When the bracket is (1 - 2^-53, 1), with no float between, the search
     goes on below the float grid in t = -ln u0, u = 1 - g, by shots solved
@@ -411,11 +467,13 @@ def bisect_ground_state(params: ModelParams,
     mid = 0.5 * (x_lo + x_hi)
     if x_lo < mid < x_hi:
         ver = _classify_escalating(mid, params, cfg)
-        if ver.shot_class is ShotClass.DECAYED:
-            x_star, cert = mid, ver
-        elif ver.shot_class is ShotClass.IN_SET_I:
+        if ver.shot_class is ShotClass.IN_SET_I:
             x_lo = x_star = mid
             cert = ver
+        elif ver.shot_class is ShotClass.DECAYED and _departs_toward_f_zero(ver):
+            x_star, cert = mid, ver
+        else:
+            x_hi = mid
     elif x_hi == 1.0:       # the bracket is (1 - 2^-53, 1)
         def shoot(u0):
             return _classify_escalating(u0, params, cfg, _classify_wall_shot)
@@ -434,24 +492,42 @@ def bisect_ground_state(params: ModelParams,
     return replace(gs, lemma_report=audit_lemmas(gs, params))
 
 
-def tail_amplitude(traj: Trajectory) -> float:
-    """Amplitude C of the decaying mode g ~ C e^{-sqrt(b) r} / r of the tail.
+def _tail_modes(traj: Trajectory, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(k y - y', k y + y') at traj's rows, k = sqrt(b), y = r g.
 
-    Linearized at (0, 0) the flow gives y'' = b y for y = r g, with
-    y' = g + r f (1 - g^2), so the decaying part of (y, y') is
-    C e^{-sqrt(b) r} = (sqrt(b) y - y') / (2 sqrt(b)) whatever the growing
-    mode holds.  C is the median of that over the samples with
-    a g^2 <= b/100, where the linearization holds; NaN with fewer than two.
+    Linearized at (0, 0) the flow gives y'' = b y, with y' = g + r f (1 -
+    g^2), so y = C e^{-k r} + A e^{k r}, and the two are 2k C e^{-k r}, the
+    decaying mode, and 2k A e^{k r}, the growing one, wherever the
+    linearization holds.
     """
-    a, b = traj.params.a, traj.params.b
-    k = math.sqrt(b)
-    tail = a * traj.g ** 2 <= b / 100.0
-    if np.count_nonzero(tail) < 2:
-        return math.nan
-    r, f, g = traj.r[tail], traj.f[tail], traj.g[tail]
+    k = math.sqrt(traj.params.b)
+    r, f, g = traj.r[rows], traj.f[rows], traj.g[rows]
     y = r * g
     dy = g + r * f * (1.0 - g * g)
-    return float(np.median((k * y - dy) / (2.0 * k) * np.exp(k * r)))
+    return k * y - dy, k * y + dy
+
+
+def tail_amplitude(traj: Trajectory) -> float:
+    """Amplitude C of the decaying mode g ~ C e^{-sqrt(b) r} / r of the tail
+    (_tail_modes), whatever the growing mode holds: the median of C over
+    the samples with a g^2 <= b/100, where the linearization holds; NaN
+    with fewer than two.
+    """
+    tail = traj.params.a * traj.g ** 2 <= traj.params.b / 100.0
+    if np.count_nonzero(tail) < 2:
+        return math.nan
+    k = math.sqrt(traj.params.b)
+    decaying, _ = _tail_modes(traj, tail)
+    return float(np.median(decaying / (2.0 * k) * np.exp(k * traj.r[tail])))
+
+
+def _departs_toward_f_zero(out: ShotOutcome) -> bool:
+    """Whether a Decayed shot's growing mode (_tail_modes) is >= 0 at its
+    decay event: g then turns back up and f returns to zero from below,
+    as from a shot in I, so the shot lies at or below x*; with a negative
+    growing mode g goes to zero first and the shot lies past x*."""
+    _, growing = _tail_modes(out.trajectory, slice(-1, None))
+    return bool(growing[0] >= 0.0)
 
 
 def _tail_start(r: np.ndarray, amp: np.ndarray) -> int | None:

@@ -82,10 +82,10 @@ def test_ground_state_numerical_failure(tmp_path, capsys):
 
 
 def test_ground_state_at_the_precision_wall(tmp_path, capsys):
-    """At (9, 4.4) sup I lies within an ulp of 1.  The seed scan's last
-    probe, x = 1 on the invariant line g = 1, closes the bracket at the
-    largest float below 1; the search goes on in u = 1 - g below the
-    float grid, and its certificate passes the audit."""
+    """At (9, 4.4) sup I lies within an ulp of 1.  The law's pair is the
+    largest float below 1 and x = 1 on the invariant line g = 1; the
+    search goes on in u = 1 - g below the float grid, and its
+    certificate passes the audit."""
     code = main(["ground-state", "--a", "9", "--b", "4.4", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert "u_star = " in capsys.readouterr().out

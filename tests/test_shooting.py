@@ -1,7 +1,9 @@
 """Shot taxonomy, bracketing, bisection, tail amplitudes, lemma audits."""
+import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  TerminationKind, Trajectory, integrate_radial,
                                  integrate_shifted)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_trivial,
-                            trap_energy)
+                            trap_energy, vector_field)
 from nucshoot.shooting import (GroundState, ShotClass, audit_lemmas,
                                bisect_ground_state, classify_grid,
                                classify_shot, default_events,
@@ -307,30 +309,115 @@ def wall_u0s(monkeypatch):
     return u0s
 
 
+def _reference_t_star():
+    """t* = -ln u* at every kappa of the scipy oracle's table, u* the
+    geometric midpoint of its u0 bracket (bench/oracle.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    table = json.loads(path.read_text())["x_star"]
+    return {float(k): -0.5 * math.log(row["u_in"] * row["u_out"])
+            for k, row in table.items()}
+
+
+def test_seed_law_matches_the_oracle():
+    """The law is within 0.03 of t* at every kappa of the scipy oracle,
+    and refitting c0, c1, c2 by least squares on that table gives the
+    shipped constants."""
+    ref = _reference_t_star()
+    assert len(ref) == 66
+    assert max(abs(shooting._t_law(k) - t) for k, t in ref.items()) <= 0.03
+    kappa = np.array(list(ref))
+    e = 1.0 - 2.0 * kappa
+    rest = (np.array(list(ref.values())) - 4.0 / e
+            + 2.0 * np.log(2.0 * math.sqrt(2.0) / e) - shooting._Q0 * np.sqrt(kappa))
+    fit = np.linalg.lstsq(np.stack([np.ones_like(e), e, e * e], axis=1), rest,
+                          rcond=None)[0]
+    assert fit == pytest.approx(shooting._LAW_C, abs=1e-4)
+
+
+def test_seed_law_small_kappa_constant_is_the_nls_ground_state():
+    """Q(0) of the 3-D cubic NLS ground state Q'' + (2/s) Q' = Q - Q^3,
+    found by a scipy shot bisected on overshoot (Q crosses zero) against
+    undershoot (Q turns back up), is the law's constant to 1e-6."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def crosses(s, y):
+        return y[0]
+
+    def turns(s, y):
+        return y[1]
+
+    crosses.terminal = turns.terminal = True
+    crosses.direction, turns.direction = -1.0, 1.0
+
+    def overshoots(q):
+        c, s0 = (q - q ** 3) / 6.0, 1e-6
+        sol = solve_ivp(lambda s, y: (y[1], -2.0 / s * y[1] + y[0] - y[0] ** 3),
+                        (s0, 60.0), (q + c * s0 * s0, 2.0 * c * s0),
+                        method="DOP853", rtol=1e-12, atol=1e-14,
+                        events=(crosses, turns))
+        return sol.t_events[0].size > 0
+
+    lo, hi = 4.3, 4.4
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if overshoots(mid) else (mid, hi)
+    assert shooting._Q0 == pytest.approx(0.5 * (lo + hi), abs=1e-6)
+
+
+def _law_probes(params):
+    """The law's first pair: x at t_law - 0.05, clamped to [x_floor,
+    1 - 2^-53], and at t_law + 0.05, or 1 past -ln 2^-53."""
+    kappa = params.b / params.a
+    t = shooting._t_law(kappa)
+    x_floor = 0.5 * (math.sqrt(kappa) + math.sqrt(2.0 * kappa))
+    x_lo = min(max(-math.expm1(-(t - 0.05)), x_floor), math.nextafter(1.0, 0.0))
+    x_hi = 1.0 if t + 0.05 > 53.0 * math.log(2.0) else -math.expm1(-(t + 0.05))
+    return x_lo, x_hi
+
+
 def test_seed_bracket_values(shot_xs):
-    """After x_lo, probe k sits at 1 - u0 10^-k with u0 = 1 - sqrt(2b/a);
-    the last InSetI probe and the first other one form the bracket."""
-    def scan(params):
+    """The law places the pair and the two classes prove it: x_lo in I
+    below the scipy x*, x_hi outside I above it.  Near the critical line
+    the pair is (1 - 2^-53, 1)."""
+    top = math.nextafter(1.0, 0.0)
+    for params in (P94, P41, P121, ModelParams(9.0, 4.4)):
         shot_xs.clear()
         lo_out, hi_out = seed_bracket(params)
-        sb = math.sqrt(params.b / params.a)
-        s2b = math.sqrt(2.0 * params.b / params.a)
-        assert shot_xs[0] == 0.5 * (sb + s2b)
-        u0 = 1.0 - s2b
-        for k, x in enumerate(shot_xs[1:]):
-            assert x == pytest.approx(1.0 - u0 * 10.0 ** -k, rel=0, abs=2.3e-16)
-        assert shot_xs[-2:] == [lo_out.x0, hi_out.x0]
+        assert shot_xs == list(_law_probes(params)) == [lo_out.x0, hi_out.x0]
         assert lo_out.shot_class is ShotClass.IN_SET_I
         assert hi_out.shot_class is not ShotClass.IN_SET_I
-        return lo_out, hi_out
+        x_star = X_STAR_SCIPY.get(params.b / params.a, top)
+        assert lo_out.x0 <= x_star < hi_out.x0
+    assert (lo_out.x0, hi_out.x0) == (top, 1.0)
 
-    lo_out, hi_out = scan(P94)
-    assert hi_out.x0 - lo_out.x0 <= 1e-12   # the scan alone brackets sup I
-    lo_out, hi_out = scan(P41)
-    u0 = 1.0 - math.sqrt(0.5)
-    assert lo_out.x0 == pytest.approx(1.0 - u0 / 10.0, rel=0, abs=1e-16)
-    assert hi_out.x0 == pytest.approx(1.0 - u0 / 100.0, rel=0, abs=1e-16)
-    assert hi_out.shot_class is ShotClass.G_VANISHED_FIRST
+
+@pytest.mark.parametrize("a, b", [(9.0, 4.0), (4.0, 1.0), (12.0, 1.0), (9.0, 2.0),
+                                  (10.0, 4.5), (9.0, 4.2), (9.0, 4.4), (2.0, 0.975),
+                                  (8.0, 3.96)])
+def test_seed_bracket_takes_at_most_three_shots(shot_xs, a, b):
+    """At the five bench anchors and four near-critical pairs the law's
+    pair brackets x* in at most three shots (3 to 18 with the former
+    decade scan)."""
+    lo_out, hi_out = seed_bracket(ModelParams(a, b))
+    assert len(shot_xs) <= 3
+    assert lo_out.shot_class is ShotClass.IN_SET_I
+    assert hi_out.shot_class is not ShotClass.IN_SET_I
+
+
+@pytest.mark.parametrize("offset", [-3.0, 3.0, -40.0, 40.0])
+def test_seed_bracket_survives_a_wrong_law(shot_xs, monkeypatch, offset):
+    """A law off by whole units of t costs shots, not the bracket: the
+    failed probe is kept as the other end, the spread doubles on its side,
+    no x is shot twice, and the pair still holds the scipy x* at (4, 1)."""
+    t_star = -math.log1p(-X_STAR_SCIPY[0.25])
+    monkeypatch.setattr(shooting, "_t_law", lambda kappa: t_star + offset)
+    lo_out, hi_out = seed_bracket(P41)
+    assert len(shot_xs) == len(set(shot_xs))
+    assert shot_xs[-1] in (lo_out.x0, hi_out.x0)
+    assert shot_xs[-2] in (lo_out.x0, hi_out.x0)
+    assert lo_out.shot_class is ShotClass.IN_SET_I
+    assert hi_out.shot_class is not ShotClass.IN_SET_I
+    assert lo_out.x0 < X_STAR_SCIPY[0.25] < hi_out.x0
 
 
 def test_seed_bracket_validation():
@@ -341,11 +428,12 @@ def test_seed_bracket_validation():
 
 
 def test_search_shoots_each_x_once(shot_xs):
-    """Seed, ITP and verification shots together: the scan's InSetI shots
-    are reused, not shot again, and a search takes at most 20 shots."""
-    for params, shots, x_abs in ((P94, range(16, 17), 1e-13),  # scan alone
-                                 (P41, range(21), 1e-11),
-                                 (P121, range(21), 1e-11)):
+    """Seed, ITP and verification shots together: the seed pair's shots
+    are reused, not shot again; the law's pair alone brackets (9, 4), and
+    a search takes at most 13 shots at (4, 1) and (12, 1)."""
+    for params, shots, x_abs in ((P94, range(5), 1e-13),     # seed pair alone
+                                 (P41, range(14), 1e-11),
+                                 (P121, range(14), 1e-11)):
         shot_xs.clear()
         gs = bisect_ground_state(params)
         assert len(shot_xs) == len(set(shot_xs))
@@ -404,7 +492,7 @@ def test_miss_is_linear_in_distance_to_x_star(params):
     lambda out: None,
 ], ids=["hugs_lo", "hugs_hi", "none"])
 def test_itp_keeps_bisection_worst_case(shot_xs, wall_u0s, monkeypatch, miss):
-    """Whatever the miss, the shots after the seed scan stay within
+    """Whatever the miss, the shots after the seed pair stay within
     ceil(log2(w0/x_tol)) + 1 plus the verification shot, and the
     certificate passes the audit; with no miss ITP is plain bisection,
     in x and, below the float grid at (9, 4.3), in t = -ln u0, where
@@ -432,6 +520,80 @@ def test_itp_keeps_bisection_worst_case(shot_xs, wall_u0s, monkeypatch, miss):
         assert 0.0 < gs.u_star < 2.0 ** -53 and gs.lemma_report.passed
         w0 = math.log(2.0 ** -53 / sys.float_info.min)
         assert len(wall_u0s) - 1 <= math.ceil(math.log2(w0 / 1e-12)) + 1
+
+
+def test_itp_worst_case_survives_rounding(monkeypatch):
+    """With the miss hugging x_hi the projection stays active to the end,
+    and every projected x rounds by up to half an ulp; on this (4, 1)
+    bracket the width then closed at 1.000089e-12, above tol, one shot
+    past the bound.  _itp keeps ceil(log2(w0/tol)) + 1 shots and ends
+    within two ulps of tol."""
+    monkeypatch.setattr(shooting, "_miss", lambda out: (
+        -1.0 if out.shot_class is ShotClass.IN_SET_I else 1e-12))
+    lo, hi = 0.9950691263575249, 0.9952624686785153
+    xs = []
+
+    def shoot(x):
+        xs.append(x)
+        return classify_shot(x, P41)
+
+    lo_out, hi_out = shoot(lo), shoot(hi)
+    xs.clear()
+    x_lo, cert, x_hi = shooting._itp(lo, hi, lo_out, hi_out, shoot, 1e-12)
+    assert len(xs) <= math.ceil(math.log2((hi - lo) / 1e-12)) + 1
+    assert x_hi - x_lo <= 1e-12 + 2.0 * math.ulp(hi)
+    assert cert.x0 == x_lo and cert.shot_class is ShotClass.IN_SET_I
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 0.06), (8.0, 0.32)])
+def test_decayed_shot_departs_where_its_growing_mode_points(a, b):
+    """Decayed shots within 1e-12 of the oracle's x*, continued from their
+    decay event by scipy's DOP853, reach f = 0 first exactly when their
+    growing mode is >= 0 (the certifiable ones) and g = 0 first when it is
+    negative; both kinds occur."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    params = ModelParams(a, b)
+    deriv = vector_field(params)
+
+    def f_zero(r, y):
+        return y[0]
+
+    def g_zero(r, y):
+        return y[1]
+
+    f_zero.terminal = g_zero.terminal = True
+    f_zero.direction, g_zero.direction = 1.0, -1.0
+    x_star = 1.0 - math.exp(-_reference_t_star()[b / a])
+    seen = set()
+    for x in np.linspace(x_star - 1e-12, x_star + 1e-12, 21):
+        out = classify_shot(float(x), params)
+        if out.shot_class is not ShotClass.DECAYED:
+            continue
+        traj = out.trajectory
+        sol = solve_ivp(lambda r, y: deriv(r, *y), (traj.r[-1], traj.r[-1] + 100.0),
+                        (traj.f[-1], traj.g[-1]), method="DOP853", rtol=1e-12,
+                        atol=1e-24, events=(f_zero, g_zero))
+        f_first = sol.t_events[0].size > 0
+        assert f_first != (sol.t_events[1].size > 0)
+        assert shooting._departs_toward_f_zero(out) is f_first
+        seen.add(f_first)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 0.12), (6.0, 0.36)])
+def test_decayed_verification_shot_past_x_star_becomes_x_hi(a, b):
+    """Here the verification shot decays with a negative growing mode: it
+    becomes x_hi, and x_lo's InSetI shot is the certificate and passes the
+    audit (certifying the Decayed shot failed spinor_ratio_bound, at
+    2.1e-9 and 5.6e-9)."""
+    params = ModelParams(a, b)
+    gs = bisect_ground_state(params)
+    lo, hi = gs.bracket
+    ver = classify_shot(hi, params)
+    assert ver.shot_class is ShotClass.DECAYED
+    assert not shooting._departs_toward_f_zero(ver)
+    assert gs.x_star == lo == gs.trajectory.x0
+    assert gs.lemma_report.passed
 
 
 def test_bisect_validation():
@@ -480,9 +642,9 @@ def test_near_critical_x_star_matches_scipy(a, b, kappa):
 
 @pytest.mark.parametrize("b", [4.2, 4.25, 4.3])
 def test_near_critical_ground_states_certify(b):
-    """With a - 2b down to 0.4, sup I lies within an ulp of 1; the scan
-    reaches it by shooting the largest float below 1 last, and the search
-    goes on in u = 1 - g below the float grid."""
+    """With a - 2b down to 0.4, sup I lies within an ulp of 1; the law's
+    pair is (1 - 2^-53, 1), and the search goes on in u = 1 - g below the
+    float grid."""
     gs = bisect_ground_state(ModelParams(9.0, b))
     assert math.sqrt(2.0 * b / 9.0) < gs.x_star < 1.0
     assert gs.x_star == math.nextafter(1.0, 0.0)
@@ -549,8 +711,9 @@ def test_ground_state_bracket_is_sharp(gs41):
 
 def test_anchor_searches_step_count(monkeypatch):
     """Deterministic cost gate: the five bench anchor searches take at most
-    6,800 accepted steps over all their shots (6,182 measured, 20,897 with
-    the former fifth-order stepper)."""
+    3,900 accepted steps over all their shots (3,526 measured; 6,182 with
+    the former decade seed scan, 20,897 with the former fifth-order
+    stepper as well)."""
     steps = []
 
     def counted(*args, **kwargs):
@@ -561,7 +724,7 @@ def test_anchor_searches_step_count(monkeypatch):
     monkeypatch.setattr(shooting, "integrate_radial", counted)
     for a, b in ((9.0, 4.0), (4.0, 1.0), (12.0, 1.0), (9.0, 2.0), (10.0, 4.5)):
         bisect_ground_state(ModelParams(a, b))
-    assert sum(steps) <= 6800
+    assert sum(steps) <= 3900
 
 
 def test_more_ground_states_certify():
