@@ -71,15 +71,6 @@ class ModelParams:
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError("couplings a, b must be strictly positive")
 
-    @property
-    def decay_rate_bound(self) -> float:
-        """Guaranteed exponential decay rate min{b/2, (2a-b)/(2a)}.
-
-        Positive whenever 2a > b; callers in other regimes get the raw
-        (possibly nonpositive) value and must check.
-        """
-        return min(self.b / 2.0, (2.0 * self.a - self.b) / (2.0 * self.a))
-
 
 @dataclass(frozen=True)
 class PhasePoint:

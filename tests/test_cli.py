@@ -81,6 +81,15 @@ def test_ground_state_numerical_failure(tmp_path, capsys):
     assert "ground-state search failed" in capsys.readouterr().err
 
 
+def test_ground_state_below_the_float_floor_fails_by_name(tmp_path, capsys):
+    """At (8, 3.98) the shot from the smallest normal u0 is still in I, so
+    u* lies below the float floor: exit 3 with that reason, no artifact."""
+    code = main(["ground-state", "--a", "8", "--b", "3.98", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "float floor" in capsys.readouterr().err
+    assert not (tmp_path / "ground_state.json").exists()
+
+
 def test_ground_state_at_the_precision_wall(tmp_path, capsys):
     """At (9, 4.4) sup I lies within an ulp of 1.  The law's pair is the
     largest float below 1 and x = 1 on the invariant line g = 1; the

@@ -41,12 +41,6 @@ def test_regime_taxonomy():
     assert classify_regime(ModelParams(8.0 + 5e-13, 4.0)) is Regime.CRITICAL
 
 
-def test_decay_rate_bound_value():
-    assert P94.decay_rate_bound == pytest.approx(7.0 / 9.0, rel=0, abs=1e-15)
-    # min(b/2, (2a - b)/(2a)) = min(0.5, 0.875)
-    assert ModelParams(4.0, 1.0).decay_rate_bound == pytest.approx(0.5)
-
-
 def test_rhs_consistency_at_large_radius():
     """The friction term vanishes as r grows: the two fields agree in the limit."""
     dfr, dgr = vector_field(P94)(1e12, -0.7, 0.4)

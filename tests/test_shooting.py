@@ -15,7 +15,7 @@ from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  integrate_shifted)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_trivial,
                             trap_energy, vector_field)
-from nucshoot.shooting import (GroundState, ShotClass, audit_lemmas,
+from nucshoot.shooting import (BracketFailureError, ShotClass, audit_lemmas,
                                bisect_ground_state, classify_grid,
                                classify_shot, default_events,
                                dissipation_residual, seed_bracket,
@@ -101,6 +101,17 @@ def test_classify_g_vanished_first():
 
 def test_classify_blowup_subcritical():
     out = classify_shot(0.8, ModelParams(1.0, 4.0))
+    assert out.shot_class is ShotClass.BLOWUP
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 4.0), (0.5, 3.0), (7.0, 8.0)])
+def test_blowup_certain_beats_the_trapped_band(a, b):
+    """From x = 1 - 2^-52 g stays within 1e-10 of 1 until BlowupCertain
+    proves the blowup; the lemma holds for every 0 < |g| < 1, so the shot
+    is Blowup, not Trapped."""
+    out = classify_shot(1.0 - 2.0 ** -52, ModelParams(a, b))
+    assert out.trajectory.termination.event_kinds == (EventKind.BLOWUP_CERTAIN,)
+    assert float(np.min(out.trajectory.g ** 2)) >= 1.0 - 1e-10
     assert out.shot_class is ShotClass.BLOWUP
 
 
@@ -696,6 +707,15 @@ def test_wall_search_keeps_the_x_shot_without_an_inset_i_wall_shot(monkeypatch):
     assert gs.trajectory.x0 == top and gs.u_star is None
 
 
+def test_search_below_the_float_floor_fails_by_name(wall_u0s):
+    """At (8, 3.98) the law puts u* near e^-790, below every double: the
+    end shot from the smallest normal u0 is in I, and the search stops
+    there with a named BracketFailureError, not a certificate."""
+    with pytest.raises(BracketFailureError, match="float floor"):
+        bisect_ground_state(ModelParams(8.0, 3.98))
+    assert wall_u0s == [sys.float_info.min]
+
+
 def test_wall_search_is_only_for_the_last_ulp():
     """Away from the wall the search stays in x and reports no u*."""
     gs = bisect_ground_state(ModelParams(10.0, 4.5))
@@ -777,7 +797,7 @@ def test_certificate_is_scale_covariant(kappa, c_rel):
     """(f, g)(r) -> (lam f(lam r), g(lam r)) maps the ground state at (a, b)
     to the one at (lam^2 a, lam^2 b): from a = 4, every check passes or
     fails alike at each lam, the dissipation residual stays at integration
-    error, and decay_C sqrt(a) is invariant.  At kappa = 0.4875 sup I lies
+    error, and decay_C sqrt(a) and decay_bound's spread are invariant.  At kappa = 0.4875 sup I lies
     far below an ulp of 1 (u* ~ 6e-67) and the certificate is the wall
     search's shot in u."""
     states = [bisect_ground_state(ModelParams(4.0 * lam ** 2, 4.0 * kappa * lam ** 2))
@@ -788,22 +808,33 @@ def test_certificate_is_scale_covariant(kappa, c_rel):
         assert gs.lemma_report.check("energy_dissipation").value <= 1e-8
     cs = [gs.decay_C * math.sqrt(gs.trajectory.params.a) for gs in states]
     assert all(c == pytest.approx(cs[1], rel=c_rel) for c in cs)
+    spreads = [gs.lemma_report.check("decay_bound").value for gs in states]
+    assert all(v == pytest.approx(spreads[1], rel=1e-3) for v in spreads)
 
 
 def test_audit_flags_the_non_decaying_wall_profile():
-    """The g = 1 closed form fails exactly the decay and wall checks."""
-    params = ModelParams(2.5, 1.0)
-    traj = integrate_radial(1.0, params, IntegratorConfig(r_max=30.0))
-    fake = GroundState(1.0, (1.0, 1.0), traj, math.nan, math.nan, None)
-    rep = audit_lemmas(fake, params)
+    """The g = 1 closed form fails exactly the decay and wall checks; it
+    has no tail window for decay_bound."""
+    traj = integrate_radial(1.0, ModelParams(2.5, 1.0), IntegratorConfig(r_max=30.0))
+    rep = audit_lemmas(traj)
     assert not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"g_squared_below_one", "spinor_ratio_bound", "decay_bound"}
+    assert rep.check("decay_bound").note == "fewer than two rows with a g^2 <= b/100"
 
 
 def test_audit_trivial_solution_is_vacuously_clean():
-    traj = exact_trivial(P94, r_max=50.0)
-    fake = GroundState(0.0, (0.0, 0.0), traj, math.inf, 0.0, None)
-    rep = audit_lemmas(fake, P94)
+    rep = audit_lemmas(exact_trivial(P94, r_max=50.0))
     assert rep.passed
     assert rep.check("decay_bound").note != ""
+
+
+def test_decay_bound_flags_a_stretched_tail(gs94):
+    """The (9, 4) certificate with its radii stretched by 2% (f shrunk to
+    match, so g' = f (1 - g^2) still holds) no longer follows
+    C e^{-sqrt(b) r} / r: C(r) spreads by 7.4e-2 against 4.0e-3."""
+    t = gs94.trajectory
+    stretched = Trajectory(t.r * 1.02, t.f / 1.02, t.g, t.params, t.x0, t.termination)
+    assert gs94.lemma_report.check("decay_bound").value < 5e-3
+    check = audit_lemmas(stretched).check("decay_bound")
+    assert not check.passed and check.value > 5e-2
