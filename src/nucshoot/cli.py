@@ -263,12 +263,12 @@ def cmd_ground_state(cfg: RunConfig, parser) -> int:
               f"b = {params.b:g}: the existence theory requires a - 2b > 0 "
               f"(here a - 2b = {params.a - 2 * params.b:g})", file=sys.stderr)
         return EXIT_REGIME
-    _make_out_dir(cfg, parser)
     try:
         gs = bisect_ground_state(params, cfg.integrator(), x_tol=cfg.x_tol)
     except _NUMERICAL_ERRORS as exc:
         print(f"ground-state search failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    _make_out_dir(cfg, parser)
     payload = {
         "schema": SCHEMA_VERSION,
         "config": cfg.resolved(),
@@ -413,12 +413,11 @@ def cmd_portrait(cfg: RunConfig, parser) -> int:
 # ----------------------------------------------------------------------- sweep
 
 def _sweep_row(task: tuple) -> dict:
+    """The row of one supercritical pair: its ground-state search, the
+    plateau score and the audit's pass rate."""
     a, b, config, x_tol = task
-    params = ModelParams(a, b)
-    if classify_regime(params) is not Regime.SUPERCRITICAL:
-        return {"a": a, "b": b, "status": "nonexistence"}
     try:
-        gs = bisect_ground_state(params, config, x_tol=x_tol)
+        gs = bisect_ground_state(ModelParams(a, b), config, x_tol=x_tol)
     except _NUMERICAL_ERRORS as exc:
         return {"a": a, "b": b, "status": f"error:{type(exc).__name__}"}
     try:
@@ -437,21 +436,39 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
         parser.error("--a-grid and --b-grid must be nonempty")
     _make_out_dir(cfg, parser)
     pairs = sorted((a, b) for a in cfg.a_grid for b in cfg.b_grid)
+    # (f, g)(r) -> (lam f(lam r), g(lam r)) maps the ground state at (a, b)
+    # to the one at (lam^2 a, lam^2 b), so x*, the plateau score and the
+    # audit depend on kappa = b/a alone: one search per distinct kappa, at
+    # its largest a, whose compact profile r_max cuts least.  The regime
+    # stays per pair, since REGIME_TOL is absolute in a - 2b.
+    kappas = {(a, b): b / a for a, b in pairs
+              if classify_regime(ModelParams(a, b)) is Regime.SUPERCRITICAL}
+    searched = {kappa: pair for pair, kappa in kappas.items()}  # pairs ascend in a
     config = cfg.integrator()
-    tasks = [(a, b, config, cfg.x_tol) for a, b in pairs]
+    tasks = [(a, b, config, cfg.x_tol) for a, b in searched.values()]
     jobs = cfg.jobs or getattr(os, "process_cpu_count", os.cpu_count)() or 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+            solved = list(pool.map(_sweep_row, tasks))
     else:
-        rows = [_sweep_row(t) for t in tasks]
+        solved = [_sweep_row(t) for t in tasks]
+    by_kappa = dict(zip(searched, solved))
+    rows = []
+    for a, b in pairs:
+        if (a, b) not in kappas:
+            rows.append({"a": a, "b": b, "status": "nonexistence"})
+            continue
+        row = dict(by_kappa[kappas[a, b]], a=a, b=b)
+        if row["status"] == "ok":
+            row["decay_rate"] = math.sqrt(b)
+        rows.append(row)
     # nonexistence and error rows leave the solution cells empty
     keys = ("a", "b", "status", "x_star", "decay_rate", "plateau_score",
             "lemma_pass_rate")
     cols = {key: [row.get(key, "") for row in rows] for key in keys}
     write_text(cfg.out_dir / "sweep.csv", csv_text(cols))
     n_ok = sum(1 for r in rows if r["status"] == "ok")
-    print(f"sweep: {len(rows)} rows, {n_ok} solved")
+    print(f"sweep: {len(rows)} rows, {n_ok} solved, {len(tasks)} searches")
     return EXIT_OK
 
 

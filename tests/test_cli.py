@@ -4,9 +4,11 @@ import math
 
 import pytest
 
-from nucshoot import verify
+from nucshoot import cli, verify
 from nucshoot.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_REGIME, EXIT_USAGE, main)
+from nucshoot.integrator import DEFAULT_CONFIG
+from nucshoot.shooting import bisect_ground_state
 
 TRAJ_HEADER = "r,f,g,f_squared,g_squared,rho_s,rho_0,S,V,V_plus_S,V_minus_S,H"
 
@@ -75,19 +77,23 @@ def test_ground_state_regime_rejection(tmp_path, capsys):
 
 
 def test_ground_state_numerical_failure(tmp_path, capsys):
+    """A failed search exits 3 and, like a usage error, leaves no --out."""
+    out = tmp_path / "gs"
     code = main(["ground-state", "--a", "9", "--b", "4", "--r-max", "0.5",
-                 "--out", str(tmp_path)])
+                 "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "ground-state search failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ground_state_below_the_float_floor_fails_by_name(tmp_path, capsys):
     """At (8, 3.98) the shot from the smallest normal u0 is still in I, so
     u* lies below the float floor: exit 3 with that reason, no artifact."""
-    code = main(["ground-state", "--a", "8", "--b", "3.98", "--out", str(tmp_path)])
+    out = tmp_path / "gs"
+    code = main(["ground-state", "--a", "8", "--b", "3.98", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "float floor" in capsys.readouterr().err
-    assert not (tmp_path / "ground_state.json").exists()
+    assert not out.exists()
 
 
 def test_ground_state_at_the_precision_wall(tmp_path, capsys):
@@ -257,15 +263,43 @@ def test_sweep_rows_sorted_and_nonexistence_blank(tmp_path, capsys):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
+    """(16, 4) shares kappa = 1/4 with (4, 1), so the pool gets one task fewer."""
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    base = ["sweep", "--a-grid", "9,4", "--b-grid", "4,1", "--x-tol", "1e-8"]
+    base = ["sweep", "--a-grid", "9,4,16", "--b-grid", "4,1", "--x-tol", "1e-8"]
     assert main(base + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
-    s = (serial / "sweep.csv").read_text()
-    p = (parallel / "sweep.csv").read_text()
-    assert s.splitlines()[1:] == p.splitlines()[1:]
-    assert len(s.splitlines()) == 5            # header + 4 sorted pairs
+    s = (serial / "sweep.csv").read_bytes()
+    assert (parallel / "sweep.csv").read_bytes() == s
+    assert len(s.splitlines()) == 7            # header + 6 sorted pairs
+
+
+def test_sweep_searches_each_kappa_once(tmp_path, capsys, monkeypatch):
+    """Rows of one kappa share the search at its largest a: x*, the plateau
+    score and the pass rate match a per-pair solve, decay_rate is sqrt(b)."""
+    searches = []
+
+    def counted(params, *args, **kwargs):
+        searches.append((params.a, params.b))
+        return bisect_ground_state(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "bisect_ground_state", counted)
+    assert main(["sweep", "--a-grid", "4,16", "--b-grid", "4,1", "--x-tol", "1e-8",
+                 "--jobs", "1", "--out", str(tmp_path)]) == EXIT_OK
+    assert "sweep: 4 rows, 3 solved, 2 searches" in capsys.readouterr().out
+    assert sorted(searches) == [(16.0, 1.0), (16.0, 4.0)]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    for row in rows:
+        if row["status"] != "ok":
+            continue
+        a, b = float(row["a"]), float(row["b"])
+        solo = cli._sweep_row((a, b, DEFAULT_CONFIG, 1e-8))
+        assert abs(float(row["x_star"]) - solo["x_star"]) <= 1e-8
+        assert float(row["plateau_score"]) == pytest.approx(solo["plateau_score"],
+                                                            rel=1e-6)
+        assert float(row["lemma_pass_rate"]) == solo["lemma_pass_rate"]
+        assert float(row["decay_rate"]) == math.sqrt(b)
 
 
 def test_verify(tmp_path, capsys):

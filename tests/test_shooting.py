@@ -15,6 +15,7 @@ from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  integrate_shifted)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_trivial,
                             trap_energy, vector_field)
+from nucshoot.physics import plateau_metrics
 from nucshoot.shooting import (BracketFailureError, ShotClass, audit_lemmas,
                                bisect_ground_state, classify_grid,
                                classify_shot, default_events,
@@ -799,9 +800,19 @@ def test_certificate_is_scale_covariant(kappa, c_rel):
     fails alike at each lam, the dissipation residual stays at integration
     error, and decay_C sqrt(a) and decay_bound's spread are invariant.  At kappa = 0.4875 sup I lies
     far below an ulp of 1 (u* ~ 6e-67) and the certificate is the wall
-    search's shot in u."""
+    search's shot in u.  x* to x_tol, the plateau score and u* are
+    invariant too: `sweep` solves each kappa once on these grounds."""
     states = [bisect_ground_state(ModelParams(4.0 * lam ** 2, 4.0 * kappa * lam ** 2))
               for lam in (0.25, 1.0, 2.0, 4.0)]
+    xs = [gs.x_star for gs in states]
+    assert max(xs) - min(xs) <= 1e-12
+    scores = [plateau_metrics(gs.trajectory).plateau_score for gs in states]
+    assert all(s == pytest.approx(scores[1], rel=1e-6) for s in scores)
+    us = [gs.u_star for gs in states]
+    if kappa == 0.4875:
+        assert all(u == pytest.approx(us[1], rel=1e-11) for u in us)
+    else:
+        assert us == [None] * 4
     verdicts = {tuple(c.passed for c in gs.lemma_report.checks) for gs in states}
     assert len(verdicts) == 1
     for gs in states:
