@@ -156,25 +156,44 @@ class EventKind(enum.Enum):
     with one sign and exceeds 4 spreads in size at the start.
 
     BlowupCertain is a region, not a value: it fires at the first accepted
-    step end of the stepper (never on the series span) where
+    step end of the stepper (never on the series span) where f g > 0,
+    0 < |g| < 1 and, with eps = _BLOWUP_EPS = 1e-3,
 
-        f g > 0,  0 < |g| < 1,  |g| f^2 - (4/r)|f| - 4c >= 0,  c = max(0, a - b).
+        R(F*) > eps (|g| F*^2 + (2/r) F* + |c'|),
+        R(F) = |g| F^2 - (2/r) F - c',  F* = max(|f|, 1/(|g| r)),
+        c' = -min(|g| (b - a g^2), b - a).
 
     It has no probes, no bisection and no spread, since any point of the
     region proves that the radial shot blows up.  For g > 0 (the sign map
     covers g < 0), at r0 with f0 > 0 and 0 < g0 < 1: g' = f (1 - g^2) > 0
-    while f > 0, and g = 1 is invariant, so g stays in (g0, 1); on g in
-    [0, 1], g (b - a g^2) >= -c, so for r >= r0
+    while f > 0, and g = 1 is invariant, so g stays in (g0, 1).  phi(s) =
+    b s - a s^3 is concave for s >= 0, so on [g0, 1] it is at least its
+    smaller end value, -c'; c' <= max(0, a - b), and c' < 0 when a < b.
+    So for r >= r0, while f > 0,
 
-        f' >= g0 f^2 - (2/r0) f - c = g0 (f - f+) (f - f-),
-        f+- = [1/r0 +- sqrt(1/r0^2 + g0 c)] / g0.
+        f' = -(2/r) f + g f^2 + phi(g) >= R(f),
 
-    The region is f0 >= 2 f+, so f grows and blows up before r0 + T, T =
-    ln((f0 - f-)/(f0 - f+)) / (g0 (f+ - f-)); f0 > f+ would suffice, and
-    the factor 2 is a margin far above the step's error in (f0, g0).  No
-    other kind can fire first: f keeps its sign, g never reaches 0 or 1,
-    |f| + |g| grows, and by the trap lemma (model.trap_energy) H cannot
-    fall below the trap level on a shot that blows up.
+    with g0 and r0 in R.  R is least at its vertex 1/(g0 r0), so R(F*) > 0
+    makes R positive on [f0, inf): f rises, and by the comparison theorem
+    (Hartman, Ordinary Differential Equations, ch. III) it stays above the
+    solution of F' = R(F), F(r0) = f0, which blows up at r0 + T.  With
+    D = 1/r0^2 + g0 c', if D > 0, R = g0 (F - f+)(F - f-),
+    f+- = (1/r0 +- sqrt(D)) / g0, f0 > f+ and
+
+        T = ln((f0 - f-)/(f0 - f+)) / (g0 (f+ - f-));
+
+    if D < 0, R = g0 (F - 1/(g0 r0))^2 - D/g0 has no root and
+
+        T = (pi/2 - arctan(g0 (f0 - 1/(g0 r0)) / sqrt(-D))) / sqrt(-D);
+
+    D = 0 is the common limit T = 1/(g0 f0 - 1/r0).  R(F*) > 0 would
+    suffice; the margin eps is relative to R's terms, so it is far above
+    the step's error in (f0, g0) and the rounding of the test, and like R
+    the test is invariant under (a, b) -> (l^2 a, l^2 b), r -> r / l,
+    f -> l f, up to rounding.  No other kind can fire first: f keeps its
+    sign, g never reaches 0 or 1, |f| + |g| grows, and by the trap lemma
+    (model.trap_energy) H cannot fall below the trap level on a shot that
+    blows up.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
@@ -277,6 +296,7 @@ _FAC_MIN = 1.0 / 3.0
 _FAC_MAX = 6.0
 _MAX_STEPS = 5_000_000
 _EVENT_DR = 1e-12          # bisection width target, beats the 1e-10 contract
+_BLOWUP_EPS = 1e-3         # BlowupCertain's relative margin (see EventKind)
 _TIE_DR = 1e-12            # simultaneous-event ambiguity threshold
 
 
@@ -529,6 +549,18 @@ def _series_speed(coef: np.ndarray, sf: float, sy: float, r_h: float) -> float:
     return math.hypot(abs(sf) * df, abs(sy) * dy)
 
 
+def _series_point(cols, sf: float, sy: float, r: float) -> tuple[float, float]:
+    """_series_eval at one radius r on floats, with its operations in its
+    order, so the sums are bit-identical; cols holds the coefficient
+    columns (F_m, Y_m) from the highest m down."""
+    s = r * r
+    pf = py = 0.0
+    for cf, cy in cols:
+        pf = pf * s + cf
+        py = py * s + cy
+    return sf * (r * pf), sy * py
+
+
 def _series_span(coef: np.ndarray, sf: float, sy: float, r_h: float, event_fns):
     """Samples of the series (f, y) = (sf r F, sy Y) on [0, r_h] and the
     first event there.
@@ -538,37 +570,36 @@ def _series_span(coef: np.ndarray, sf: float, sy: float, r_h: float, event_fns):
     event on BLOWUP_THRESHOLD - (|f| + |y|).  A level event fires at the
     origin where its value there is <= 0; any event fires between the
     first two probes where its value falls through zero, localized on the
-    series by bisection.  Returns (rs, fs, ys, termination or None); the
+    series by bisection.  The series is summed by _series_point, one
+    radius at a time.  Returns (rs, fs, ys, termination or None); the
     rows stop at an event.
     """
     n = 4 * _SERIES_ROWS
-    pr = r_h * (np.arange(n + 1) / n)
-    pf, pg = _series_eval(coef, sf, sy, pr)
-    pf[0], pg[0] = 0.0, sy
+    cols = tuple(zip(coef[0].tolist()[::-1], coef[1].tolist()[::-1]))
+    pr = [r_h * (j / n) for j in range(n + 1)]
+    probes = [(0.0, sy)] + [_series_point(cols, sf, sy, rv) for rv in pr[1:]]
     threshold = BLOWUP_THRESHOLD
     rows = [*event_fns, (None, lambda f, g: threshold - (abs(f) + abs(g)), True, None)]
     candidates = []
     for kind, vfn, level, _ in rows:
-        v = vfn(pf, pg)
+        v = [vfn(f, g) for f, g in probes]
         if level and v[0] <= 0.0:
             candidates.append((0.0, kind))
             continue
-        falls = (v[:-1] > 0.0) & (v[1:] <= 0.0)
-        if falls.any():
+        j = next((j for j in range(n) if v[j] > 0.0 >= v[j + 1]), None)
+        if j is not None:
             def ev(rv, _vfn=vfn):
-                return _vfn(*_series_eval(coef, sf, sy, np.array([rv])))[0]
-            j = int(falls.argmax())
-            candidates.append((_bisect_root(ev, float(pr[j]), float(pr[j + 1]), _EVENT_DR),
-                               kind))
-    keep = slice(0, n + 1, 4)
-    rs, fs, gs = pr[keep].tolist(), pf[keep].tolist(), pg[keep].tolist()
+                return _vfn(*_series_point(cols, sf, sy, rv))
+            candidates.append((_bisect_root(ev, pr[j], pr[j + 1], _EVENT_DR), kind))
+    keep = probes[::4]
+    rs, fs, gs = pr[::4], [p[0] for p in keep], [p[1] for p in keep]
     if not candidates:
         return rs, fs, gs, None
     term = _stop(candidates)
     if term.r == 0.0:
         return rs[:1], fs[:1], gs[:1], term
     k = bisect.bisect_left(rs, term.r)
-    f_stop, g_stop = (float(v[0]) for v in _series_eval(coef, sf, sy, np.array([term.r])))
+    f_stop, g_stop = _series_point(cols, sf, sy, term.r)
     return rs[:k] + [term.r], fs[:k] + [f_stop], gs[:k] + [g_stop], term
 
 
@@ -607,14 +638,14 @@ def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
 
 def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                event_fns=(), h_init: float | None = None, units=(1.0, 1.0),
-               blowup_c: float | None = None):
+               blowup_ab: tuple[float, float] | None = None):
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); event_fns is a list of
     (kind, value_fn(f, g), level, spread(e_f, e_g, g)) tuples evaluated on
     accepted steps, where every kind fires where its value falls through
-    zero.  BlowupCertain is armed by its constant blowup_c = max(0, a - b)
-    and fires at a step end in its region (see EventKind).  The first
+    zero.  BlowupCertain is armed by the couplings blowup_ab = (a, b) and
+    fires at a step end in its region (see EventKind).  The first
     trial step is h_init, by default _H_INIT.  The absolute tolerance of
     f and g is cfg.atol times their units.
     """
@@ -854,11 +885,18 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                     break
 
         # -- the proved blowup region, at the step end only: one product
-        # and one compare on a step with f g <= 0
-        if blowup_c is not None and f1 * g1 > 0.0:
-            af, ag = abs(f1), abs(g1)
-            if ag < 1.0 and ag * af * af >= 4.0 * (af / r1 + blowup_c):
-                candidates.append((r1, EventKind.BLOWUP_CERTAIN))
+        # and one compare on a step with f g <= 0.  F* is R's vertex
+        # 1/(|g| r) when that lies above |f|; 1/|g|/r overflows to inf,
+        # never to an error, and inf - inf fails the test
+        if blowup_ab is not None and f1 * g1 > 0.0:
+            ag = abs(g1)
+            if ag < 1.0:
+                a, b = blowup_ab
+                c = -min(ag * (b - a * ag * ag), b - a)
+                fv = max(abs(f1), 1.0 / ag / r1)
+                quad, lin = ag * fv * fv, (2.0 / r1) * fv
+                if quad - lin - c > _BLOWUP_EPS * (quad + lin + abs(c)):
+                    candidates.append((r1, EventKind.BLOWUP_CERTAIN))
 
         if abs(f1) + abs(g1) > blowup_threshold:
             def ev_blow(rv):
@@ -944,9 +982,10 @@ def _wall_field(params: ModelParams):
 
 
 def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, event_fns,
-                params: ModelParams, cfg: IntegratorConfig, blowup_c: float | None = None):
-    """The series span from the origin, then the stepper from r_h; returns
-    (rs, fs, ys, segments, termination, series)."""
+                params: ModelParams, cfg: IntegratorConfig, blowup_ab=None):
+    """The series span from the origin, then the stepper from r_h, with
+    BlowupCertain armed there by blowup_ab (see _run_dopri); returns (rs,
+    fs, ys, segments, termination, series)."""
     r_h = min(_handoff_radius(coef, params), cfg.r_max)
     if not r_h > 0.0:
         raise StiffnessError(0.0, "power series at the origin overflows")
@@ -954,7 +993,7 @@ def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, event_fns,
     segs = []
     if term is None and r_h < cfg.r_max:
         out = _run_dopri(deriv, r_h, fs[-1], ys[-1], cfg, event_fns,
-                         h_init=r_h * cfg.rtol ** 0.125, units=units, blowup_c=blowup_c)
+                         h_init=r_h * cfg.rtol ** 0.125, units=units, blowup_ab=blowup_ab)
         rs += out[0][1:]
         fs += out[1][1:]
         ys += out[2][1:]
@@ -979,16 +1018,16 @@ def integrate_radial(x0: float, params: ModelParams,
     localized within 1e-12 of each other are reported together (the flow
     cannot vanish two components at once away from the origin, so a tie
     flags numerical ambiguity, not physics).  Blowup is the threshold
-    |f| + |g| = BLOWUP_THRESHOLD, or BlowupCertain's proof if it is armed.
+    |f| + |g| = BLOWUP_THRESHOLD, or, if BlowupCertain is armed, the first
+    step end of the stepper inside its region, which the couplings (a, b)
+    set (see EventKind).
     """
     cfg = config or DEFAULT_CONFIG
     unit = min(1.0, abs(x0)) or 1.0
-    blowup_c = (max(0.0, params.a - params.b)
-                if EventKind.BLOWUP_CERTAIN in events else None)
     rs, fs, gs, segs, term, series = _radial_run(
         _series_coefficients(x0, params), x0, x0, vector_field(params),
         (unit * math.sqrt(params.a), unit), _event_functions(events, params), params, cfg,
-        blowup_c)
+        (params.a, params.b) if EventKind.BLOWUP_CERTAIN in events else None)
     return Trajectory(rs, fs, gs, params, x0, term, segs, series)
 
 

@@ -16,10 +16,12 @@ from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  integrate_wall)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_coth,
                             vector_field)
-from nucshoot.shooting import classify_shot, default_events
+from nucshoot.shooting import (bisect_ground_state, classify_grid, classify_shot,
+                               default_events)
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
+P32 = ModelParams(3.0, 2.0)
 
 # frozen at defaults: first rising f-zero for x0 = 0.8 at (9, 4)
 RX_08_94 = 2.13940806222205
@@ -306,6 +308,47 @@ def test_event_inside_series_span_is_localized():
     assert term.r == pytest.approx(float(sol.t_events[0][0]), rel=0, abs=1e-8)
 
 
+def _series_point_by_eval(cols, sf, sy, r):
+    """integrator._series_point through the array sum _series_eval."""
+    f, y = integrator._series_eval(np.array(cols[::-1]).T, sf, sy, np.array([r]))
+    return float(f[0]), float(y[0])
+
+
+def test_series_span_on_floats_is_bit_identical(gs94, monkeypatch):
+    """The series span sums its probes, bisection steps and stop state on
+    floats, in _series_eval's order of operations: at (3, 2) from 0.55
+    EnergyBarrier fires inside the span (r = 0.780) and from 0.58 at r = 0,
+    and on those shots and on a (9, 4) search shot every series row after
+    the origin equals _series_eval at its radius, and the whole shot
+    equals the one summed by _series_eval.  So do the near-critical
+    searches (9, 4.2) and (8, 3.9), which run through integrate_wall."""
+    shots = [(0.55, P32), (0.58, P32), (gs94.bracket[0], P94)]
+    ends = []
+    for x0, params in shots:
+        traj = classify_shot(x0, params).trajectory
+        r_h = traj._series[0]
+        on = traj.r[1:] <= r_h
+        fs, gs = integrator._series_eval(integrator._series_coefficients(x0, params),
+                                         x0, x0, traj.r[1:][on])
+        assert np.all(traj.f[1:][on] == fs) and np.all(traj.g[1:][on] == gs)
+        ends.append((traj.termination.r, r_h))
+    (r_in, r_h), (r_origin, _), (r_search, r_h94) = ends
+    assert r_in == pytest.approx(0.780, abs=1e-3) and r_in < r_h
+    assert r_origin == 0.0 and r_search > r_h94
+    near = [ModelParams(9.0, 4.2), ModelParams(8.0, 3.9)]
+
+    def run():
+        searches = [bisect_ground_state(params) for params in near]
+        return ([_fingerprint(classify_shot(x0, params)) for x0, params in shots],
+                [(gs.x_star, gs.bracket, gs.trajectory.r.tobytes(),
+                  gs.trajectory.f.tobytes(), gs.trajectory.u.tobytes())
+                 for gs in searches])
+
+    floats = run()
+    monkeypatch.setattr(integrator, "_series_point", _series_point_by_eval)
+    assert run() == floats
+
+
 @pytest.mark.parametrize("x0", [1e-30, 1e-100, 1e-300])
 def test_series_start_for_tiny_x0(x0):
     """For x0^2 below an ulp the regular solution at (9, 4) is x0 times
@@ -491,25 +534,61 @@ def test_blowup_termination():
 
 def test_blowup_certain_ends_at_a_step_end_in_its_region():
     """Armed, BlowupCertain stops the (1, 4) shot from 0.8 at the end of
-    an accepted step, before the threshold path's r = 1.8787, and the end
-    state lies in the lemma's region (c = 0 for a <= b); its sign-mapped
-    twin from -0.8 stops at the same radius.  From 1.2 the shot keeps
-    g > 1, outside the lemma, and ends at the threshold."""
+    its first accepted step, r = 0.7111, where R has no root (D < 0): the
+    end state lies in the lemma's region and not in the region f >= 2 f+
+    of the bound with c = max(0, a - b) = 0, g f^2 >= (4/r) f, which
+    waited until r = 1.478.  Its sign-mapped twin from -0.8 stops at the
+    same radius.  From 1.2 the shot keeps g > 1, outside the lemma, and
+    ends at the threshold."""
     armed = (EventKind.BLOWUP_CERTAIN,)
     above = integrate_radial(1.2, ModelParams(1.0, 4.0), events=armed)
     assert above.termination.kind is TerminationKind.BLOWUP
     traj = integrate_radial(0.8, ModelParams(1.0, 4.0), events=armed)
     term = traj.termination
     assert term.event_kinds == (EventKind.BLOWUP_CERTAIN,)
-    assert term.r < 1.8
+    assert len(traj._segments) == 1
     r0, h = traj._segments[-1][:2]
-    assert term.r == r0 + h
-    f, g = traj.f[-1], traj.g[-1]
+    assert term.r == r0 + h == pytest.approx(0.711124813, rel=1e-8)
+    f, g, r = traj.f[-1], traj.g[-1], term.r
     assert f > 0.0 and 0.0 < g < 1.0
-    assert g * f * f >= (4.0 / term.r) * f
+    c = -min(g * (4.0 - g * g), 4.0 - 1.0)
+    assert c < 0.0 and 1.0 / r ** 2 + g * c < 0.0
+    vertex = max(f, 1.0 / (g * r))
+    quad, lin = g * vertex * vertex, (2.0 / r) * vertex
+    assert quad - lin - c > integrator._BLOWUP_EPS * (quad + lin + abs(c))
+    assert g * f * f < (4.0 / r) * f
     assert integrate_radial(-0.8, ModelParams(1.0, 4.0), events=armed).termination == term
     with pytest.raises(ValueError, match="BlowupCertain"):
         integrate_wall(0.2, ModelParams(1.0, 4.0), events=armed)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("a, b", [(1.0, 4.0), (4.0, 4.0), (7.0, 8.0), (2.5, 2.0)])
+def test_blowup_certain_stop_is_scale_covariant(a, b, lam):
+    """BlowupCertain's region is invariant under (a, b) -> (l^2 a, l^2 b),
+    r -> r / l, f -> l f, so every shot of criterion 5's grid at the
+    scaled pair, run to r_max / l, gets the same class and the same number
+    of accepted steps, and a BlowupCertain stop comes at r / l to 1e-3
+    relative; the sign-mapped twin of each stop stops at the same radius."""
+    grid = np.linspace(0.01, 0.99, 50)
+    base = classify_grid(ModelParams(a, b), grid, IntegratorConfig(r_max=200.0))
+    scaled = classify_grid(ModelParams(lam * lam * a, lam * lam * b), grid,
+                           IntegratorConfig(r_max=200.0 / lam))
+    stops = 0
+    for one, two in zip(base, scaled):
+        assert one.shot_class is two.shot_class
+        assert len(one.trajectory._segments) == len(two.trajectory._segments)
+        term = one.trajectory.termination
+        assert (term.event_kinds == (EventKind.BLOWUP_CERTAIN,)) == (
+            two.trajectory.termination.event_kinds == (EventKind.BLOWUP_CERTAIN,))
+        if term.event_kinds == (EventKind.BLOWUP_CERTAIN,):
+            stops += 1
+            assert two.trajectory.termination.r * lam == pytest.approx(term.r, rel=1e-3)
+            params = two.trajectory.params
+            twin = integrate_radial(-one.x0, params, IntegratorConfig(r_max=200.0 / lam),
+                                    default_events(one.x0, params))
+            assert twin.termination == two.trajectory.termination
+    assert stops >= 9
 
 
 def test_stiffness_error_carries_radius(monkeypatch):

@@ -219,17 +219,35 @@ def _blowup_certain(out):
     return out.trajectory.termination.event_kinds == (EventKind.BLOWUP_CERTAIN,)
 
 
+def _blowup_time(r0, f0, g0, a, b):
+    """The lemma's bound T on how far past r0 the shot from (f0, g0), f0 g0
+    > 0, 0 < g0 < 1, blows up (EventKind), and whether R has roots; where
+    it has them, asserts that f0 lies above the larger one."""
+    f0, g0 = abs(f0), abs(g0)
+    c = -min(g0 * (b - a * g0 * g0), b - a)
+    assert c <= max(0.0, a - b)
+    D = 1.0 / r0 ** 2 + g0 * c
+    if D > 0.0:
+        f_plus, f_minus = (1.0 / r0 + math.sqrt(D)) / g0, (1.0 / r0 - math.sqrt(D)) / g0
+        assert f0 > f_plus
+        return math.log((f0 - f_minus) / (f0 - f_plus)) / (g0 * (f_plus - f_minus)), True
+    w = math.sqrt(-D)
+    return (0.5 * math.pi - math.atan(g0 * (f0 - 1.0 / (g0 * r0)) / w)) / w, False
+
+
 def test_blowup_certain_shots_blow_up_under_scipy():
-    """Continue every BlowupCertain shot of the criterion-5 grids, and of
-    (2.5, 2), where b < a < 2b makes c = a - b positive, from its event
-    state with scipy's DOP853: f g > 0 and 0 < g < 1 hold until |f| + |g|
-    reaches BLOWUP_THRESHOLD, and it is reached before the lemma's bound
-    r0 + T (EventKind)."""
+    """Continue every BlowupCertain shot of the criterion-5 grids, of
+    (2.5, 2), where b < a < 2b makes c' = a - b positive, and of (7, 8),
+    where a < b makes it negative, from its event state with scipy's
+    DOP853: f g > 0 and 0 < g < 1 hold until |f| + |g| reaches
+    BLOWUP_THRESHOLD, and it is reached before the lemma's bound r0 + T
+    (EventKind), on stops where R has roots and on stops where it has
+    none."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    seen = {}
-    for params in (ModelParams(4.0, 4.0), ModelParams(1.0, 4.0), P32, ModelParams(2.5, 2.0)):
+    seen, roots = {}, set()
+    for params in (ModelParams(4.0, 4.0), ModelParams(1.0, 4.0), P32, ModelParams(2.5, 2.0),
+                   ModelParams(7.0, 8.0)):
         a, b = params.a, params.b
-        c = max(0.0, a - b)
 
         def rhs(r, y):
             f, g = y
@@ -244,16 +262,16 @@ def test_blowup_certain_shots_blow_up_under_scipy():
         for out in outs:
             assert out.shot_class is ShotClass.BLOWUP
             r0, f0, g0 = out.r_x, float(out.trajectory.f[-1]), out.g_at_rx
-            root = math.sqrt(1.0 / r0 ** 2 + g0 * c)
-            f_plus, f_minus = (1.0 / r0 + root) / g0, (1.0 / r0 - root) / g0
-            assert f0 >= 2.0 * f_plus * (1.0 - 1e-12)
-            T = math.log((f0 - f_minus) / (f0 - f_plus)) / (g0 * (f_plus - f_minus))
+            T, has_roots = _blowup_time(r0, f0, g0, a, b)
+            roots.add(has_roots)
             sol = solve_ivp(rhs, (r0, r0 + T), [f0, g0], method="DOP853",
                             events=threshold, rtol=1e-10, atol=1e-12)
             assert sol.status == 1, (a, b, out.x0, sol.message)
             f, g = sol.y
             assert np.all(f * g > 0.0) and np.all((0.0 < g) & (g < 1.0)), (a, b, out.x0)
-    assert seen == {(4.0, 4.0): 50, (1.0, 4.0): 50, (3.0, 2.0): 1, (2.5, 2.0): 9}
+    assert seen == {(4.0, 4.0): 50, (1.0, 4.0): 50, (3.0, 2.0): 1, (2.5, 2.0): 9,
+                    (7.0, 8.0): 50}
+    assert roots == {True, False}
 
 
 def test_blowup_certain_changes_no_class_or_search(monkeypatch):
