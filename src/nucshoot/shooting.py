@@ -8,14 +8,15 @@ numerically decidable on either side of x* but not at it, so the search
 keeps a bracket with x_lo in I and x_hi outside it.  Its first pair is
 placed by a law for t* = -ln(1 - x*) against kappa = b/a that joins the
 thin-wall limit kappa -> 1/2 to the cubic-NLS limit kappa -> 0
-(seed_bracket), and the shots' classes prove it.  ITP root-finding
-(_itp) on the miss r_x^2 H(r_x) at the first event, which is linear in
-x - x* near x* (see _miss), closes it; the deliverable is a bracket of
-width x_tol plus a certified trajectory at the inner endpoint.  Near the
-critical line a - 2b = 0, x* lies within an ulp of 1 and the float
-bracket is (1 - 2^-53, 1) from the start; the same ITP then goes on
-below the float grid in -ln u0, u = 1 - g, from that bracket's InSetI
-end, by shots solved in (f, u) (see bisect_ground_state).
+(seed_bracket), and the shots' classes prove it.  _itp closes it on the
+miss r_x^2 H(r_x) at the first event, linear in x - x* near x* (_miss),
+by ITP and then trusted inverse quadratic steps with a straddle finish;
+the deliverable is a bracket of width x_tol plus a certified trajectory
+at the inner endpoint.  Near the critical line a - 2b = 0, x* lies
+within an ulp of 1 and the float bracket is (1 - 2^-53, 1) from the
+start; the same closer then goes on below the float grid in -ln u0,
+u = 1 - g, from that bracket's InSetI end, by shots solved in (f, u)
+(see bisect_ground_state).
 """
 
 from __future__ import annotations
@@ -378,37 +379,57 @@ def _miss(out: ShotOutcome) -> float | None:
     e^{+-sqrt(b) r}/r, so the first event comes at r_x ~ c + ln(1/|x -
     x*|)/(2 sqrt(b)) and H there scales like (x - x*)/r_x^2; the r_x^2
     factor leaves a miss that is linear in x - x* to about 1%.  A Decayed
-    shot sits at x* itself.  Other classes carry no miss (None).
+    shot stops near the saddle, where y = r g = C e^{-kr} + A e^{kr}, k =
+    sqrt(b), and its miss r^2 H ~ (y'^2 - b y^2)/2 = -2 b A C is linear
+    in the growing mode's amplitude A.  Other classes carry no miss (None).
     """
-    if out.shot_class in (ShotClass.IN_SET_I, ShotClass.G_VANISHED_FIRST):
+    if out.shot_class in (ShotClass.IN_SET_I, ShotClass.G_VANISHED_FIRST,
+                          ShotClass.DECAYED):
         return out.r_x ** 2 * out.H_at_rx
-    if out.shot_class is ShotClass.DECAYED:
-        return 0.0
     return None
+
+
+def _iqi(pts) -> float | None:
+    """Root of the inverse quadratic x(miss) through three (x, miss)
+    pairs, summed as offsets from the last x; None if two misses tie."""
+    (x0, m0), (x1, m1), (x2, m2) = pts
+    if m0 == m1 or m0 == m2 or m1 == m2:
+        return None
+    return (x2 + (x0 - x2) * m1 * m2 / ((m0 - m1) * (m0 - m2))
+            + (x1 - x2) * m0 * m2 / ((m1 - m0) * (m1 - m2)))
 
 
 def _itp(lo: float, hi: float, lo_out: ShotOutcome, hi_out: ShotOutcome,
          shoot, tol: float) -> tuple[float, ShotOutcome, float]:
     """Close the bracket lo < hi, shoot(lo) = lo_out in I and shoot(hi) =
-    hi_out not, to a width tol by ITP (Oliveira and Takahashi, ACM TOMS
-    47(1), 2020) on _miss in the coordinate shoot takes; (lo, lo_out, hi).
+    hi_out not, to a width tol on _miss in the coordinate shoot takes;
+    (lo, lo_out, hi).
 
-    Each step is regula falsi between the ends, truncated toward the
-    midpoint and kept tol/4 inside both ends, then projected into the
-    ball around the midpoint that bounds the loop at ceil(log2(w0/tol))
-    + 1 shots, one more than bisection; the midpoint when an end has no
-    miss.  The closing width may exceed tol by two ulps of the bracket's
-    larger end, the rounding of the shot points.
+    Steps are ITP's (Oliveira and Takahashi, ACM TOMS 47(1), 2020),
+    regula falsi truncated toward the midpoint and kept tol/4 inside both
+    ends, until a shot's |miss| falls below half the smaller end |miss|.
+    From then on the step is the root of the inverse quadratic through
+    the last three misses (_iqi; Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), else regula falsi, untruncated;
+    once that estimate moves by less than tol/4 the shot straddles it,
+    0.45 tol toward the far end, and the bracket closes from both sides.
+    Each step is projected into the ball around the midpoint that bounds
+    the loop at ceil(log2(w0/tol)) + 4 shots (the midpoint when an end
+    has no miss); with ITP's n0 = 1 in place of 4 the projection undoes
+    the interpolation.  The closing width may exceed tol by two ulps of
+    the bracket's larger end, the rounding of the shot points.
     """
     m_lo, m_hi = _miss(lo_out), _miss(hi_out)
-    # ITP constants: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1, epsilon = tol/2
+    # ITP constants: kappa1 = 0.2/w0, kappa2 = 2, n0 = 4, epsilon = tol/2
     w0 = hi - lo
-    n_max = math.ceil(math.log2(w0 / tol)) + 1
+    n_max = math.ceil(math.log2(w0 / tol)) + 4
     margin = 0.25 * tol
     # each shot point rounds by up to an ulp of the bracket, which the
     # projection passes on; with rho never negative the width after n_max
     # shots is within two such ulps of tol, which the stop test allows
     stop = tol + 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    last = [(x, m) for x, m in ((lo, m_lo), (hi, m_hi)) if m is not None]
+    trusted, x_e = False, None
 
     for j in range(200):
         width = hi - lo
@@ -419,20 +440,35 @@ def _itp(lo: float, hi: float, lo_out: ShotOutcome, hi_out: ShotOutcome,
             break
         x = mid
         if m_lo is not None and m_hi is not None and m_lo < m_hi:
-            x_f = (m_hi * lo - m_lo * hi) / (m_hi - m_lo)
-            sigma = math.copysign(1.0, mid - x_f)
-            delta = 0.2 / w0 * width * width
-            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-            x_t = min(max(x_t, lo + margin), hi - margin)
+            prev, x_e = x_e, (m_hi * lo - m_lo * hi) / (m_hi - m_lo)
+            if trusted:
+                x_q = _iqi(last)
+                if x_q is not None and lo < x_q < hi:
+                    x_e = x_q
+                # regula falsi leaves the bracket only past an end whose
+                # miss has the wrong sign, within the miss's noise of x*
+                x_t = x_e = min(max(x_e, lo), hi)
+                if prev is not None and abs(x_e - prev) < margin:
+                    x_t += math.copysign(0.45 * tol, hi + lo - 2.0 * x_e)
+            else:
+                delta = 0.2 / w0 * width * width
+                x_t = (x_e + math.copysign(delta, mid - x_e)
+                       if delta <= abs(mid - x_e) else mid)
+                x_t = min(max(x_t, lo + margin), hi - margin)
             rho = max(0.5 * tol * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
-            x = x_t if abs(x_t - mid) <= rho else mid - sigma * rho
+            x = x_t if abs(x_t - mid) <= rho else mid + math.copysign(rho, x_t - mid)
             if not (lo < x < hi):
                 x = mid
         out = shoot(x)
+        m = _miss(out)
+        if m is not None:
+            trusted = trusted or (None not in (m_lo, m_hi)
+                                  and abs(m) < 0.5 * min(abs(m_lo), abs(m_hi)))
+            last = (last + [(x, m)])[-3:]
         if out.shot_class is ShotClass.IN_SET_I:
-            lo, lo_out, m_lo = x, out, _miss(out)
+            lo, lo_out, m_lo = x, out, m
         else:
-            hi, m_hi = x, _miss(out)
+            hi, m_hi = x, m
     return lo, lo_out, hi
 
 
@@ -444,7 +480,9 @@ def bisect_ground_state(params: ModelParams,
 
     The search starts from seed_bracket's pair, placed by the law for
     t* = -ln(1 - x*) and proved by the two shots' classes, and closes the
-    bracket in x by _itp.  The loop invariant is classify(x_lo) = InSetI
+    bracket in x by _itp, within ceil(log2(w0/x_tol)) + 4 shots of its
+    width w0; a Decayed shot steers it by its own miss (_miss) and stays
+    an x_hi end.  The loop invariant is classify(x_lo) = InSetI
     and classify(x_hi) is anything else; Undetermined shots get a doubled
     horizon (to 4x) and go to the x_hi side if still undecided.  When the
     seed pair is already narrower than x_tol, nothing is shot before the
@@ -454,8 +492,8 @@ def bisect_ground_state(params: ModelParams,
     sits at the final x_lo whose InSetI trajectory is the certificate; a
     verification shot outside I, a Decayed one whose tail departs toward
     g = 0 included, becomes x_hi.  The verification shot stays although
-    it costs a shot: ITP's last InSetI end may lie nearly a bracket width
-    below x*, and at (8, 3.52), where 1 - x* is a third of x_tol,
+    it costs a shot: the closer's last InSetI end may lie nearly a bracket
+    width below x*, and at (8, 3.52), where 1 - x* is a third of x_tol,
     certifying that end moved the certificate from 3% to 88% of 1 - x*
     away from x* and its plateau_score from 8.4e-3 to 0.17 off the scipy
     shot from x* (7.52).
@@ -468,7 +506,7 @@ def bisect_ground_state(params: ModelParams,
     BracketFailureError naming the float floor.  Else _itp closes t to a
     width x_tol, the relative width x_tol in u, from x_lo's own InSetI
     shot, whose g(0) = 1 - 2^-53 is the same (solved in (f, g), its miss
-    is a few percent off, which only steers ITP's first step).  The
+    is a few percent off, which only steers the closer's first step).  The
     certificate is then its last InSetI shot in (f, u), whose u0 is
     u_star, or x_lo's shot if it lands none.
 

@@ -475,7 +475,8 @@ def test_search_shoots_each_x_once(shot_xs):
 def test_short_horizon_escalates_and_still_certifies(monkeypatch, decayed21):
     """At r_max = 6 the shots near x* at (9, 4) end Undetermined; the
     search doubles the horizon for them and still lands on the scipy x*.
-    A Decayed shot's miss is 0, a Trapped shot carries none."""
+    A Decayed shot's miss is r_x^2 H(r_x), as at the other events, and not
+    0; a Trapped shot carries none."""
     horizons = []
 
     def recording(x0, params, config=None):
@@ -488,7 +489,8 @@ def test_short_horizon_escalates_and_still_certifies(monkeypatch, decayed21):
     assert gs.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
     assert gs.lemma_report.passed
     assert decayed21.shot_class is ShotClass.DECAYED
-    assert shooting._miss(decayed21) == 0.0
+    assert shooting._miss(decayed21) == decayed21.r_x ** 2 * decayed21.H_at_rx
+    assert shooting._miss(decayed21) != 0.0
     trapped = classify_shot(1.1, P94)
     assert trapped.shot_class is ShotClass.TRAPPED
     assert shooting._miss(trapped) is None
@@ -523,17 +525,18 @@ def test_miss_is_linear_in_distance_to_x_star(params):
 ], ids=["hugs_lo", "hugs_hi", "none"])
 def test_itp_keeps_bisection_worst_case(shot_xs, wall_u0s, monkeypatch, miss):
     """Whatever the miss, the shots after the seed pair stay within
-    ceil(log2(w0/x_tol)) + 1 plus the verification shot, and the
-    certificate passes the audit; with no miss ITP is plain bisection,
-    in x and, below the float grid at (9, 4.3), in t = -ln u0, where
-    it stays within the same bound after its one end shot."""
+    ceil(log2(w0/x_tol)) + 4 plus the verification shot, and the
+    certificate passes the audit; with no miss the closer is plain
+    bisection, in x and, below the float grid at (9, 4.3), in t = -ln u0,
+    where it stays within bisection's ceil(log2(w0/x_tol)) + 1 after its
+    one end shot."""
     lo_out, hi_out = seed_bracket(P41)
     n_seed = len(shot_xs)
     shot_xs.clear()
     monkeypatch.setattr(shooting, "_miss", miss)
     gs = bisect_ground_state(P41)
     w0 = hi_out.x0 - lo_out.x0
-    assert len(shot_xs) - n_seed <= math.ceil(math.log2(w0 / 1e-12)) + 2
+    assert len(shot_xs) - n_seed <= math.ceil(math.log2(w0 / 1e-12)) + 5
     assert gs.lemma_report.passed
     if miss(lo_out) is None:     # plain bisection's x* from the same bracket
         lo, hi = lo_out.x0, hi_out.x0
@@ -556,7 +559,7 @@ def test_itp_worst_case_survives_rounding(monkeypatch):
     """With the miss hugging x_hi the projection stays active to the end,
     and every projected x rounds by up to half an ulp; on this (4, 1)
     bracket the width then closed at 1.000089e-12, above tol, one shot
-    past the bound.  _itp keeps ceil(log2(w0/tol)) + 1 shots and ends
+    past the bound.  _itp keeps ceil(log2(w0/tol)) + 4 shots and ends
     within two ulps of tol."""
     monkeypatch.setattr(shooting, "_miss", lambda out: (
         -1.0 if out.shot_class is ShotClass.IN_SET_I else 1e-12))
@@ -570,7 +573,7 @@ def test_itp_worst_case_survives_rounding(monkeypatch):
     lo_out, hi_out = shoot(lo), shoot(hi)
     xs.clear()
     x_lo, cert, x_hi = shooting._itp(lo, hi, lo_out, hi_out, shoot, 1e-12)
-    assert len(xs) <= math.ceil(math.log2((hi - lo) / 1e-12)) + 1
+    assert len(xs) <= math.ceil(math.log2((hi - lo) / 1e-12)) + 4
     assert x_hi - x_lo <= 1e-12 + 2.0 * math.ulp(hi)
     assert cert.x0 == x_lo and cert.shot_class is ShotClass.IN_SET_I
 
@@ -610,12 +613,48 @@ def test_decayed_shot_departs_where_its_growing_mode_points(a, b):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("a, b", [(2.0, 0.12), (6.0, 0.36)])
+@pytest.mark.parametrize("a, b", [(2.0, 0.06), (8.0, 0.32)])
+def test_decayed_miss_is_negative_where_its_tail_departs_toward_f_zero(a, b):
+    """On the grids of the test above every Decayed shot's miss r_x^2
+    H(r_x) is nonzero, and it is negative, the sign of a shot in I,
+    exactly when the shot's growing mode points its tail toward f = 0;
+    both signs occur."""
+    params = ModelParams(a, b)
+    x_star = 1.0 - math.exp(-_reference_t_star()[b / a])
+    signs = set()
+    for x in np.linspace(x_star - 1e-12, x_star + 1e-12, 21):
+        out = classify_shot(float(x), params)
+        if out.shot_class is not ShotClass.DECAYED:
+            continue
+        miss = shooting._miss(out)
+        assert miss != 0.0
+        assert (miss < 0.0) is shooting._departs_toward_f_zero(out)
+        signs.add(miss < 0.0)
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("a, b", [(40.0, 0.1), (8.0, 0.02)])
+def test_decayed_ends_do_not_stall_the_search(shot_xs, a, b):
+    """At kappa = 0.0025 the shots up to about 2e-12 above x* decay.  With
+    a Decayed miss of 0 regula falsi landed on that end and the search
+    crept down from it by x_tol/4 a shot, 21 shots in all; with its
+    r_x^2 H(r_x) miss the search takes at most 12, no shot x_tol/4 from
+    the one before, and lands on the oracle's x*."""
+    gs = bisect_ground_state(ModelParams(a, b))
+    assert len(shot_xs) <= 12
+    steps = np.abs(np.diff(shot_xs))
+    assert not np.any(np.isclose(steps, 0.25e-12, rtol=1e-3, atol=0.0))
+    x_star = 1.0 - math.exp(-_reference_t_star()[b / a])
+    assert gs.x_star == pytest.approx(x_star, rel=0, abs=1e-12)
+    assert gs.lemma_report.passed
+
+
+@pytest.mark.parametrize("a, b", [(4.0, 0.098), (6.0, 0.36)])
 def test_decayed_verification_shot_past_x_star_becomes_x_hi(a, b):
-    """Here the verification shot decays with a negative growing mode: it
-    becomes x_hi, and x_lo's InSetI shot is the certificate and passes the
-    audit (certifying the Decayed shot failed spinor_ratio_bound, at
-    2.1e-9 and 5.6e-9)."""
+    """At (4, 0.098) the verification shot decays with a negative growing
+    mode, and at (6, 0.36) the closer's last shot does: either becomes
+    x_hi, and x_lo's InSetI shot is the certificate and passes the
+    audit."""
     params = ModelParams(a, b)
     gs = bisect_ground_state(params)
     lo, hi = gs.bracket
@@ -699,7 +738,7 @@ def test_wall_search_matches_scipy(b):
 
 @pytest.mark.parametrize("a, b", [(9.0, 4.3), (2.0, 0.975)])
 def test_wall_search_shot_count(wall_u0s, a, b):
-    """Deterministic cost gate: below the float grid the ITP closer in
+    """Deterministic cost gate: below the float grid the closer in
     -ln u0 takes at most 20 wall shots per search, escalations included
     (49 and 53 with the former u0 scan and bisection in ln u0), and
     never shoots u0 = 2^-53 again: the x search's shot from 1 - 2^-53
