@@ -25,15 +25,16 @@ about 50 times the step's own error inside a step, so at rtol 1e-9 both
 fail (x* off by up to 1e-9, residuals up to 4e-7).
 
 Every event fires on the first accepted step where its value falls
-through zero (see EventKind).  Events are scanned at the step's ends
-and at five probes, t = j/6: the rows and the points halfway between
-them.  The interpolant moves f by at most
-e_f = h (|qf6| + |qf5| + ... + |qf0|) inside the step, and g by e_g
-likewise; from that box each event kind has a spread, a bound on how far
-its value moves.  A kind's probes are skipped where its value keeps one
-strict sign at both ends and exceeds 4 spreads at the start, since no
-probe can then change its sign; the probes are computed only if some
-kind is not skipped.  The skip changes no result bit.
+through zero (see EventKind).  One routine, _scan, scans each segment
+of a run, the series span and every accepted step, for every armed kind
+and for the blowup threshold: at the segment's ends and at its probes,
+for a step t = j/6, the rows and the points halfway between them.  The
+interpolant moves f by at most e_f = h (|qf6| + |qf5| + ... + |qf0|)
+inside the step, and g by e_g likewise; a kind's probes are skipped
+where its value keeps one strict sign at both ends and the kind's
+margin proves from e_f and e_g that no probe can take it across zero.
+The probes are computed once, and only if some kind is not skipped.
+The skip changes no result bit.
 
 The r = 0 singularity of the radial system is never evaluated.  The
 regular solution is a power series, f odd and g even in r, whose
@@ -48,8 +49,8 @@ and hands off to the stepper at the radius r_h where the last two terms
 of g / x fall below 1e-16 and those of f / x below 1e-16 sqrt(a); under
 the scaling (a, b) -> (l^2 a, l^2 b), f_k -> l^(k+1) f_k and g_k -> l^k
 g_k, so r_h -> r_h / l.  The span [0, r_h] is scanned for events on the
-series (see _series_span).  That tail rule puts r_h near 0.4 of the
-series' radius of convergence rho (1e-16^(1/40) = 0.4), and an
+series, as one segment (see _series_span).  That tail rule puts r_h near
+0.4 of the series' radius of convergence rho (1e-16^(1/40) = 0.4), and an
 eighth-order step h errs about (h/rho)^8, so the stepper's first trial
 step, r_h rtol^(1/8), errs about rtol/1500: the run starts without a
 rejected step and resolves the core below the tolerance.  The stepper
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -139,21 +141,56 @@ class EventKind(enum.Enum):
         GCrossesZero         g
         GSquaredReachesOne   1 - g^2
         DecayDetected        |f| + |g| - 1e-8
-        EnergyBarrier        H - model.trap_energy; a level event, so it
-                             fires already at r = 0 if the initial state
-                             (0, x0) is there
+        EnergyBarrier        H - model.trap_energy
 
-    Each kind's spread bounds how far its value can move inside a step
-    whose interpolant moves f by at most e_f and g by at most e_g:
+    The Blowup end, |f| + |g| reaching L = BLOWUP_THRESHOLD, is scanned
+    the same way as the kind None with value L - (|f| + |g|).
+    EnergyBarrier and Blowup are level kinds: they also fire at a run's
+    start if their value is <= 0 there, so a radial shot can end at r = 0.
 
-        FCrossesZero         e_f
-        GCrossesZero         e_g
-        GSquaredReachesOne   e_g (2|g| + e_g)
-        DecayDetected        e_f + e_g + 2^-52 * 1e-8
-        EnergyBarrier        inf, so it is always scanned
+    A probe of a step is y + d rounded, d = h (t (q0 + t (q1 + ... + t
+    q6))), 0 < t <= 5/6.  Rounding is monotone and |t| <= 1, so |d| <= e,
+    e = h (|q6| + |q5| + ... + |q0|) summed in Horner's order, holds
+    exactly; the rounded probe is within 2 e of y, since y is itself a
+    double |d| from y + d, and within e + u |y + d|, u = 2^-53.  A kind
+    skips a step's probes where its value v is nonzero with one sign at
+    both ends and its margin holds at the start state (f, g): then no
+    probe takes v from > 0 to <= 0 or from < 0 to > 0, so no result bit
+    changes.  The margins and their proofs:
 
-    A step skips a kind's probes when the value at both ends is nonzero
-    with one sign and exceeds 4 spreads in size at the start.
+        FCrossesZero, GCrossesZero: |v| > e.  When |d| <= e < |y|, y + d
+            keeps the sign of y exactly, and so does its rounding.
+        GSquaredReachesOne: |1 - |g|| > e_g + 2^-54.  The computed sign
+            of 1 - g*g is that of 1 - |g| for every double g, and |g + d|
+            stays more than 2^-54, the half-ulp by which a probe can
+            round onto +-1 from below, off 1: no probe rounds onto or
+            across +-1 from below, and from above it can at most reach
+            +-1, where v = 0 is not > 0.
+        DecayDetected and Blowup: |v| > 2 (e_f + e_g) + ulp(l), l = 1e-8
+            or L.  v has the sign of A - l, A = |f| + |g| rounded, and
+            |f| + |g| moves by at most 2 (e_f + e_g) to a probe.  While A
+            lies in l's binade, rounding A at the start and at the probe
+            adds at most half an ulp of l each.  Outside it |v| > l/50,
+            and a probe whose A could reach l has coordinates below l,
+            whose rounding moves |f| + |g| by under ulp(l): |v| could then
+            be at most e_f + e_g plus a few ulps of l, under the margin.
+        EnergyBarrier: |v| > e_f F m_f + e_g G m_g + 2^-49 (F^2 (1 + G^2)
+            + a G^4 + b G^2), F = |f| + e_f, G = |g| + e_g, G0 = max(0,
+            |g| - e_g), m_f = max(|1 - G0^2|, |G^2 - 1|) and m_g = max(|a
+            G0^2 - b - F^2|, |a G^2 - b|).  Before rounding a probe lies
+            in the box |f'| <= F, G0 <= |g'| <= G, within (e_f, e_g) of
+            (f, g), where |H_f| = |f' (1 - g'^2)| <= F m_f and |H_g| = |g'
+            (a g'^2 - b - f'^2)| <= G m_g; so H moves by at most the first
+            two terms.  Rounding the probe's coordinates, by u |f'| and u
+            |g'|, moves H by at most 2 u (F^2 (1 + G^2) + a G^4 + b G^2),
+            and model.energy rounds H by at most 6 u (f^2 (1 + g^2) / 2 +
+            a g^4 / 4 + b g^2 / 2) at the start and at the probe; the
+            last term covers both.
+
+    A margin is evaluated in floats.  Its own rounding is covered by the
+    probes' t <= 5/6, which keeps |d| below about 5/6 e, and by v lying
+    on the grid of ulp(l) near l.  The series span is scanned with e = inf,
+    where no margin holds, so every kind is probed there.
 
     BlowupCertain is a region, not a value: it fires at the first accepted
     step end of the stepper (never on the series span) where f g > 0,
@@ -163,7 +200,7 @@ class EventKind(enum.Enum):
         R(F) = |g| F^2 - (2/r) F - c',  F* = max(|f|, 1/(|g| r)),
         c' = -min(|g| (b - a g^2), b - a).
 
-    It has no probes, no bisection and no spread, since any point of the
+    It has no probes, no bisection and no margin, since any point of the
     region proves that the radial shot blows up.  For g > 0 (the sign map
     covers g < 0), at r0 with f0 > 0 and 0 < g0 < 1: g' = f (1 - g^2) > 0
     while f > 0, and g = 1 is invariant, so g stays in (g0, 1).  phi(s) =
@@ -561,46 +598,26 @@ def _series_point(cols, sf: float, sy: float, r: float) -> tuple[float, float]:
     return sf * (r * pf), sy * py
 
 
-def _series_span(coef: np.ndarray, sf: float, sy: float, r_h: float, event_fns):
+def _series_span(coef: np.ndarray, sf: float, sy: float, r_h: float, rows, vals):
     """Samples of the series (f, y) = (sf r F, sy Y) on [0, r_h] and the
     first event there.
 
     Probes sit at r_h j / (4 _SERIES_ROWS), j = 0, 1, ..., the origin
-    state (0, sy) first; every fourth is kept as a row.  Blowup is a level
-    event on BLOWUP_THRESHOLD - (|f| + |y|).  A level event fires at the
-    origin where its value there is <= 0; any event fires between the
-    first two probes where its value falls through zero, localized on the
-    series by bisection.  The series is summed by _series_point, one
+    state (0, sy) first; every fourth is kept as a row.  The span is one
+    segment of _scan, from the rows' values vals at the origin, with e =
+    inf and the series as its evaluator, summed by _series_point one
     radius at a time.  Returns (rs, fs, ys, termination or None); the
     rows stop at an event.
     """
     n = 4 * _SERIES_ROWS
     cols = tuple(zip(coef[0].tolist()[::-1], coef[1].tolist()[::-1]))
+    point = functools.partial(_series_point, cols, sf, sy)
     pr = [r_h * (j / n) for j in range(n + 1)]
-    probes = [(0.0, sy)] + [_series_point(cols, sf, sy, rv) for rv in pr[1:]]
-    threshold = BLOWUP_THRESHOLD
-    rows = [*event_fns, (None, lambda f, g: threshold - (abs(f) + abs(g)), True, None)]
-    candidates = []
-    for kind, vfn, level, _ in rows:
-        v = [vfn(f, g) for f, g in probes]
-        if level and v[0] <= 0.0:
-            candidates.append((0.0, kind))
-            continue
-        j = next((j for j in range(n) if v[j] > 0.0 >= v[j + 1]), None)
-        if j is not None:
-            def ev(rv, _vfn=vfn):
-                return _vfn(*_series_point(cols, sf, sy, rv))
-            candidates.append((_bisect_root(ev, pr[j], pr[j + 1], _EVENT_DR), kind))
-    keep = probes[::4]
-    rs, fs, gs = pr[::4], [p[0] for p in keep], [p[1] for p in keep]
-    if not candidates:
-        return rs, fs, gs, None
-    term = _stop(candidates)
-    if term.r == 0.0:
-        return rs[:1], fs[:1], gs[:1], term
-    k = bisect.bisect_left(rs, term.r)
-    f_stop, g_stop = _series_point(cols, sf, sy, term.r)
-    return rs[:k] + [term.r], fs[:k] + [f_stop], gs[:k] + [g_stop], term
+    probes = [(0.0, sy)] + [point(rv) for rv in pr[1:]]
+    candidates = _scan(rows, vals, probes[-1], math.inf, math.inf, 0.0, sy,
+                       lambda: (pr, probes[1:-1], point))
+    rs, fs, ys = pr[::4], [p[0] for p in probes[::4]], [p[1] for p in probes[::4]]
+    return _cut(rs, fs, ys, candidates, point) if candidates else (rs, fs, ys, None)
 
 
 def _stop(candidates) -> Termination:
@@ -616,12 +633,61 @@ def _stop(candidates) -> Termination:
     return Termination(TerminationKind.BLOWUP, r_stop)
 
 
-def _step_probes(seg: tuple):
+def _cut(rs, fs, ys, candidates, point):
+    """The rows rs, fs, ys of a segment cut before the earliest candidate,
+    whose state from the evaluator point ends them, and the termination
+    (see _stop)."""
+    term = _stop(candidates)
+    k = bisect.bisect_left(rs, term.r)
+    f, y = point(term.r)
+    return rs[:k] + [term.r], fs[:k] + [f], ys[:k] + [y], term
+
+
+def _start(rows, r: float, f: float, g: float):
+    """The rows' values at a run's start (r, f, g), and the termination
+    there if a level kind's value is <= 0, else None."""
+    vals = [vfn(f, g) for _, vfn, _, _ in rows]
+    fired = [(r, kind) for (kind, _, level, _), v in zip(rows, vals) if level and v <= 0.0]
+    return vals, _stop(fired) if fired else None
+
+
+def _scan(rows, vals, end, e_f: float, e_g: float, f: float, g: float, probe):
+    """(r, kind) candidates of the rows that fire on one segment, the
+    series span or an accepted step, from the start state (f, g).
+
+    vals holds each row's value at the start and is set to its value at
+    the state end.  A row skips the probes where its value has one
+    strict sign at both ends and its margin holds for e_f and e_g (see
+    EventKind); probe() gives the segment's radii xs, its states at
+    xs[1:-1] and its evaluator, once.  A row fires at the first fall
+    through zero, from > 0 to <= 0, bisected on the evaluator.
+    """
+    candidates, seen = [], None
+    for i, (kind, vfn, _, margin) in enumerate(rows):
+        v_lo, v_hi = vals[i], vfn(*end)
+        vals[i] = v_hi
+        if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
+                and margin(v_lo, e_f, e_g, f, g)):
+            continue
+        xs, states, point = seen = seen or probe()
+        vs = (v_lo, *(vfn(*p) for p in states), v_hi)
+        j = next((j for j in range(len(xs) - 1) if vs[j] > 0.0 >= vs[j + 1]), None)
+        if j is not None:
+            candidates.append((_bisect_root(lambda rv: vfn(*point(rv)), xs[j], xs[j + 1],
+                                            _EVENT_DR), kind))
+    return candidates
+
+
+def _step_probes(seg: tuple, row_f: list, row_g: list):
     """Scan radii r0, r0 + t h for t in _PROBE_T, and r0 + h of a segment's
-    step, and its (f, g) at the interior ones."""
+    step, its (f, g) at the interior ones and its evaluator.  The probes
+    at t = 2/6 and 4/6 are the step's rows row_f, row_g at t = 1/3 and
+    2/3: the same t, so the same doubles."""
     r0, h = seg[0], seg[1]
     xs = [r0, *(r0 + t * h for t in _PROBE_T), r0 + h]
-    return xs, [_interpolant(seg, t) for t in _PROBE_T]
+    states = [_interpolant(seg, t) if j % 2 else (row_f[j // 2 - 1], row_g[j // 2 - 1])
+              for j, t in enumerate(_PROBE_T, 1)]
+    return xs, states, functools.partial(_segment_eval, seg)
 
 
 def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
@@ -637,21 +703,21 @@ def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
 
 
 def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
-               event_fns=(), h_init: float | None = None, units=(1.0, 1.0),
+               rows=(), h_init: float | None = None, units=(1.0, 1.0),
                blowup_ab: tuple[float, float] | None = None):
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
-    deriv(r, f, g) -> (df, dg); event_fns is a list of
-    (kind, value_fn(f, g), level, spread(e_f, e_g, g)) tuples evaluated on
-    accepted steps, where every kind fires where its value falls through
-    zero.  BlowupCertain is armed by the couplings blowup_ab = (a, b) and
-    fires at a step end in its region (see EventKind).  The first
-    trial step is h_init, by default _H_INIT.  The absolute tolerance of
-    f and g is cfg.atol times their units.
+    deriv(r, f, g) -> (df, dg); rows is a list of
+    (kind, value_fn(f, g), level, margin(v, e_f, e_g, f, g)) tuples, as
+    from _event_functions, tested at r0 (see _start) and scanned on every
+    accepted step by _scan.  BlowupCertain is armed by the couplings
+    blowup_ab = (a, b) and fires at a step end in its region (see
+    EventKind).  The first trial step is h_init, by default _H_INIT.  The
+    absolute tolerance of f and g is cfg.atol times their units.
     """
     rtol, r_end = cfg.rtol, cfg.r_max
     atol_f, atol_g = cfg.atol * units[0], cfg.atol * units[1]
-    h_max, blowup_threshold = _H_MAX, BLOWUP_THRESHOLD
+    h_max = _H_MAX
     h = min(_H_INIT if h_init is None else h_init, h_max, (r_end - r0))
     if h <= 0.0:
         raise ValueError("empty integration span")
@@ -662,7 +728,9 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
     segments = []
 
     r, f, g = r0, f0, g0
-    prev_vals = [vfn(f, g) for _, vfn, _, _ in event_fns]
+    vals, term = _start(rows, r, f, g)
+    if term is not None:
+        return rs, fs, gs, segments, term
     kf1, kg1 = deriv(r, f, g)
     n_reject = 0
 
@@ -847,42 +915,16 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
         row_f.append(f1)
         row_g.append(g1)
 
-        # -- event scan on the accepted step.  The probes at t = j/6 catch
-        # a double crossing inside one step; they are computed once, for
-        # the first kind that is not skipped.  Why |v_lo| > 4 spread keeps
-        # every probe's value on v_lo's side: a probe is y + d, d = h * (t *
-        # (q0 + t * (q1 + ...))) with 0 <= t <= 1, and e_y sums |q6| + |q5|
-        # + ... in Horner's order; rounding is monotone, so |d| <= e_y holds
-        # exactly and the rounded probe is within 2 e_y of y.  For f and g
-        # the value is the probe itself, so |v_lo| > e_y already suffices.
-        # The computed sign of 1 - g*g is that of 1 - |g| for every double
-        # g, and |v_lo| > 4 spread keeps |g| more than 2 e_g from 1, or
-        # else e_g so far under an ulp of g that every probe rounds back to
-        # g itself.  |f| + |g| is rounded before 1e-8 is taken off; the
-        # spread's 2^-52 * 1e-8 term covers that rounding, without which a
-        # sum within an ulp of the level could round onto it at a probe.
+        # -- the event scan of the accepted step, the probes at t = j/6
+        # catching a double zero inside it
         candidates = []
-        if event_fns:
+        if rows:
             e_f = h * (abs(qf6) + abs(qf5) + abs(qf4) + abs(qf3) + abs(qf2) + abs(qf1)
                        + abs(qf0))
             e_g = h * (abs(qg6) + abs(qg5) + abs(qg4) + abs(qg3) + abs(qg2) + abs(qg1)
                        + abs(qg0))
-            probes = None
-        for i, (kind, vfn, _, spread) in enumerate(event_fns):
-            v_lo, v_hi = prev_vals[i], vfn(f1, g1)
-            prev_vals[i] = v_hi
-            if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
-                    and abs(v_lo) > 4.0 * spread(e_f, e_g, g)):
-                continue
-            if probes is None:
-                xs, probes = _step_probes(seg)
-            vs = (v_lo, *(vfn(*p) for p in probes), v_hi)
-            for j in range(len(xs) - 1):
-                if vs[j] > 0.0 >= vs[j + 1]:
-                    def ev(rv, _vfn=vfn):
-                        return _vfn(*_segment_eval(seg, rv))
-                    candidates.append((_bisect_root(ev, xs[j], xs[j + 1], _EVENT_DR), kind))
-                    break
+            candidates = _scan(rows, vals, (f1, g1), e_f, e_g, f, g,
+                               lambda: _step_probes(seg, row_f, row_g))
 
         # -- the proved blowup region, at the step end only: one product
         # and one compare on a step with f g <= 0.  F* is R's vertex
@@ -898,28 +940,11 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                 if quad - lin - c > _BLOWUP_EPS * (quad + lin + abs(c)):
                     candidates.append((r1, EventKind.BLOWUP_CERTAIN))
 
-        if abs(f1) + abs(g1) > blowup_threshold:
-            def ev_blow(rv):
-                fv, gv = _segment_eval(seg, rv)
-                return blowup_threshold - (abs(fv) + abs(gv))
-            if blowup_threshold - (abs(f) + abs(g)) > 0.0:
-                r_loc = _bisect_root(ev_blow, r, r1, _EVENT_DR)
-            else:
-                r_loc = r
-            candidates.append((r_loc, None))
-
         segments.append(seg)
         if candidates:
-            term = _stop(candidates)
-            k = bisect.bisect_left(row_r, term.r)
-            f_stop, g_stop = _segment_eval(seg, term.r)
-            rs += row_r[:k]
-            fs += row_f[:k]
-            gs += row_g[:k]
-            rs.append(term.r)
-            fs.append(f_stop)
-            gs.append(g_stop)
-            return rs, fs, gs, segments, term
+            row_r, row_f, row_g, term = _cut(row_r, row_f, row_g, candidates,
+                                             functools.partial(_segment_eval, seg))
+            return rs + row_r, fs + row_f, gs + row_g, segments, term
 
         # -- accept
         rs += row_r
@@ -937,37 +962,54 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
 
 
 _DECAY_EPS = 1e-8
-# twice the rounding unit of |f| + |g| at the decay level
-_DECAY_SLACK = _DECAY_EPS * 2.0 ** -52
 
 
 def _event_functions(events, params: ModelParams, wall: bool = False):
-    """(kind, value(f, g), level, spread(e_f, e_g, g)) per kind with a
-    value; see EventKind.  BlowupCertain has none and is left out.
+    """(kind, value(f, g), level, margin(v, e_f, e_g, f, g)) per armed
+    kind with a value, then Blowup's row, kind None; see EventKind.
+    BlowupCertain has no value and is left out.
 
     On the wall chart the functions take (f, u) and evaluate the kind's
     rule at g = 1 - u, except 1 - g^2, which is u (2 - u) there: its sign
-    is exact, and it keeps u's precision below an ulp of 1.
+    is that of u while u < 2, exact, and it keeps u's precision below an
+    ulp of 1, so its margin is |u| > e_u and |2 - u| > e_u + 2^-53.  The
+    other margins read e_g = e_u + 2^-51 (1 + |u| + e_u), which also
+    covers the rounding of 1 - u at the start and at a probe.  Blowup
+    reads |f| + |u| there.
     """
-    h_trap = trap_energy(params)
+    a, b, h_trap = params.a, params.b, trap_energy(params)
+    level = BLOWUP_THRESHOLD
+    ulp_level, ulp_decay = math.ulp(level), math.ulp(_DECAY_EPS)
+
+    def energy_margin(v, e_f, e_g, f, g):
+        fm, gm, gl = abs(f) + e_f, abs(g) + e_g, max(0.0, abs(g) - e_g)
+        f2, g2, l2 = fm * fm, gm * gm, gl * gl
+        return abs(v) > (e_f * fm * max(abs(1.0 - l2), abs(g2 - 1.0))
+                         + e_g * gm * max(abs(a * l2 - b - f2), abs(a * g2 - b))
+                         + 2.0 ** -49 * (f2 * (1.0 + g2) + a * g2 * g2 + b * g2))
+
     table = {
-        EventKind.F_CROSSES_ZERO: (lambda f, g: -f, False, lambda e_f, e_g, g: e_f),
-        EventKind.G_CROSSES_ZERO: (lambda f, g: g, False, lambda e_f, e_g, g: e_g),
-        EventKind.G_SQUARED_REACHES_ONE: (lambda f, g: 1.0 - g * g, False,
-                                          lambda e_f, e_g, g: e_g * (2.0 * abs(g) + e_g)),
-        EventKind.DECAY_DETECTED: (lambda f, g: abs(f) + abs(g) - _DECAY_EPS, False,
-                                   lambda e_f, e_g, g: e_f + e_g + _DECAY_SLACK),
+        EventKind.F_CROSSES_ZERO: (lambda f, g: -f, False, lambda v, ef, eg, f, g: abs(v) > ef),
+        EventKind.G_CROSSES_ZERO: (lambda f, g: g, False, lambda v, ef, eg, f, g: abs(v) > eg),
+        EventKind.G_SQUARED_REACHES_ONE: (
+            lambda f, g: 1.0 - g * g, False,
+            lambda v, ef, eg, f, g: abs(1.0 - abs(g)) > eg + 2.0 ** -54),
+        EventKind.DECAY_DETECTED: (
+            lambda f, g: abs(f) + abs(g) - _DECAY_EPS, False,
+            lambda v, ef, eg, f, g: abs(v) > 2.0 * (ef + eg) + ulp_decay),
         EventKind.ENERGY_BARRIER: (lambda f, g: energy(f, g, params) - h_trap, True,
-                                   lambda e_f, e_g, g: math.inf),
+                                   energy_margin),
     }
     if wall:
-        table = {kind: (lambda f, u, _v=v: _v(f, 1.0 - u), level,
-                        lambda e_f, e_u, u, _s=s: _s(e_f, e_u, 1.0 - u))
-                 for kind, (v, level, s) in table.items()}
+        table = {kind: (lambda f, u, _v=v: _v(f, 1.0 - u), lv, lambda v, ef, eu, f, u, _m=m:
+                        _m(v, ef, eu + 2.0 ** -51 * (1.0 + abs(u) + eu), f, 1.0 - u))
+                 for kind, (v, lv, m) in table.items()}
         table[EventKind.G_SQUARED_REACHES_ONE] = (
             lambda f, u: u * (2.0 - u), False,
-            lambda e_f, e_u, u: e_u * (2.0 * abs(1.0 - u) + e_u))
-    return [(kind,) + table[kind] for kind in events if kind in table]
+            lambda v, ef, eu, f, u: abs(u) > eu and abs(2.0 - u) > eu + 2.0 ** -53)
+    return [(kind,) + table[kind] for kind in events if kind in table] + [
+        (None, lambda f, g: level - (abs(f) + abs(g)), True,
+         lambda v, ef, eg, f, g: abs(v) > 2.0 * (ef + eg) + ulp_level)]
 
 
 def _wall_field(params: ModelParams):
@@ -981,18 +1023,23 @@ def _wall_field(params: ModelParams):
     return deriv
 
 
-def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, event_fns,
+def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, rows,
                 params: ModelParams, cfg: IntegratorConfig, blowup_ab=None):
-    """The series span from the origin, then the stepper from r_h, with
-    BlowupCertain armed there by blowup_ab (see _run_dopri); returns (rs,
-    fs, ys, segments, termination, series)."""
+    """The level kinds tested at the origin (see _start), the series span,
+    then the stepper from r_h, with BlowupCertain armed there by blowup_ab
+    (see _run_dopri); returns (rs, fs, ys, segments, termination,
+    series)."""
     r_h = min(_handoff_radius(coef, params), cfg.r_max)
     if not r_h > 0.0:
         raise StiffnessError(0.0, "power series at the origin overflows")
-    rs, fs, ys, term = _series_span(coef, sf, sy, r_h, event_fns)
+    series = (r_h, coef, sf, sy)
+    vals, term = _start(rows, 0.0, 0.0, sy)
+    if term is not None:
+        return [0.0], [0.0], [sy], [], term, series
+    rs, fs, ys, term = _series_span(coef, sf, sy, r_h, rows, vals)
     segs = []
     if term is None and r_h < cfg.r_max:
-        out = _run_dopri(deriv, r_h, fs[-1], ys[-1], cfg, event_fns,
+        out = _run_dopri(deriv, r_h, fs[-1], ys[-1], cfg, rows,
                          h_init=r_h * cfg.rtol ** 0.125, units=units, blowup_ab=blowup_ab)
         rs += out[0][1:]
         fs += out[1][1:]
@@ -1000,7 +1047,7 @@ def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, event_fns,
         segs, term = out[3], out[4]
     elif term is None:
         term = Termination(TerminationKind.REACHED_RMAX, r_h)
-    return rs, fs, ys, segs, term, (r_h, coef, sf, sy)
+    return rs, fs, ys, segs, term, series
 
 
 def integrate_radial(x0: float, params: ModelParams,
@@ -1082,5 +1129,5 @@ def integrate_shifted(p0: PhasePoint, rho: float, params: ModelParams,
         raise ValueError("shift rho must be positive")
     cfg = config or DEFAULT_CONFIG
     rs, fs, gs, segs, term = _run_dopri(vector_field(params, rho), 0.0,
-                                        p0.f, p0.g, cfg)
+                                        p0.f, p0.g, cfg, _event_functions((), params))
     return Trajectory(rs, fs, gs, params, p0.g, term, segs)

@@ -660,10 +660,12 @@ def test_oversized_initial_step_is_clipped(monkeypatch):
 _EVENT_FUNCTIONS = integrator._event_functions
 
 
-def _probe_every_step(events, params):
-    """_event_functions with every spread inf: no kind ever skips."""
-    return [row[:3] + (lambda e_f, e_g, g: math.inf,)
-            for row in _EVENT_FUNCTIONS(events, params)]
+def _probe_every_step(events, params, wall=False):
+    """_event_functions with no margin ever holding: every kind and the
+    Blowup threshold compute their probes on every step, as they do on
+    the series span."""
+    return [row[:3] + (lambda v, e_f, e_g, f, g: False,)
+            for row in _EVENT_FUNCTIONS(events, params, wall)]
 
 
 def _fingerprint(out):
@@ -710,8 +712,103 @@ def test_gate_is_bit_identical_for_blowups(b, ratio, x0, sign):
     _assert_gate_changes_nothing(sign * x0, ModelParams(ratio * b, b))
 
 
+@pytest.mark.parametrize("x0, params, end", [
+    (0.55, P32, "Event(EnergyBarrier, r=0.780123343433)"),
+    (0.58, P32, "Event(EnergyBarrier, r=0)"),
+    (1.2, P94, "Blowup(r=0.616568118404)"),
+    (-1.2, P94, "Blowup(r=0.616568118404)"),
+    (40.0, P94, "Blowup(r=0.000338840562362)"),
+])
+def test_gate_is_bit_identical_on_the_series_span_and_the_threshold(x0, params, end):
+    """From 0.55 at (3, 2) EnergyBarrier fires inside the series span (r_h
+    = 1.138), from 0.58 at r = 0; from +-1.2 and 40 at (9, 4) the shot
+    ends on the Blowup threshold in the stepper."""
+    assert classify_shot(x0, params).trajectory.termination.describe() == end
+    _assert_gate_changes_nothing(x0, params)
+
+
 def _rows(kind, gated=True):
     return (_EVENT_FUNCTIONS if gated else _probe_every_step)([kind], P94)
+
+
+_P42 = ModelParams(4.0, 2.0)
+_ULP_DECAY = math.ulp(1e-8)
+_ULP_BLOWUP = math.ulp(BLOWUP_THRESHOLD)
+_G_NEAR_TRAP = float.fromhex("0x1.ffffffd50ce24p-1")    # (4, 2): H 1.7e-16 above the trap
+# (kind, params, wall, (f0, y0), (qf0, qy0)): a step of length 1 whose
+# linear interpolant y0 + t q0 takes the kind's value across zero at a
+# probe, though its start value exceeds half the kind's margin (see
+# EventKind), or for the edges that round, the margin without its
+# rounding term; y is g, or u = 1 - g on the wall chart
+_MARGIN_EDGES = {
+    "f-zero": (EventKind.F_CROSSES_ZERO, P94, False, (-0.5, 0.5), (0.7, 0.0)),
+    "g-zero": (EventKind.G_CROSSES_ZERO, P94, False, (0.5, 0.5), (0.0, -0.7)),
+    "g-one": (EventKind.G_SQUARED_REACHES_ONE, P94, False, (0.0, 0.5), (0.0, 0.7)),
+    # one ulp below 1, a probe 0.58 ulp up rounds onto 1
+    "g-one-ulp": (EventKind.G_SQUARED_REACHES_ONE, P94, False, (0.0, 1.0 - 2.0 ** -53),
+                  (0.0, 0.7 * 2.0 ** -53)),
+    # |f| + |g| rounds up to 1e-8 + ulp at the start and onto 1e-8 at a
+    # probe that moves f by 2^-100
+    "decay-rounding": (EventKind.DECAY_DETECTED, P94, False,
+                       (2.0 ** -80 + 2.0 ** -100, 1e-8), (-2.0 ** -97, 0.0)),
+    # the ties 1e-8 + 1.5 ulp and 1e-8 + 0.5 ulp round to even, 2 ulps
+    # apart, while the probe rounds f 0.58 ulp down onto a whole ulp
+    "decay-ties": (EventKind.DECAY_DETECTED, P94, False, (1e-8, 1.5 * _ULP_DECAY),
+                   (-0.7 * _ULP_DECAY, 0.0)),
+    "blowup-rounding": (None, P94, False, (0.5 * _ULP_BLOWUP - 2.0 ** -70,
+                                           BLOWUP_THRESHOLD - _ULP_BLOWUP), (2.0 ** -67, 0.0)),
+    "blowup-ties": (None, P94, False, (BLOWUP_THRESHOLD - 2.0 * _ULP_BLOWUP,
+                                       0.5 * _ULP_BLOWUP), (0.7 * _ULP_BLOWUP, 0.0)),
+    # H 0.5e-8 above the trap level, where |H_g| = 1
+    "energy": (EventKind.ENERGY_BARRIER, P32, False, (0.0, 1.0 - 0.5e-8), (0.0, -0.7e-8)),
+    # g moves 0.58 ulp, rounded to a whole one
+    "energy-rounding": (EventKind.ENERGY_BARRIER, _P42, False, (0.0, _G_NEAR_TRAP),
+                        (0.0, -0.7 * (_G_NEAR_TRAP - math.nextafter(_G_NEAR_TRAP, 0.0)))),
+    "wall-u-zero": (EventKind.G_SQUARED_REACHES_ONE, P94, True, (0.0, 0.5), (0.0, -0.7)),
+    # u one ulp below 1, a probe 0.58 ulp up rounds onto u = 1, g = 0
+    "wall-g-zero-ulp": (EventKind.G_CROSSES_ZERO, P94, True, (0.0, 1.0 - 2.0 ** -53),
+                        (0.0, 0.7 * 2.0 ** -53)),
+}
+
+
+def _scan_hand_step(kind, params, wall, y0, q0, gated):
+    """_scan of one hand-built step whose end state is its start state, so
+    that only a probe can fire; the kind's row alone, Blowup's if None."""
+    rows = [row for row in (_EVENT_FUNCTIONS if gated else _probe_every_step)(
+        [kind], params, wall) if row[0] is kind]
+    seg = (0.0, 1.0, *y0, q0[0], *[0.0] * 6, q0[1], *[0.0] * 6)
+    row_f, row_g = zip(*(integrator._interpolant(seg, t) for t in integrator._ROW_T))
+    return integrator._scan(rows, [rows[0][1](*y0)], y0, abs(q0[0]), abs(q0[1]), *y0,
+                            lambda: integrator._step_probes(seg, row_f, row_g))
+
+
+@pytest.mark.parametrize("name", _MARGIN_EDGES)
+def test_gate_at_each_margin(name):
+    """Each step sits inside its kind's margin and a probe fires: the
+    gated scan probes it and equals the probe-every-step scan.  Halving a
+    kind's margin, or dropping its rounding term, fails one of its edges
+    at least."""
+    kind, *step = _MARGIN_EDGES[name]
+    every = _scan_hand_step(kind, *step, gated=False)
+    assert [k for _, k in every] == [kind]
+    assert _scan_hand_step(kind, *step, gated=True) == every
+
+
+def test_anchor_searches_probe_few_steps(monkeypatch):
+    """The five bench anchor searches compute probes on at most 300 of
+    their 2,693 accepted steps (140 measured; 883 with a uniform margin
+    of 4 spreads)."""
+    probes = []
+    real_probes = integrator._step_probes
+
+    def counted(*args):
+        probes.append(args)
+        return real_probes(*args)
+
+    monkeypatch.setattr(integrator, "_step_probes", counted)
+    for a, b in ((9.0, 4.0), (4.0, 1.0), (12.0, 1.0), (9.0, 2.0), (10.0, 4.5)):
+        bisect_ground_state(ModelParams(a, b))
+    assert len(probes) <= 300
 
 
 # (kind, (f', g') at r, (f, g) at r = 1, first radius where the kind's
