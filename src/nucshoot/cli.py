@@ -439,8 +439,9 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     # (f, g)(r) -> (lam f(lam r), g(lam r)) maps the ground state at (a, b)
     # to the one at (lam^2 a, lam^2 b), so x*, the plateau score and the
     # audit depend on kappa = b/a alone: one search per distinct kappa, at
-    # its largest a, whose compact profile r_max cuts least.  The regime
-    # stays per pair, since REGIME_TOL is absolute in a - 2b.
+    # its largest a, whose compact profile the absolute largest step
+    # (integrator._H_MAX) caps least.  The regime stays per pair, since
+    # REGIME_TOL is absolute in a - 2b.
     kappas = {(a, b): b / a for a, b in pairs
               if classify_regime(ModelParams(a, b)) is Regime.SUPERCRITICAL}
     searched = {kappa: pair for pair, kappa in kappas.items()}  # pairs ascend in a

@@ -692,9 +692,12 @@ def _step_probes(seg: tuple, row_f: list, row_g: list):
 
 def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
     """First radius in [lo, hi] where fun falls to <= 0, given fun(lo) > 0
-    and fun(hi) <= 0."""
+    and fun(hi) <= 0, to a width xtol or adjacent doubles (past r = 8192
+    they are wider than 1e-12)."""
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if fun(mid) <= 0.0:
             hi = mid
         else:

@@ -16,7 +16,8 @@ at the inner endpoint.  Near the critical line a - 2b = 0, x* lies
 within an ulp of 1 and the float bracket is (1 - 2^-53, 1) from the
 start; the same closer then goes on below the float grid in -ln u0,
 u = 1 - g, from that bracket's InSetI end, by shots solved in (f, u)
-(see bisect_ground_state).
+(see bisect_ground_state).  Every shot of a search is integrated once,
+to one horizon set by the profile's own lengths (_search_config).
 """
 
 from __future__ import annotations
@@ -218,11 +219,11 @@ def classify_shot(x0: float, params: ModelParams,
 
 
 def _classify_wall_shot(u0: float, params: ModelParams,
-                       config: IntegratorConfig | None = None) -> ShotOutcome:
+                       config: IntegratorConfig) -> ShotOutcome:
     """Classify the shot from g(0) = 1 - u0, 0 < u0 < 1, solved in
     (f, u = 1 - g) by integrate_wall, with the events of a shot from
     sqrt(b/a) < x0 < 1; its x0 is 1 - u0 rounded."""
-    traj = integrate_wall(u0, params, config or DEFAULT_CONFIG, _WALL_EVENTS)
+    traj = integrate_wall(u0, params, config, _WALL_EVENTS)
     return ShotOutcome(traj.x0, _shot_class(traj, params), traj)
 
 
@@ -301,6 +302,19 @@ def _t_law(kappa: float) -> float:
             + _Q0 * math.sqrt(kappa) + c0 + c1 * e + c2 * e * e)
 
 
+def _search_config(params: ModelParams, config: IntegratorConfig
+                   ) -> IntegratorConfig:
+    """config with r_max raised to R + 40/sqrt(b) if that is larger, the
+    horizon of every shot of a search.  R = 2 sqrt(2) / (sqrt(a) (1 -
+    2b/a)) is the profile's thin-wall radius (Coleman, Phys. Rev. D 15,
+    2929, 1977); a shot a relative 2^-53 or more off x* meets its first
+    event within ln(2^53) / (2 sqrt(b)) = 18.4/sqrt(b) past R (_miss), and
+    a horizon short of its event leaves it Undetermined, outside I."""
+    a, b = params.a, params.b
+    wall = 2.0 * math.sqrt(2.0) / (math.sqrt(a) * (1.0 - 2.0 * b / a))
+    return replace(config, r_max=max(config.r_max, wall + 40.0 / math.sqrt(b)))
+
+
 def seed_bracket(params: ModelParams,
                  config: IntegratorConfig | None = None
                  ) -> tuple[ShotOutcome, ShotOutcome]:
@@ -315,14 +329,15 @@ def seed_bracket(params: ModelParams,
     in I, once t passes -ln 2^-53.  A probe on the wrong side of x*
     becomes the other end of the bracket and doubles d on its own side,
     so the classes prove the bracket and a bad law costs shots, never an
-    answer.  Every probe is classified like a search shot (horizon
-    escalation, then anything but InSetI counts as outside I).
+    answer.  Every probe is classified like a search shot, to the
+    search's horizon (_search_config), and anything but InSetI counts as
+    outside I.
     Near-critical pairs (2b/a close to 1) put sup I within an ulp of 1,
     and the bracket is then (1 - 2^-53, 1) in two shots.
     """
     if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("ground-state bracketing requires a - 2b > 0")
-    cfg = config or DEFAULT_CONFIG
+    cfg = _search_config(params, config or DEFAULT_CONFIG)
     kappa = params.b / params.a
     x_floor = 0.5 * (math.sqrt(kappa) + math.sqrt(2.0 * kappa))
     t = _t_law(kappa)
@@ -333,13 +348,14 @@ def seed_bracket(params: ModelParams,
         d *= 2.0
         if hi_out is not None and x >= hi_out.x0:
             continue
-        out = _classify_escalating(x, params, cfg)
+        out = classify_shot(x, params, cfg)
         if out.shot_class is ShotClass.IN_SET_I:
             lo_out = out
         elif x == x_floor:
             raise BracketFailureError(
                 f"seed x_lo = {x:.6g} classified {out.shot_class.value}, "
-                "expected InSetI; integrator settings are likely too loose")
+                "expected InSetI; its shot ended "
+                f"{out.trajectory.termination.describe()}")
         else:
             hi_out = out
     d = _LAW_SPREAD
@@ -348,28 +364,12 @@ def seed_bracket(params: ModelParams,
         d *= 2.0
         if x <= lo_out.x0:
             continue
-        out = _classify_escalating(x, params, cfg)
+        out = classify_shot(x, params, cfg)
         if out.shot_class is ShotClass.IN_SET_I:
             lo_out = out
         else:
             hi_out = out
     return lo_out, hi_out
-
-
-def _classify_escalating(x0: float, params: ModelParams, cfg: IntegratorConfig,
-                         shoot=None) -> ShotOutcome:
-    """Classify by `shoot` (classify_shot by default, or _classify_wall_shot
-    with x0 read as u0), doubling r_max (up to 4x) while the horizon is the
-    blocker."""
-    shoot = shoot or classify_shot
-    out = shoot(x0, params, cfg)
-    factor = 2
-    while (out.shot_class is ShotClass.UNDETERMINED
-           and out.trajectory.termination.kind is TerminationKind.REACHED_RMAX
-           and factor <= 4):
-        out = shoot(x0, params, replace(cfg, r_max=cfg.r_max * factor))
-        factor *= 2
-    return out
 
 
 def _miss(out: ShotOutcome) -> float | None:
@@ -483,8 +483,9 @@ def bisect_ground_state(params: ModelParams,
     bracket in x by _itp, within ceil(log2(w0/x_tol)) + 4 shots of its
     width w0; a Decayed shot steers it by its own miss (_miss) and stays
     an x_hi end.  The loop invariant is classify(x_lo) = InSetI
-    and classify(x_hi) is anything else; Undetermined shots get a doubled
-    horizon (to 4x) and go to the x_hi side if still undecided.  When the
+    and classify(x_hi) is anything else, Undetermined included; every
+    shot is integrated once, to the search's horizon, config.r_max or the
+    profile's R + 40/sqrt(b) if larger (_search_config).  When the
     seed pair is already narrower than x_tol, nothing is shot before the
     final verification shot at the midpoint.  x* itself is not
     numerically attainable, so unless that shot decays with its tail
@@ -514,15 +515,15 @@ def bisect_ground_state(params: ModelParams,
     """
     if x_tol <= 0.0:
         raise ValueError("x_tol must be positive")
-    cfg = config or DEFAULT_CONFIG
-    lo_out, hi_out = seed_bracket(params, cfg)
+    lo_out, hi_out = seed_bracket(params, config)
+    cfg = _search_config(params, config or DEFAULT_CONFIG)
     x_lo, cert, x_hi = _itp(lo_out.x0, hi_out.x0, lo_out, hi_out,
-                            lambda x: _classify_escalating(x, params, cfg), x_tol)
+                            lambda x: classify_shot(x, params, cfg), x_tol)
 
     x_star = x_lo
     mid = 0.5 * (x_lo + x_hi)
     if x_lo < mid < x_hi:
-        ver = _classify_escalating(mid, params, cfg)
+        ver = classify_shot(mid, params, cfg)
         if ver.shot_class is ShotClass.IN_SET_I:
             x_lo = x_star = mid
             cert = ver
@@ -531,18 +532,16 @@ def bisect_ground_state(params: ModelParams,
         else:
             x_hi = mid
     elif x_hi == 1.0:       # the bracket is (1 - 2^-53, 1)
-        def shoot(u0):
-            return _classify_escalating(u0, params, cfg, _classify_wall_shot)
-
         u_in, u_out = 2.0 ** -53, sys.float_info.min
-        hi_out = shoot(u_out)
+        hi_out = _classify_wall_shot(u_out, params, cfg)
         if hi_out.shot_class is ShotClass.IN_SET_I:
             raise BracketFailureError(
                 f"the shot from u0 = 1 - g(0) = {u_out!r}, the float floor "
                 "(smallest normal double), is in I: u* = 1 - x* lies below "
                 "the float floor")
         _, cert, _ = _itp(-math.log(u_in), -math.log(u_out), cert, hi_out,
-                          lambda t: shoot(math.exp(-t)), x_tol)
+                          lambda t: _classify_wall_shot(math.exp(-t), params, cfg),
+                          x_tol)
 
     return GroundState(x_star, (x_lo, x_hi), cert.trajectory,
                        audit_lemmas(cert.trajectory))

@@ -1,7 +1,11 @@
 """Adaptive integration: accuracy, events, terminations, dense output."""
 import bisect
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,6 +473,30 @@ def test_convergence_order_at_least_seven(monkeypatch):
     assert errs[-1] > 100.0 * 4e-15
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 7.0
+
+
+def test_event_bisection_ends_on_adjacent_doubles():
+    """Past r = 8192 adjacent doubles lie more than the 1e-12 bisection
+    target apart: a one-ulp bracket returns its upper end, and the InSetI
+    shot from x = 0.004337355250841844 at (1, 1e-6) is localized near
+    r = 8695.  Both run in a child process, so a bisection that never
+    ends fails the test by its timeout instead of hanging the suite."""
+    code = (
+        "import math\n"
+        "from nucshoot.integrator import IntegratorConfig, _bisect_root\n"
+        "from nucshoot.model import ModelParams\n"
+        "from nucshoot.shooting import classify_shot\n"
+        "hi = math.nextafter(8192.0, math.inf)\n"
+        "assert _bisect_root(lambda r: hi - r, 8192.0, hi, 1e-12) == hi\n"
+        "out = classify_shot(0.004337355250841844, ModelParams(1.0, 1e-6),\n"
+        "                    IntegratorConfig(r_max=12000.0))\n"
+        "print(out.shot_class.value, out.r_x)\n")
+    src = str(Path(integrator.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    cls, r_x = run.stdout.split()
+    assert cls == "InSetI" and 8192.0 < float(r_x) < 12000.0
 
 
 def test_event_f_crosses_zero_rising():

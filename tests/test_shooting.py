@@ -457,6 +457,26 @@ def test_seed_bracket_validation():
         seed_bracket(ModelParams(8.0, 4.0))      # critical is excluded too
 
 
+def test_seed_failure_names_what_its_probe_did(monkeypatch):
+    """When no probe down to the floor x = (sqrt(kappa) + sqrt(2 kappa))/2
+    lands in I, BracketFailureError names the floor probe's class and how
+    its shot ended."""
+    shots = []
+
+    def never_in_i(x0, params, config=None):
+        shots.append(replace(classify_shot(x0, params, config),
+                             shot_class=ShotClass.UNDETERMINED))
+        return shots[-1]
+
+    monkeypatch.setattr(shooting, "classify_shot", never_in_i)
+    with pytest.raises(BracketFailureError) as err:
+        seed_bracket(P41)
+    assert shots[-1].x0 == 0.5 * (math.sqrt(0.25) + math.sqrt(0.5))
+    assert str(err.value).endswith(
+        "classified Undetermined, expected InSetI; its shot ended "
+        + shots[-1].trajectory.termination.describe())
+
+
 def test_search_shoots_each_x_once(shot_xs):
     """Seed, ITP and verification shots together: the seed pair's shots
     are reused, not shot again; the law's pair alone brackets (9, 4), and
@@ -472,20 +492,26 @@ def test_search_shoots_each_x_once(shot_xs):
                                           rel=0, abs=x_abs)
 
 
-def test_short_horizon_escalates_and_still_certifies(monkeypatch, decayed21):
-    """At r_max = 6 the shots near x* at (9, 4) end Undetermined; the
-    search doubles the horizon for them and still lands on the scipy x*.
+def test_short_horizon_is_lifted_to_the_profile_and_still_certifies(monkeypatch,
+                                                                    decayed21):
+    """At r_max = 6 on (9, 4) every search shot runs once, to the profile's
+    horizon max(6, R + 40/sqrt(b)) = 28.49, R = 2 sqrt(2) / (sqrt(a) (1 -
+    2b/a)) its thin-wall radius, and the search lands on the scipy x*.
     A Decayed shot's miss is r_x^2 H(r_x), as at the other events, and not
     0; a Trapped shot carries none."""
-    horizons = []
+    horizons, xs = [], []
 
     def recording(x0, params, config=None):
         horizons.append(config.r_max)
+        xs.append(x0)
         return classify_shot(x0, params, config)
 
     monkeypatch.setattr(shooting, "classify_shot", recording)
     gs = bisect_ground_state(P94, IntegratorConfig(r_max=6.0))
-    assert set(horizons) == {6.0, 12.0}
+    wall = 2.0 * math.sqrt(2.0) / (3.0 * (1.0 - 8.0 / 9.0))
+    assert len(set(horizons)) == 1
+    assert horizons[0] == pytest.approx(wall + 40.0 / 2.0, rel=1e-14)
+    assert len(set(xs)) == len(xs)
     assert gs.x_star == pytest.approx(X_STAR_SCIPY[4.0 / 9.0], rel=0, abs=1e-13)
     assert gs.lemma_report.passed
     assert decayed21.shot_class is ShotClass.DECAYED
@@ -670,6 +696,13 @@ def test_bisect_validation():
         bisect_ground_state(P94, x_tol=0.0)
     with pytest.raises(ValueError):
         bisect_ground_state(ModelParams(1.0, 4.0))
+
+
+def test_bisect_rejects_the_critical_line():
+    """On a = 2b the thin-wall radius, and so the search's horizon, is
+    infinite; the search refuses the pair by its regime first."""
+    with pytest.raises(ValueError, match="a - 2b > 0"):
+        bisect_ground_state(ModelParams(8.0, 4.0))
 
 
 def test_ground_state_near_critical(gs94):
@@ -878,6 +911,33 @@ def test_certificate_is_scale_covariant(kappa, c_rel):
     assert all(c == pytest.approx(cs[1], rel=c_rel) for c in cs)
     spreads = [gs.lemma_report.check("decay_bound").value for gs in states]
     assert all(v == pytest.approx(spreads[1], rel=1e-3) for v in spreads)
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 0.049), (0.01, 0.0049)])
+def test_certificate_is_scale_covariant_at_small_a(a, b):
+    """At kappa = 0.49 and a = 0.1 or 0.01 the thin wall R = 2 sqrt(2) /
+    (sqrt(a) (1 - 2 kappa)) lies at 447 or 1414, past the default r_max;
+    the search's horizon follows it, and the certificate passes the audit
+    with the u* of (2, 0.98) to 1e-10 relative."""
+    ref = bisect_ground_state(ModelParams(2.0, 0.98)).u_star
+    gs = bisect_ground_state(ModelParams(a, b))
+    assert gs.lemma_report.passed
+    assert gs.u_star == pytest.approx(ref, rel=1e-10)
+
+
+def test_x_star_approaches_the_nls_limit():
+    """As kappa -> 0 at a = 1 the model reduces to the 3-D cubic NLS and
+    x* = Q(0) sqrt(kappa) (1 - c kappa + O(kappa^2)), so c(kappa) = (1 -
+    x* / (Q(0) sqrt(kappa))) / kappa is linear in kappa near 0: its
+    successive differences over kappa = 4e-4, 2e-4, 1e-4, 5e-5 halve, to
+    5%, and every certificate passes the audit."""
+    cs = []
+    for kappa in (4e-4, 2e-4, 1e-4, 5e-5):
+        gs = bisect_ground_state(ModelParams(1.0, kappa))
+        assert gs.lemma_report.passed
+        cs.append((1.0 - gs.x_star / (shooting._Q0 * math.sqrt(kappa))) / kappa)
+    d = np.diff(cs)
+    assert d[1:] / d[:-1] == pytest.approx([0.5, 0.5], rel=0.05)
 
 
 def test_audit_flags_the_non_decaying_wall_profile():
