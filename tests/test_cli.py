@@ -76,6 +76,16 @@ def test_ground_state_regime_rejection(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_REGIME
 
 
+def test_ground_state_numerical_failure(tmp_path, capsys):
+    """A failed search exits 3 and, like a usage error, leaves no --out.
+    At a = 1e300 the origin's power series overflows before any shot."""
+    out = tmp_path / "gs"
+    code = main(["ground-state", "--a", "1e300", "--b", "1", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "ground-state search failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ground_state_below_the_float_floor_fails_by_name(tmp_path, capsys):
     """At (8, 3.98) the shot from the smallest normal u0 is still in I, so
     u* lies below the float floor: a failed search exits 3 with that
