@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -439,9 +438,10 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     # (f, g)(r) -> (lam f(lam r), g(lam r)) maps the ground state at (a, b)
     # to the one at (lam^2 a, lam^2 b), so x*, the plateau score and the
     # audit depend on kappa = b/a alone: one search per distinct kappa, at
-    # its largest a, whose compact profile the absolute largest step
-    # (integrator._H_MAX) caps least.  The regime stays per pair, since
-    # REGIME_TOL is absolute in a - 2b.
+    # its largest a.  The search's other absolute thresholds still make its
+    # shots depend on a, and the largest a took the fewest rows (kappa =
+    # 1e-5: 1,932 at a = 100, 3,236 at 0.01, 3,501 at 1).  The regime stays
+    # per pair, since REGIME_TOL is absolute in a - 2b.
     kappas = {(a, b): b / a for a, b in pairs
               if classify_regime(ModelParams(a, b)) is Regime.SUPERCRITICAL}
     searched = {kappa: pair for pair, kappa in kappas.items()}  # pairs ascend in a
@@ -449,6 +449,9 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     tasks = [(a, b, config, cfg.x_tol) for a, b in searched.values()]
     jobs = cfg.jobs or getattr(os, "process_cpu_count", os.cpu_count)() or 1
     if jobs > 1 and len(tasks) > 1:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             solved = list(pool.map(_sweep_row, tasks))
     else:

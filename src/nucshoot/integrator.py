@@ -8,7 +8,8 @@ friction shift rho = 0, inf and rho > 0.  Twelve stages give the
 eighth-order step, and the derivative at the new point is the next
 step's first stage.  The local error is Hairer's blend of the fifth- and
 third-order estimates, and an I-controller with exponent 1/8 and safety
-0.9 sets the next step from it.  Three more stages give a seventh-order
+0.9 sets the next step from it; no absolute length caps a step, only
+the span left to r_max.  Three more stages give a seventh-order
 interpolant on every accepted step, stored in power form as
 y0 + h (q0 t + q1 t^2 + ... + q6 t^7), 0 <= t <= 1, and summed by
 Horner's rule; events are localized by bracketed root solving on it and
@@ -96,7 +97,6 @@ __all__ = [
 # A run ends as Blowup where |f| + |g| first reaches this level.
 BLOWUP_THRESHOLD = 1e3
 _H_INIT = 1e-3             # first trial step of the unsingular flows
-_H_MAX = 10.0              # largest step the controller may take
 _SERIES_ORDER = 20         # f through r^(2*20 - 1), g through r^(2*20)
 _SERIES_TAIL = 1e-16       # bound on the last terms at the hand-off
 _SERIES_ROWS = 4           # samples kept on (0, r_h]; 4 probes per row
@@ -710,18 +710,17 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                blowup_ab: tuple[float, float] | None = None):
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
-    deriv(r, f, g) -> (df, dg); rows is a list of
-    (kind, value_fn(f, g), level, margin(v, e_f, e_g, f, g)) tuples, as
-    from _event_functions, tested at r0 (see _start) and scanned on every
-    accepted step by _scan.  BlowupCertain is armed by the couplings
-    blowup_ab = (a, b) and fires at a step end in its region (see
-    EventKind).  The first trial step is h_init, by default _H_INIT.  The
-    absolute tolerance of f and g is cfg.atol times their units.
+    deriv(r, f, g) -> (df, dg); rows is a list of (kind, value_fn(f, g),
+    level, margin(v, e_f, e_g, f, g)) tuples, as from _event_functions,
+    tested at r0 (see _start) and scanned on every accepted step by _scan.
+    BlowupCertain is armed by the couplings blowup_ab = (a, b) and fires at
+    a step end in its region (see EventKind).  The first trial step is
+    h_init, by default _H_INIT; only the error test and r_max bound a step.
+    The absolute tolerance of f and g is cfg.atol times their units.
     """
     rtol, r_end = cfg.rtol, cfg.r_max
     atol_f, atol_g = cfg.atol * units[0], cfg.atol * units[1]
-    h_max = _H_MAX
-    h = min(_H_INIT if h_init is None else h_init, h_max, (r_end - r0))
+    h = min(_H_INIT if h_init is None else h_init, r_end - r0)
     if h <= 0.0:
         raise ValueError("empty integration span")
 
@@ -742,7 +741,7 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
             return rs, fs, gs, segments, Termination(TerminationKind.REACHED_RMAX, r)
         if h < 1e-13 * max(1.0, abs(r)):
             raise StiffnessError(r)
-        h = min(h, h_max, r_end - r)
+        h = min(h, r_end - r)
 
         # -- twelve stages
         kf2, kg2 = deriv(r + _C2 * h,

@@ -454,7 +454,7 @@ def test_mirrored_trajectory():
         assert math.copysign(1.0, _sample(rest.mirrored(), r)[0]) == -1.0
 
 
-def test_convergence_order_at_least_seven(monkeypatch):
+def test_convergence_order_at_least_seven():
     """Fixed-step endpoint errors against the tightest reference, at steps
     whose errors (about 5e-7 down to 3e-12) stay far above its error (about
     4e-15 against 200 fixed steps); the log2 slopes of an eighth-order step
@@ -463,13 +463,16 @@ def test_convergence_order_at_least_seven(monkeypatch):
                                  IntegratorConfig(rtol=1e-14, atol=1e-17, r_max=2.0))
     rf, rg = ref.f[-1], ref.g[-1]
     errs = []
-    cfg = IntegratorConfig(rtol=10.0, atol=10.0, r_max=2.0)
+    deriv = vector_field(P94, math.inf)
     for h in (0.4, 0.2, 0.1):
-        # sky-high tolerances pin the controller at h = h_max = h_init
-        monkeypatch.setattr(integrator, "_H_INIT", h)
-        monkeypatch.setattr(integrator, "_H_MAX", h)
-        t = integrate_conservative(PhasePoint(0.3, 0.4), P94, cfg)
-        errs.append(math.hypot(t.f[-1] - rf, t.g[-1] - rg))
+        # one-step runs of length h, each accepted at sky-high tolerances
+        f, g = 0.3, 0.4
+        for k in range(round(2.0 / h)):
+            cfg = IntegratorConfig(rtol=10.0, atol=10.0, r_max=(k + 1) * h)
+            rs, fs, gs, _, _ = integrator._run_dopri(deriv, k * h, f, g, cfg, h_init=h)
+            assert len(rs) == 1 + integrator._ROWS
+            f, g = fs[-1], gs[-1]
+        errs.append(math.hypot(f - rf, g - rg))
     assert errs[-1] > 100.0 * 4e-15
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 7.0
@@ -676,7 +679,6 @@ def test_shifted_approaches_conservative_flow():
 
 def test_oversized_initial_step_is_clipped(monkeypatch):
     monkeypatch.setattr(integrator, "_H_INIT", 50.0)
-    monkeypatch.setattr(integrator, "_H_MAX", 50.0)
     traj = integrate_conservative(PhasePoint(0.3, 0.4), P94, IntegratorConfig(r_max=10.0))
     assert traj.r_end == 10.0
     assert np.max(np.abs(traj.H - traj.H[0])) <= 1e-7
@@ -839,42 +841,44 @@ def test_anchor_searches_probe_few_steps(monkeypatch):
     assert len(probes) <= 300
 
 
-# (kind, (f', g') at r, (f, g) at r = 1, first radius where the kind's
-# value falls through zero): each value dips through zero and back
+# (kind, (f', g') at r, (f, g) at r = 27.02, first radius where the
+# kind's value falls through zero): each value dips through zero and back
 # around r = 32
 _DOUBLE_ZEROS = [
     (EventKind.F_CROSSES_ZERO, lambda r: (2.0 * (r - 32.0), 0.0),
-     (31.0 ** 2 - 0.25, 0.5), 32.5),
+     (4.98 ** 2 - 0.25, 0.5), 32.5),
     (EventKind.G_CROSSES_ZERO, lambda r: (0.0, 2.0 * (r - 32.0)),
-     (0.5, 31.0 ** 2 - 0.25), 31.5),
+     (0.5, 4.98 ** 2 - 0.25), 31.5),
     (EventKind.G_SQUARED_REACHES_ONE, lambda r: (0.0, 0.5 * (r - 32.0)),
-     (0.0, 0.5 + 31.0 ** 2 / 4.0), 32.0 + math.sqrt(2.0)),
+     (0.0, 0.5 + 4.98 ** 2 / 4.0), 32.0 + math.sqrt(2.0)),
     (EventKind.DECAY_DETECTED, lambda r: (0.0, 4e-9 * (r - 32.0)),
-     (0.0, 2e-9 * 31.0 ** 2 + 5e-9), 32.0 - math.sqrt(2.5)),
+     (0.0, 2e-9 * 4.98 ** 2 + 5e-9), 32.0 - math.sqrt(2.5)),
 ]
 
 
 @pytest.mark.parametrize("kind,field,y0,root", _DOUBLE_ZEROS,
                          ids=[k.value for k, *_ in _DOUBLE_ZEROS])
 def test_double_zero_inside_one_step_is_localized(kind, field, y0, root):
-    """The value is quadratic in r and integrated exactly, so the steps
-    grow to h_max; the step over r = 32 starts and ends on the far side
-    of zero, and its probes at sixths of the step see the dip: for the f-
-    and g-zeros only the one at t = 1/2 (r = 32.02), which is not a row."""
+    """The value is quadratic in r and integrated exactly, so the first
+    trial step, [27.02, 37.02], is accepted; it starts and ends on the far
+    side of zero, and its probes at sixths of the step see the dip: for
+    the f- and g-zeros only the one at t = 1/2 (r = 32.02), which is not
+    a row."""
     def deriv(r, f, g):
         return field(r)
 
     cfg = IntegratorConfig(r_max=100.0)
-    out = integrator._run_dopri(deriv, 1.0, *y0, cfg, _rows(kind))
+    out = integrator._run_dopri(deriv, 27.02, *y0, cfg, _rows(kind), h_init=10.0)
     rs, fs, gs, segs, term = out
-    seg = segs[-1]
+    seg, = segs
     vfn = _rows(kind)[0][1]
-    assert seg[1] == integrator._H_MAX and seg[0] < root < seg[0] + seg[1]
+    assert seg[1] == 10.0 and seg[0] < root < seg[0] + seg[1]
     v_end = vfn(*integrator._segment_eval(seg, seg[0] + seg[1]))
     assert vfn(seg[2], seg[3]) * v_end > 0.0
     assert term.event_kinds == (kind,)
     assert term.r == pytest.approx(root, rel=0, abs=1e-9)
-    every = integrator._run_dopri(deriv, 1.0, *y0, cfg, _rows(kind, gated=False))
+    every = integrator._run_dopri(deriv, 27.02, *y0, cfg, _rows(kind, gated=False),
+                                  h_init=10.0)
     assert repr(out) == repr(every)
 
 

@@ -925,6 +925,17 @@ def test_certificate_is_scale_covariant_at_small_a(a, b):
     assert gs.u_star == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("kappa", [1e-4, 1e-6])
+def test_small_kappa_certificate_does_not_depend_on_a(kappa):
+    """No absolute length caps a step, so the steps of the wide profile at
+    small a scale with it: the certificate has one row count at a = 0.01,
+    1 and 100 (273 and 254 measured), and x* one value to 1e-12."""
+    states = [bisect_ground_state(ModelParams(a, kappa * a)) for a in (0.01, 1.0, 100.0)]
+    assert len({len(gs.trajectory.r) for gs in states}) == 1
+    xs = [gs.x_star for gs in states]
+    assert max(xs) - min(xs) <= 1e-12
+
+
 def test_x_star_approaches_the_nls_limit():
     """As kappa -> 0 at a = 1 the model reduces to the 3-D cubic NLS and
     x* = Q(0) sqrt(kappa) (1 - c kappa + O(kappa^2)), so c(kappa) = (1 -
