@@ -44,9 +44,10 @@ coefficients follow from (r^2 f)' = r^2 N and g' = M by Cauchy products:
     (k + 2) f_k = N_{k-1},   N = g (f^2 - a g^2 + b),
         k g_k = M_{k-1},     M = f (1 - g^2),
 
-from f_0 = 0, g_0 = x.  A radial run sums it to order 40 in units of x
-(Hairer, Norsett and Wanner, Solving ODEs I, the Taylor-series start)
-and hands off to the stepper at the radius r_h where the last two terms
+from f_0 = 0, g_0 = x.  A radial run that leaves the origin (see
+_radial_run) sums it to order 40 in units of x (Hairer, Norsett and
+Wanner, Solving ODEs I, the Taylor-series start) and hands off to
+the stepper at the radius r_h where the last two terms
 of g / x fall below 1e-16 and those of f / x below 1e-16 sqrt(a); under
 the scaling (a, b) -> (l^2 a, l^2 b), f_k -> l^(k+1) f_k and g_k -> l^k
 g_k, so r_h -> r_h / l.  The span [0, r_h] is scanned for events on the
@@ -196,41 +197,52 @@ class EventKind(enum.Enum):
     step end of the stepper (never on the series span) where f g > 0,
     0 < |g| < 1 and, with eps = _BLOWUP_EPS = 1e-3,
 
-        R(F*) > eps (|g| F*^2 + (2/r) F* + |c'|),
-        R(F) = |g| F^2 - (2/r) F - c',  F* = max(|f|, 1/(|g| r)),
-        c' = -min(|g| (b - a g^2), b - a).
+        |g| r |f| > (1 + eps) (1 + r sqrt(|g| c+)),
+        c+ = max(0, c'),  c' = max(-phi(|g|), a - b),  phi(s) = s (b - a s^2),
 
-    It has no probes, no bisection and no margin, since any point of the
-    region proves that the radial shot blows up.  For g > 0 (the sign map
-    covers g < 0), at r0 with f0 > 0 and 0 < g0 < 1: g' = f (1 - g^2) > 0
-    while f > 0, and g = 1 is invariant, so g stays in (g0, 1).  phi(s) =
-    b s - a s^3 is concave for s >= 0, so on [g0, 1] it is at least its
-    smaller end value, -c'; c' <= max(0, a - b), and c' < 0 when a < b.
-    So for r >= r0, while f > 0,
+    and at r = 0, after the level kinds, on every shot with a < b and
+    0 < |x0| < 1.  It has no probes, no bisection and no margin, since any
+    point of the region proves that the radial shot blows up.
 
-        f' = -(2/r) f + g f^2 + phi(g) >= R(f),
+    Take g > 0; the sign map covers g < 0.  F = r^2 f obeys F' = r^2 (g
+    f^2 + phi(g)): the friction -(2/r) f cancels exactly.  From a step end
+    (r0, f0, g0) with f0 > 0 and 0 < g0 < 1, g' = f (1 - g^2) > 0 while f >
+    0, and g = 1 is invariant, so g stays in (g0, 1).  phi is concave for s
+    >= 0, so on [g0, 1] it is at least its smaller end value, -c'.  So for
+    r >= r0, while f > 0,
 
-    with g0 and r0 in R.  R is least at its vertex 1/(g0 r0), so R(F*) > 0
-    makes R positive on [f0, inf): f rises, and by the comparison theorem
-    (Hartman, Ordinary Differential Equations, ch. III) it stays above the
-    solution of F' = R(F), F(r0) = f0, which blows up at r0 + T.  With
-    D = 1/r0^2 + g0 c', if D > 0, R = g0 (F - f+)(F - f-),
-    f+- = (1/r0 +- sqrt(D)) / g0, f0 > f+ and
+        F' >= g0 F^2 / r^2 - c+ r^2.
 
-        T = ln((f0 - f-)/(f0 - f+)) / (g0 (f+ - f-));
+    The comparison equation Phi' = g0 Phi^2 / r^2 - c+ r^2, Phi(r0) = r0^2
+    f0, becomes w'' = k^2 w, k = sqrt(g0 c+), under Phi = (r - r^2 w'/w) /
+    g0, with w(r0) = 1 and w'(r0) = q = (1 - g0 r0 f0) / r0.  So w = cosh(k
+    s) + (q/k) sinh(k s), s = r - r0, reaches 0, and Phi blows up, iff q <
+    -k, that is g0 r0 f0 > 1 + r0 sqrt(g0 c+); it does so at
 
-    if D < 0, R = g0 (F - 1/(g0 r0))^2 - D/g0 has no root and
+        T = artanh(-k/q) / k   (T = -1/q when k = 0)
 
-        T = (pi/2 - arctan(g0 (f0 - 1/(g0 r0)) / sqrt(-D))) / sqrt(-D);
+    past r0.  Until then w' < 0 < w, so Phi > r / g0 > 0, and by the
+    comparison theorem (Hartman, Ordinary Differential Equations, ch. III)
+    F >= Phi: f > 1/(g0 r) > 0, the assumption f > 0 holds throughout, and
+    F, so f, blows up no later than r0 + T.  At the origin with a < b and
+    0 < x0 < 1, phi(g) >= g (b - a) > 0 on (0, 1], so F' > 0 and F > 0
+    from r = 0 on, f > 0 and g rises in (x0, 1); then F' >= x0 F^2 / r^2 +
+    x0 (b - a) r^2, whose comparison equation gives w'' = -x0^2 (b - a)
+    w, which reaches 0 from any F > 0, so the shot blows up.
 
-    D = 0 is the common limit T = 1/(g0 f0 - 1/r0).  R(F*) > 0 would
-    suffice; the margin eps is relative to R's terms, so it is far above
-    the step's error in (f0, g0) and the rounding of the test, and like R
-    the test is invariant under (a, b) -> (l^2 a, l^2 b), r -> r / l,
-    f -> l f, up to rounding.  No other kind can fire first: f keeps its
-    sign, g never reaches 0 or 1, |f| + |g| grows, and by the trap lemma
-    (model.trap_energy) H cannot fall below the trap level on a shot that
-    blows up.
+    The margin eps is relative, so it is far above the step's error in
+    (f0, g0) and the rounding of the test, and the test is invariant under
+    (a, b) -> (l^2 a, l^2 b), r -> r / l, f -> l f, up to rounding.  For a
+    >= b, c+ = c', and the region contains that of the bound that holds
+    the friction 2/r at r0, f0 > (1/r0 + sqrt(1/r0^2 + g0 c')) / g0, whose
+    threshold on f lies above this one, (1/r0 + sqrt(g0 c+)) / g0.  For a
+    < b the origin decides every shot that could reach the region, since
+    |g| = 1 is invariant and x0 = 0 keeps g = 0.  No other kind fires
+    first: f > 1/(g0 r) > 0 and g stays in (g0, 1), so neither
+    FCrossesZero, GCrossesZero nor GSquaredReachesOne can fire; |f| + |g|
+    > g0 + 1/(g0 r) >= 2 / sqrt(r) > 1e-8 for r < 4e16, so DecayDetected
+    cannot fire; and by the trap lemma (model.trap_energy) H cannot fall
+    below the trap level on a shot that blows up.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
@@ -362,10 +374,11 @@ class Trajectory:
 
     r, f, g and H hold the samples at strictly increasing radii.  For the
     radial flow the first sample is the exact initial state (0, 0, x0, H0),
-    the next _SERIES_ROWS are sums of the power series at the origin on
-    (0, r_h], and each accepted step adds _ROWS more, the last at its end.
-    `series` is then (r_h, coefficients, sf, sy): f = sf r F(r^2) and the
-    second state component y = sy Y(r^2) there, as from
+    the only one of a shot that stops at r = 0, which has no series;
+    otherwise the next _SERIES_ROWS are sums of the power series at the
+    origin on (0, r_h], and each accepted step adds _ROWS more, the last at
+    its end.  `series` is then (r_h, coefficients, sf, sy): f = sf r
+    F(r^2) and the second state component y = sy Y(r^2) there, as from
     _series_coefficients (sf = sy = x0), and sample_on sums it on [0, r_h];
     the dense-output segments, one per accepted step, recover the solution
     between rows to interpolation order 7.
@@ -705,6 +718,17 @@ def _bisect_root(fun, lo: float, hi: float, xtol: float) -> float:
     return hi
 
 
+def _in_blowup_region(r: float, f: float, g: float, a: float, b: float) -> bool:
+    """Whether the state (f, g) at r > 0 lies in BlowupCertain's region:
+    f g > 0, 0 < |g| < 1 and |g| r |f| > (1 + eps) (1 + r sqrt(|g| c+)),
+    c+ = max(0, a - b, -phi(|g|)) (see EventKind)."""
+    ag = abs(g)
+    if not (f * g > 0.0 and ag < 1.0):
+        return False
+    c = max(0.0, a - b, ag * (a * ag * ag - b))
+    return ag * r * abs(f) > (1.0 + _BLOWUP_EPS) * (1.0 + r * math.sqrt(ag * c))
+
+
 def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                rows=(), h_init: float | None = None, units=(1.0, 1.0),
                blowup_ab: tuple[float, float] | None = None):
@@ -716,7 +740,8 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
     BlowupCertain is armed by the couplings blowup_ab = (a, b) and fires at
     a step end in its region (see EventKind).  The first trial step is
     h_init, by default _H_INIT; only the error test and r_max bound a step.
-    The absolute tolerance of f and g is cfg.atol times their units.
+    The absolute tolerance of f and g is cfg.atol times their units; an
+    error scale atol + rtol |y| that underflows to 0 reads 5e-324.
     """
     rtol, r_end = cfg.rtol, cfg.r_max
     atol_f, atol_g = cfg.atol * units[0], cfg.atol * units[1]
@@ -806,8 +831,10 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
         err3_f = bf - _BHH1 * kf1 - _BHH9 * kf9 - _BHH12 * kf12
         err3_g = bg - _BHH1 * kg1 - _BHH9 * kg9 - _BHH12 * kg12
 
-        sc_f = atol_f + rtol * max(abs(f), abs(f1))
-        sc_g = atol_g + rtol * max(abs(g), abs(g1))
+        # on a shot from a subnormal x0 both terms can underflow to 0; the
+        # scale is then floored at the least subnormal, 5e-324
+        sc_f = atol_f + rtol * max(abs(f), abs(f1)) or 5e-324
+        sc_g = atol_g + rtol * max(abs(g), abs(g1)) or 5e-324
         # products, not **2: a hopeless trial step must saturate to inf
         # (and get rejected) rather than raise OverflowError
         q_f, q_g = err_f / sc_f, err_g / sc_g
@@ -929,18 +956,10 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
                                lambda: _step_probes(seg, row_f, row_g))
 
         # -- the proved blowup region, at the step end only: one product
-        # and one compare on a step with f g <= 0.  F* is R's vertex
-        # 1/(|g| r) when that lies above |f|; 1/|g|/r overflows to inf,
-        # never to an error, and inf - inf fails the test
-        if blowup_ab is not None and f1 * g1 > 0.0:
-            ag = abs(g1)
-            if ag < 1.0:
-                a, b = blowup_ab
-                c = -min(ag * (b - a * ag * ag), b - a)
-                fv = max(abs(f1), 1.0 / ag / r1)
-                quad, lin = ag * fv * fv, (2.0 / r1) * fv
-                if quad - lin - c > _BLOWUP_EPS * (quad + lin + abs(c)):
-                    candidates.append((r1, EventKind.BLOWUP_CERTAIN))
+        # and one compare on a step with f g <= 0
+        if (blowup_ab is not None and f1 * g1 > 0.0
+                and _in_blowup_region(r1, f1, g1, *blowup_ab)):
+            candidates.append((r1, EventKind.BLOWUP_CERTAIN))
 
         segments.append(seg)
         if candidates:
@@ -1025,19 +1044,29 @@ def _wall_field(params: ModelParams):
     return deriv
 
 
-def _radial_run(coef: np.ndarray, sf: float, sy: float, deriv, units, rows,
+def _radial_run(coefficients, sf: float, sy: float, deriv, units, rows,
                 params: ModelParams, cfg: IntegratorConfig, blowup_ab=None):
-    """The level kinds tested at the origin (see _start), the series span,
-    then the stepper from r_h, with BlowupCertain armed there by blowup_ab
-    (see _run_dopri); returns (rs, fs, ys, segments, termination,
-    series)."""
+    """The origin decisions, then the series span and the stepper from r_h,
+    with BlowupCertain armed there by blowup_ab = (a, b) (see _run_dopri);
+    returns (rs, fs, ys, segments, termination, series).
+
+    At r = 0 the level kinds are tested first (see _start), then, if
+    blowup_ab is given, a < b and 0 < |sy| < 1, the shot ends as
+    BlowupCertain (see EventKind).  A shot that stops at r = 0 has one
+    row and no series; only a shot that leaves the origin calls
+    coefficients() and finds its hand-off radius r_h.
+    """
+    vals, term = _start(rows, 0.0, 0.0, sy)
+    if (term is None and blowup_ab is not None and blowup_ab[0] < blowup_ab[1]
+            and 0.0 < abs(sy) < 1.0):
+        term = Termination(TerminationKind.EVENT, 0.0, (EventKind.BLOWUP_CERTAIN,))
+    if term is not None:
+        return [0.0], [0.0], [sy], [], term, None
+    coef = coefficients()
     r_h = min(_handoff_radius(coef, params), cfg.r_max)
     if not r_h > 0.0:
         raise StiffnessError(0.0, "power series at the origin overflows")
     series = (r_h, coef, sf, sy)
-    vals, term = _start(rows, 0.0, 0.0, sy)
-    if term is not None:
-        return [0.0], [0.0], [sy], [], term, series
     rs, fs, ys, term = _series_span(coef, sf, sy, r_h, rows, vals)
     segs = []
     if term is None and r_h < cfg.r_max:
@@ -1057,24 +1086,29 @@ def integrate_radial(x0: float, params: ModelParams,
                      events=()) -> Trajectory:
     """Solve the singular radial system from g(0) = x0, f(0) = 0.
 
-    The power series at the origin covers [0, r_h] (see the module
-    docstring), where a run that r_max or an event ends early stops; the
-    stepper takes over from r_h, with the absolute tolerance atol min(1, |x0|)
-    so the error is measured in units of x0 like the series, and the error
-    of a shot from a tiny x0 is not lost under atol (the floor of one
-    subnormal keeps it positive at x0 = 0).  Runs until r_max, blowup, or the first
-    of the armed `EventKind`s (`events`) to fire; simultaneous events
-    localized within 1e-12 of each other are reported together (the flow
-    cannot vanish two components at once away from the origin, so a tie
-    flags numerical ambiguity, not physics).  Blowup is the threshold
-    |f| + |g| = BLOWUP_THRESHOLD, or, if BlowupCertain is armed, the first
-    step end of the stepper inside its region, which the couplings (a, b)
-    set (see EventKind).
+    The origin is decided first (see _radial_run): an armed level kind
+    whose value is <= 0 at r = 0, then, if BlowupCertain is armed, a < b
+    with 0 < |x0| < 1, ends the run there with one row, before the series
+    is summed.  Otherwise the power series at the origin covers [0, r_h]
+    (see the module docstring), where a run that r_max or an event ends
+    early stops; the stepper takes over from r_h, with the absolute
+    tolerance atol min(1, |x0|) (atol at x0 = 0) so the error is measured
+    in units of x0 like the series, and the error of a shot from a tiny x0
+    is not lost under atol.  Where the error scale underflows to 0, on a
+    shot from a subnormal x0, it is floored at the least subnormal.  Runs
+    until r_max, blowup, or the first of the armed `EventKind`s (`events`)
+    to fire; simultaneous events localized within 1e-12 of each other are
+    reported together (the flow cannot vanish two components at once away
+    from the origin, so a tie flags numerical ambiguity, not physics).
+    Blowup is the threshold |f| + |g| = BLOWUP_THRESHOLD, or, if
+    BlowupCertain is armed, its origin decision or the first step end of
+    the stepper inside its region, which the couplings (a, b) set (see
+    EventKind).
     """
     cfg = config or DEFAULT_CONFIG
     unit = min(1.0, abs(x0)) or 1.0
     rs, fs, gs, segs, term, series = _radial_run(
-        _series_coefficients(x0, params), x0, x0, vector_field(params),
+        functools.partial(_series_coefficients, x0, params), x0, x0, vector_field(params),
         (unit * math.sqrt(params.a), unit), _event_functions(events, params), params, cfg,
         (params.a, params.b) if EventKind.BLOWUP_CERTAIN in events else None)
     return Trajectory(rs, fs, gs, params, x0, term, segs, series)
@@ -1103,7 +1137,7 @@ def integrate_wall(u0: float, params: ModelParams,
     cfg = config or DEFAULT_CONFIG
     unit = min(1.0, u0) or 1.0
     rs, fs, us, segs, term, series = _radial_run(
-        _wall_series_coefficients(u0, params), 1.0, u0, _wall_field(params),
+        functools.partial(_wall_series_coefficients, u0, params), 1.0, u0, _wall_field(params),
         (math.sqrt(params.a), unit), _event_functions(events, params, wall=True),
         params, cfg)
     us = np.asarray(us, dtype=float)

@@ -42,8 +42,17 @@ def csv_text(columns: Mapping[str, Sequence]) -> str:
     for name, col in zip(names, cols):
         if len(col) != n:
             raise ValueError(f"column {name!r} has length {len(col)}, expected {n}")
-    cells = [[v if isinstance(v, str) else float17(v) for v in col] for col in cols]
-    return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
+    # a column with a string cell is formatted cell by cell; the others
+    # go through one "%.17g" format per row, which float17 matches
+    fmts = []
+    for i, col in enumerate(cols):
+        if any(isinstance(v, str) for v in col):
+            cols[i] = [v if isinstance(v, str) else float17(v) for v in col]
+            fmts.append("%s")
+        else:
+            fmts.append("%.17g")
+    fmt = ",".join(fmts)
+    return "\n".join([",".join(names), *(fmt % row for row in zip(*cols))]) + "\n"
 
 
 def _jsonable(obj):

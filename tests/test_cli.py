@@ -183,16 +183,24 @@ def test_classify_energy_trapped_shot(tmp_path, capsys):
 
 
 def test_classify_blowup_certain_shot(tmp_path, capsys):
-    """The (1, 4) shot from 0.8 stops where the blowup is proved, at the
-    end of its first accepted step (r = 0.711), long before the threshold
-    |f| + |g| = 1e3 that it reaches at r = 1.8787."""
+    """The (1, 4) shot from 0.8 stops where the blowup is proved: a < b
+    proves it at r = 0, long before the threshold |f| + |g| = 1e3 that it
+    reaches at r = 1.8787."""
     code = main(["classify", "--a", "1", "--b", "4", "--x", "0.8",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["shot_class"] == "Blowup"
-    assert payload["termination"].startswith("Event(BlowupCertain, ")
-    assert payload["r_end"] == payload["r_x"] < 0.75
+    assert payload["termination"] == "Event(BlowupCertain, r=0)"
+    assert payload["r_end"] == payload["r_x"] == 0.0
+
+
+def test_classify_subnormal_shot_exits_ok(tmp_path, capsys):
+    """A shot from a subnormal x0 is classified, not a traceback."""
+    code = main(["classify", "--a", "9", "--b", "4", "--x", "1e-315",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["shot_class"] == "Undetermined"
 
 
 def test_portrait_artifacts(tmp_path):

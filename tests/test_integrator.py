@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from nucshoot import integrator
 from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
-                                 IntegratorConfig, StiffnessError,
+                                 IntegratorConfig, StiffnessError, Termination,
                                  TerminationKind, integrate_conservative,
                                  integrate_radial, integrate_shifted,
                                  integrate_wall)
 from nucshoot.model import (ModelParams, PhasePoint, energy, exact_coth,
                             vector_field)
-from nucshoot.shooting import (bisect_ground_state, classify_grid, classify_shot,
-                               default_events)
+from nucshoot.shooting import (ShotClass, bisect_ground_state, classify_grid,
+                               classify_shot, default_events)
 
 P94 = ModelParams(9.0, 4.0)
 P41 = ModelParams(4.0, 1.0)
@@ -321,24 +321,28 @@ def _series_point_by_eval(cols, sf, sy, r):
 def test_series_span_on_floats_is_bit_identical(gs94, monkeypatch):
     """The series span sums its probes, bisection steps and stop state on
     floats, in _series_eval's order of operations: at (3, 2) from 0.55
-    EnergyBarrier fires inside the span (r = 0.780) and from 0.58 at r = 0,
-    and on those shots and on a (9, 4) search shot every series row after
-    the origin equals _series_eval at its radius, and the whole shot
-    equals the one summed by _series_eval.  So do the near-critical
-    searches (9, 4.2) and (8, 3.9), which run through integrate_wall."""
+    EnergyBarrier fires inside the span (r = 0.780), and on that shot and
+    on a (9, 4) search shot every series row after the origin equals
+    _series_eval at its radius; from 0.58 it fires at r = 0, before any
+    series is summed.  On all three the whole shot equals the one summed
+    by _series_eval.  So do the near-critical searches (9, 4.2) and
+    (8, 3.9), which run through integrate_wall."""
     shots = [(0.55, P32), (0.58, P32), (gs94.bracket[0], P94)]
     ends = []
     for x0, params in shots:
         traj = classify_shot(x0, params).trajectory
+        if traj._series is None:
+            ends.append((traj.termination.r, len(traj.r)))
+            continue
         r_h = traj._series[0]
         on = traj.r[1:] <= r_h
         fs, gs = integrator._series_eval(integrator._series_coefficients(x0, params),
                                          x0, x0, traj.r[1:][on])
         assert np.all(traj.f[1:][on] == fs) and np.all(traj.g[1:][on] == gs)
         ends.append((traj.termination.r, r_h))
-    (r_in, r_h), (r_origin, _), (r_search, r_h94) = ends
+    (r_in, r_h), (r_origin, rows), (r_search, r_h94) = ends
     assert r_in == pytest.approx(0.780, abs=1e-3) and r_in < r_h
-    assert r_origin == 0.0 and r_search > r_h94
+    assert r_origin == 0.0 and rows == 1 and r_search > r_h94
     near = [ModelParams(9.0, 4.2), ModelParams(8.0, 3.9)]
 
     def run():
@@ -564,33 +568,44 @@ def test_blowup_termination():
 
 
 def test_blowup_certain_ends_at_a_step_end_in_its_region():
-    """Armed, BlowupCertain stops the (1, 4) shot from 0.8 at the end of
-    its first accepted step, r = 0.7111, where R has no root (D < 0): the
-    end state lies in the lemma's region and not in the region f >= 2 f+
-    of the bound with c = max(0, a - b) = 0, g f^2 >= (4/r) f, which
-    waited until r = 1.478.  Its sign-mapped twin from -0.8 stops at the
-    same radius.  From 1.2 the shot keeps g > 1, outside the lemma, and
-    ends at the threshold."""
+    """Armed, BlowupCertain stops the (4, 4) shot from 0.5 at the end of
+    its eighth accepted step, r = 1.6031, the first step end where g r f >
+    (1 + eps) (1 + r sqrt(g c+)); there c+ = 0, and the bound that held
+    the friction 2/r fixed, R(F*) > eps (...), still fails, as it did
+    until r = 2.073.  Its sign-mapped twin from -0.5 stops at the same
+    radius.  At (1, 4), where a < b, the shot from 0.8 stops at r = 0;
+    from 1.2 it keeps g > 1, outside the lemma, and ends at the
+    threshold."""
     armed = (EventKind.BLOWUP_CERTAIN,)
-    above = integrate_radial(1.2, ModelParams(1.0, 4.0), events=armed)
+    P14, P44 = ModelParams(1.0, 4.0), ModelParams(4.0, 4.0)
+    above = integrate_radial(1.2, P14, events=armed)
     assert above.termination.kind is TerminationKind.BLOWUP
-    traj = integrate_radial(0.8, ModelParams(1.0, 4.0), events=armed)
+    origin = integrate_radial(0.8, P14, events=armed)
+    assert origin.termination == Termination(TerminationKind.EVENT, 0.0, armed)
+    assert len(origin.r) == 1 and origin._series is None
+    traj = integrate_radial(0.5, P44, events=armed)
     term = traj.termination
-    assert term.event_kinds == (EventKind.BLOWUP_CERTAIN,)
-    assert len(traj._segments) == 1
+    assert term.event_kinds == armed
+    assert len(traj._segments) == 8
     r0, h = traj._segments[-1][:2]
-    assert term.r == r0 + h == pytest.approx(0.711124813, rel=1e-8)
+    assert term.r == r0 + h == pytest.approx(1.6031214581, rel=1e-8)
+    eps = integrator._BLOWUP_EPS
+
+    def region(r, f, g):
+        c = max(0.0, 4.0 - 4.0, g * (4.0 * g * g - 4.0))
+        return f > 0.0 and 0.0 < g < 1.0 and g * r * f > (1.0 + eps) * (
+            1.0 + r * math.sqrt(g * c))
+
     f, g, r = traj.f[-1], traj.g[-1], term.r
-    assert f > 0.0 and 0.0 < g < 1.0
-    c = -min(g * (4.0 - g * g), 4.0 - 1.0)
-    assert c < 0.0 and 1.0 / r ** 2 + g * c < 0.0
+    assert region(r, f, g)
+    assert not region(r0, *traj.f[-4:-3], *traj.g[-4:-3])
+    assert traj.r[-4] == r0
     vertex = max(f, 1.0 / (g * r))
     quad, lin = g * vertex * vertex, (2.0 / r) * vertex
-    assert quad - lin - c > integrator._BLOWUP_EPS * (quad + lin + abs(c))
-    assert g * f * f < (4.0 / r) * f
-    assert integrate_radial(-0.8, ModelParams(1.0, 4.0), events=armed).termination == term
+    assert not quad - lin > eps * (quad + lin)
+    assert integrate_radial(-0.5, P44, events=armed).termination == term
     with pytest.raises(ValueError, match="BlowupCertain"):
-        integrate_wall(0.2, ModelParams(1.0, 4.0), events=armed)
+        integrate_wall(0.2, P14, events=armed)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -620,6 +635,68 @@ def test_blowup_certain_stop_is_scale_covariant(a, b, lam):
                                     default_events(one.x0, params))
             assert twin.termination == two.trajectory.termination
     assert stops >= 9
+
+
+def _friction_fixed_region(r, f, g, a, b):
+    """The BlowupCertain region of the bound that holds the friction 2/r
+    fixed at r: R(F*) > eps (|g| F*^2 + (2/r) F* + |c'|), R(F) = |g| F^2 -
+    (2/r) F - c', F* = max(|f|, 1/(|g| r)), c' = -min(|g| (b - a g^2), b
+    - a)."""
+    ag = abs(g)
+    if not (f * g > 0.0 and ag < 1.0):
+        return False
+    c = -min(ag * (b - a * ag * ag), b - a)
+    fv = max(abs(f), 1.0 / ag / r)
+    quad, lin = ag * fv * fv, (2.0 / r) * fv
+    return quad - lin - c > integrator._BLOWUP_EPS * (quad + lin + abs(c))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-6.0, 6.0), st.floats(0.0, 6.0), st.floats(-6.0, 6.0),
+       st.floats(-12.0, 12.0), st.floats(1e-12, 1.0, exclude_max=True), st.booleans())
+def test_blowup_region_contains_the_friction_fixed_region(lb, lt, lr, lf, g, neg):
+    """For a >= b, wherever the bound with the friction 2/r fixed at r
+    proves blowup, the exact comparison for r^2 f does too: its threshold
+    on f, (1/r + sqrt(|g| c+)) / |g|, lies below (1/r + sqrt(1/r^2 + |g|
+    c')) / |g|, with a relative gap beyond the margin eps and rounding.
+    For a < b the origin decides every shot (see the origin test)."""
+    b = 10.0 ** lb
+    a = b * 10.0 ** lt
+    r, f = 10.0 ** lr, 10.0 ** lf
+    if neg:
+        f, g = -f, -g
+    if _friction_fixed_region(r, f, g, a, b):
+        assert integrator._in_blowup_region(r, f, g, a, b)
+
+
+@pytest.mark.parametrize("x0", [5e-324, 1e-6, 0.5, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_blowup_certain_decides_a_below_b_at_the_origin(x0, sign):
+    """For a < b and 0 < |x0| < 1, phi(g) >= g (b - a) > 0 makes r^2 f
+    rise and blow up from r = 0 on (EventKind): armed, the (1, 4) shot
+    ends at the origin with one row and no series, as BlowupCertain, and
+    classifies as Blowup, from the least subnormal to the largest double
+    below 1 and their sign-mapped twins."""
+    x0 *= sign
+    origin = Termination(TerminationKind.EVENT, 0.0, (EventKind.BLOWUP_CERTAIN,))
+    params = ModelParams(1.0, 4.0)
+    traj = integrate_radial(x0, params, events=(EventKind.BLOWUP_CERTAIN,))
+    assert traj.termination == origin
+    assert traj.r.tolist() == [0.0] and traj.g.tolist() == [x0] and traj._series is None
+    out = classify_shot(x0, params)
+    assert out.shot_class is ShotClass.BLOWUP
+    assert out.trajectory.termination == origin and len(out.trajectory.r) == 1
+    assert out.trajectory.termination.describe() == "Event(BlowupCertain, r=0)"
+
+
+@pytest.mark.parametrize("x0", [1e-315, 5e-324, -5e-324])
+def test_subnormal_shot_keeps_a_positive_error_scale(x0):
+    """From a subnormal x0 at (9, 4) both atol min(1, |x0|) and rtol |f|
+    underflow to 0; the error scale is floored at 5e-324, so the shot
+    runs to r_max and gets the class of the shot from 1e-300."""
+    out = classify_shot(x0, P94)
+    assert out.trajectory.termination.kind is TerminationKind.REACHED_RMAX
+    assert out.shot_class is classify_shot(1e-300, P94).shot_class
 
 
 def test_stiffness_error_carries_radius(monkeypatch):

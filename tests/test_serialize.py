@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucshoot.serialize import (SCHEMA_VERSION, csv_text, float17, json_text,
                                 svg_plot, write_text)
@@ -23,6 +25,22 @@ def test_csv_layout_and_strings():
     assert lines[1] == "1,ok"
     assert lines[2] == "2.5,"
     assert text.endswith("\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.integers(-2 ** 60, 2 ** 60),
+                          st.one_of(st.floats(), st.sampled_from(["", "ok"]))),
+                max_size=8))
+def test_csv_row_format_is_float17_per_cell(rows):
+    """One "%.17g" format per row gives float17's text for every numeric
+    cell, numpy or Python, float or int; a column with a string cell is
+    formatted cell by cell."""
+    cols = [list(c) for c in zip(*rows)] or [[], [], [], []]
+    columns = {"f": np.array(cols[0]), "f32": [np.float32(v) for v in cols[1]],
+               "i": cols[2], "mixed": cols[3]}
+    want = ["f,f32,i,mixed"] + [",".join(v if isinstance(v, str) else float17(v) for v in row)
+                                for row in zip(*columns.values())]
+    assert csv_text(columns) == "\n".join(want) + "\n"
 
 
 def test_csv_length_mismatch():

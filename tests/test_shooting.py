@@ -219,32 +219,37 @@ def _blowup_certain(out):
     return out.trajectory.termination.event_kinds == (EventKind.BLOWUP_CERTAIN,)
 
 
-def _blowup_time(r0, f0, g0, a, b):
-    """The lemma's bound T on how far past r0 the shot from (f0, g0), f0 g0
-    > 0, 0 < g0 < 1, blows up (EventKind), and whether R has roots; where
-    it has them, asserts that f0 lies above the larger one."""
+def _blowup_time(r0, f0, g0, c):
+    """How far past r0 the comparison solution of Phi' = g0 Phi^2 / r^2 -
+    c r^2, Phi(r0) = r0^2 f0, blows up (EventKind), for f0 g0 > 0 and 0 <
+    g0 < 1: the first zero of w'' = g0 c w, w(r0) = 1, w'(r0) = q = (1 -
+    g0 r0 f0) / r0.  For c >= 0 it asserts that w has one, q < -sqrt(g0 c)."""
     f0, g0 = abs(f0), abs(g0)
-    c = -min(g0 * (b - a * g0 * g0), b - a)
-    assert c <= max(0.0, a - b)
-    D = 1.0 / r0 ** 2 + g0 * c
-    if D > 0.0:
-        f_plus, f_minus = (1.0 / r0 + math.sqrt(D)) / g0, (1.0 / r0 - math.sqrt(D)) / g0
-        assert f0 > f_plus
-        return math.log((f0 - f_minus) / (f0 - f_plus)) / (g0 * (f_plus - f_minus)), True
-    w = math.sqrt(-D)
-    return (0.5 * math.pi - math.atan(g0 * (f0 - 1.0 / (g0 * r0)) / w)) / w, False
+    q = (1.0 - g0 * r0 * f0) / r0
+    k2 = g0 * c
+    if k2 < 0.0:
+        w = math.sqrt(-k2)
+        return math.atan2(w, -q) / w
+    k = math.sqrt(k2)
+    assert q < -k
+    return math.atanh(-k / q) / k if k > 0.0 else -1.0 / q
 
 
 def test_blowup_certain_shots_blow_up_under_scipy():
     """Continue every BlowupCertain shot of the criterion-5 grids, of
-    (2.5, 2), where b < a < 2b makes c' = a - b positive, and of (7, 8),
-    where a < b makes it negative, from its event state with scipy's
-    DOP853: f g > 0 and 0 < g < 1 hold until |f| + |g| reaches
-    BLOWUP_THRESHOLD, and it is reached before the lemma's bound r0 + T
-    (EventKind), on stops where R has roots and on stops where it has
-    none."""
+    (2.5, 2), where b < a < 2b makes c+ = a - b positive, and of (7, 8)
+    with scipy's DOP853: f g > 0 and 0 < g < 1 hold until |f| + |g|
+    reaches BLOWUP_THRESHOLD, and it is reached before r0 + Delta*, the
+    blowup radius of the comparison equation (EventKind).
+
+    A step-end stop continues from its event state, with c = c+: k =
+    sqrt(g0 c+) is 0 on (4, 4) and positive on (3, 2) and (2.5, 2).  For a
+    < b, on (1, 4) and (7, 8), every stop is at r = 0; it continues from r
+    = 1e-3, from the Taylor start f = x0 (b - a x0^2) r / 3 and g = x0 +
+    (1 - x0^2) f r / 2, with c = -g0 (b - a), since phi(g) >= g0 (b - a)
+    once g >= g0."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    seen, roots = {}, set()
+    seen, signs = {}, set()
     for params in (ModelParams(4.0, 4.0), ModelParams(1.0, 4.0), P32, ModelParams(2.5, 2.0),
                    ModelParams(7.0, 8.0)):
         a, b = params.a, params.b
@@ -261,17 +266,24 @@ def test_blowup_certain_shots_blow_up_under_scipy():
         seen[(a, b)] = len(outs)
         for out in outs:
             assert out.shot_class is ShotClass.BLOWUP
-            r0, f0, g0 = out.r_x, float(out.trajectory.f[-1]), out.g_at_rx
-            T, has_roots = _blowup_time(r0, f0, g0, a, b)
-            roots.add(has_roots)
-            sol = solve_ivp(rhs, (r0, r0 + T), [f0, g0], method="DOP853",
-                            events=threshold, rtol=1e-10, atol=1e-12)
+            if a < b:
+                assert out.r_x == 0.0 and len(out.trajectory.r) == 1
+                r0 = 1e-3
+                f0 = out.x0 * (b - a * out.x0 ** 2) * r0 / 3.0
+                g0 = out.x0 + 0.5 * (1.0 - out.x0 ** 2) * f0 * r0
+                c = -g0 * (b - a)
+            else:
+                r0, f0, g0 = out.r_x, float(out.trajectory.f[-1]), out.g_at_rx
+                c = max(0.0, a - b, g0 * (a * g0 * g0 - b))
+            signs.add((c > 0.0) - (c < 0.0))
+            sol = solve_ivp(rhs, (r0, r0 + _blowup_time(r0, f0, g0, c)), [f0, g0],
+                            method="DOP853", events=threshold, rtol=1e-10, atol=1e-12)
             assert sol.status == 1, (a, b, out.x0, sol.message)
             f, g = sol.y
             assert np.all(f * g > 0.0) and np.all((0.0 < g) & (g < 1.0)), (a, b, out.x0)
     assert seen == {(4.0, 4.0): 50, (1.0, 4.0): 50, (3.0, 2.0): 1, (2.5, 2.0): 9,
                     (7.0, 8.0): 50}
-    assert roots == {True, False}
+    assert signs == {-1, 0, 1}
 
 
 def test_blowup_certain_changes_no_class_or_search(monkeypatch):
