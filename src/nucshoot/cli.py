@@ -38,8 +38,23 @@ _DEFAULT_SEED = 20240901
 _NUMERICAL_ERRORS = (BracketFailureError, StiffnessError)
 
 
+class SweepLaneError(RuntimeError):
+    """A forked sweep lane ended without sending its rows."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse front end whose usage failures exit with code 64."""
+
+    def _parse_optional(self, arg_string):
+        # a negative float is a value, also in exponent form (--x -1e-3):
+        # argparse through Python 3.12 knows only -digits[.digits]
+        if arg_string.startswith("-"):
+            try:
+                float(arg_string)
+                return None
+            except ValueError:
+                pass
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -430,6 +445,68 @@ def _sweep_row(task: tuple) -> dict:
             "lemma_pass_rate": rate}
 
 
+def _lane_rows(tasks: list, n: int) -> list[dict]:
+    """_sweep_row of every task, in task order, from n forked lanes.
+
+    Lane i runs tasks[i::n], looking _sweep_row up by its module name at
+    call time (so a patched or traced _sweep_row runs in the lane), sends
+    one pickle of (True, rows) or (False, exception) down its own pipe and
+    leaves by os._exit.  A fork starts a lane with the parent's modules
+    already loaded.  The parent reads each pipe to EOF, reaps the lane,
+    re-raises a lane's exception, raises SweepLaneError for a lane that
+    died without a result, and kills and reaps every lane still running
+    on an error path.
+    """
+    import pickle
+    import signal
+
+    readers, pids = [], []
+    try:
+        for lane in range(n):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:   # the lane: leaves by os._exit, never returns
+                    code = 1
+                    try:
+                        try:
+                            result = True, [_sweep_row(t) for t in tasks[lane::n]]
+                        except BaseException as exc:
+                            result = False, exc
+                        with open(w, "wb") as pipe:
+                            pipe.write(pickle.dumps(result))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        rows = [None] * len(tasks)
+        for lane, pid in enumerate(pids):
+            data = readers[lane].read()
+            status = os.waitpid(pid, 0)[1]
+            pids[lane] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                how = (f"killed by {signal.Signals(-code).name}" if code < 0
+                       else f"exit code {code}")
+                raise SweepLaneError(f"sweep lane {lane} (pid {pid}) died "
+                                     f"without a result: {how}")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            rows[lane::n] = payload
+        return rows
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if pid is not None:   # still running on an error path
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def cmd_sweep(cfg: RunConfig, parser) -> int:
     if not cfg.a_grid or not cfg.b_grid:
         parser.error("--a-grid and --b-grid must be nonempty")
@@ -448,12 +525,9 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     config = cfg.integrator()
     tasks = [(a, b, config, cfg.x_tol) for a, b in searched.values()]
     jobs = cfg.jobs or getattr(os, "process_cpu_count", os.cpu_count)() or 1
-    if jobs > 1 and len(tasks) > 1:
-        # imported here, so that no other command loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            solved = list(pool.map(_sweep_row, tasks))
+    # --jobs forked lanes run the searches; serially where os.fork is missing
+    if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+        solved = _lane_rows(tasks, min(jobs, len(tasks)))
     else:
         solved = [_sweep_row(t) for t in tasks]
     by_kappa = dict(zip(searched, solved))

@@ -572,13 +572,30 @@ def _tail_C(traj: Trajectory) -> np.ndarray:
     return decaying / (2.0 * k) * np.exp(k * traj.r[tail])
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array, bit for bit, without the numpy.ma
+    import that np.median's NaN check makes on its first call in a
+    process: the same partition, then the middle element, or (lo + hi) / 2.0
+    of the two middle ones, or the NaN that the partition puts last.  Like
+    np.mean's sum, the sum starts from 0.0, so a median of -0.0 is 0.0."""
+    n = len(values)
+    mid = n // 2
+    part = np.partition(values, [mid, -1] if n % 2 else [mid - 1, mid, -1])
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    if n % 2:
+        return 0.0 + float(part[mid])
+    return (0.0 + float(part[mid - 1]) + float(part[mid])) / 2.0
+
+
 def tail_amplitude(traj: Trajectory) -> float:
     """Amplitude C of the decaying mode g ~ C e^{-sqrt(b) r} / r of the tail,
     whatever the growing mode holds: the median of _tail_C over its
-    window; NaN with fewer than two rows there.
+    window (_median, so no audit loads numpy.ma); NaN with fewer than two
+    rows there.
     """
     cs = _tail_C(traj)
-    return float(np.median(cs)) if len(cs) >= 2 else math.nan
+    return _median(cs) if len(cs) >= 2 else math.nan
 
 
 def _departs_toward_f_zero(out: ShotOutcome) -> bool:
@@ -630,7 +647,8 @@ def audit_lemmas(traj: Trajectory) -> LemmaReport:
     decay_bound checks the tail's exact law: the decaying mode's
     pointwise amplitude C(r) (_tail_C) must be constant on the tail
     window to 1e-2 relative, the size of the a g^2 / b term the
-    linearization drops there.
+    linearization drops there; its C is their median (_median, which
+    equals np.median bit for bit without importing numpy.ma).
     """
     params = traj.params
     a, b = params.a, params.b
@@ -679,7 +697,7 @@ def audit_lemmas(traj: Trajectory) -> LemmaReport:
         checks.append(LemmaCheck("decay_bound", False, math.inf, _TAIL_SPREAD,
                                  note="fewer than two rows with a g^2 <= b/100"))
     else:
-        c = float(np.median(cs))
+        c = _median(cs)
         v = float(np.max(cs) - np.min(cs)) / abs(c) if c else math.inf
         checks.append(LemmaCheck("decay_bound", v <= _TAIL_SPREAD, v, _TAIL_SPREAD,
                                  note=f"C = {c:.6g} over {len(cs)} rows"))

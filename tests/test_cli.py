@@ -1,6 +1,11 @@
 """Command-line driver: exit codes, artifacts, precedence, determinism."""
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +208,17 @@ def test_classify_subnormal_shot_exits_ok(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["shot_class"] == "Undetermined"
 
 
+@pytest.mark.parametrize("x", ["-1e-3", "-5e-324"])
+def test_classify_takes_a_negative_x_in_exponent_form(x, capsys):
+    """argparse through Python 3.12 takes -1e-3 for an option; the CLI
+    parses it as the value of --x, as it does --x=-1e-3."""
+    assert main(["classify", "--a", "9", "--b", "4", "--x", x]) == EXIT_OK
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--a", "9", "--b", "4", f"--x={x}"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == spaced
+    assert spaced["x0"] == float(x)
+
+
 def test_portrait_artifacts(tmp_path):
     code = main(["portrait", "--a", "9", "--b", "4", "--resolution", "80",
                  "--levels=-0.2,0,0.1", "--out", str(tmp_path)])
@@ -274,7 +290,7 @@ def test_sweep_rows_sorted_and_nonexistence_blank(tmp_path, capsys):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
-    """(16, 4) shares kappa = 1/4 with (4, 1), so the pool gets one task fewer."""
+    """(16, 4) shares kappa = 1/4 with (4, 1), so the lanes get one task fewer."""
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     base = ["sweep", "--a-grid", "9,4,16", "--b-grid", "4,1", "--x-tol", "1e-8"]
@@ -311,6 +327,85 @@ def test_sweep_searches_each_kappa_once(tmp_path, capsys, monkeypatch):
                                                             rel=1e-6)
         assert float(row["lemma_pass_rate"]) == solo["lemma_pass_rate"]
         assert float(row["decay_rate"]) == math.sqrt(b)
+
+
+def _fresh_interpreter(code: str, cwd) -> str:
+    """stdout of code run by a new interpreter on this tree's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_ground_state_audit_never_loads_numpy_ma(tmp_path):
+    """np.median's NaN check imports numpy.ma, about 10 ms, on its first
+    call in a process; the audit's medians must not make that call."""
+    out = _fresh_interpreter(
+        "import sys\nfrom nucshoot import cli\n"
+        "cli.main(['ground-state', '--a', '9', '--b', '4', '--out', 'gs'])\n"
+        "print(sorted({'numpy.ma'} & set(sys.modules)))", tmp_path)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_sweep_loads_no_process_pool(tmp_path):
+    out = _fresh_interpreter(
+        "import sys\nfrom nucshoot import cli\n"
+        "cli.main(['sweep', '--a-grid', '9,16', '--b-grid', '4,1',\n"
+        "          '--x-tol', '1e-8', '--jobs', '2', '--out', 'sw'])\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))",
+        tmp_path)
+    assert out.splitlines()[-2:] == ["sweep: 4 rows, 4 solved, 4 searches", "[]"]
+
+
+# four searches, in task order kappa = 1/9, 4/9, 1/16, 1/4, so lane 0 runs
+# the first and third and lane 1 the second and fourth
+LANES_2 = ["sweep", "--a-grid", "9,16", "--b-grid", "4,1", "--jobs", "2"]
+
+
+def _stub_row(task) -> dict:
+    return {"a": task[0], "b": task[1], "status": f"stub:{task[0]:g}/{task[1]:g}"}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_reraises_a_lane_exception(tmp_path, monkeypatch):
+    def failing(task):
+        if task[1] / task[0] == 0.25:
+            raise ValueError("no search at kappa 0.25")
+        return _stub_row(task)
+
+    monkeypatch.setattr(cli, "_sweep_row", failing)
+    with pytest.raises(ValueError, match="no search at kappa 0.25"):
+        main(LANES_2 + ["--out", str(tmp_path)])
+    _assert_no_child_left()
+
+
+def test_sweep_names_a_lane_killed_by_a_signal(tmp_path, monkeypatch):
+    def killed(task):
+        if task[1] / task[0] == 0.25:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _stub_row(task)
+
+    monkeypatch.setattr(cli, "_sweep_row", killed)
+    with pytest.raises(cli.SweepLaneError,
+                       match=r"sweep lane 1 \(pid \d+\) died without a result: "
+                             r"killed by SIGKILL"):
+        main(LANES_2 + ["--out", str(tmp_path)])
+    _assert_no_child_left()
+
+
+def test_sweep_lanes_return_rows_in_task_order_and_leave_no_child(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_row", _stub_row)
+    assert main(LANES_2 + ["--out", str(tmp_path)]) == EXIT_OK
+    _assert_no_child_left()
+    assert "sweep: 4 rows, 0 solved, 4 searches" in capsys.readouterr().out
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["9", "1", "stub:9/1"], ["9", "4", "stub:9/4"],
+        ["16", "1", "stub:16/1"], ["16", "4", "stub:16/4"]]
 
 
 def test_verify(tmp_path, capsys):

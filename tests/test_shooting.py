@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucshoot import shooting
 from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
@@ -881,6 +883,34 @@ def test_tail_amplitude_separates_the_modes():
     assert tail_amplitude(_synthetic(r, f, g)) == pytest.approx(1.5, rel=1e-7)
     flat = np.full_like(r, 0.5)
     assert math.isnan(tail_amplitude(_synthetic(r, np.zeros_like(r), flat)))
+
+
+def _same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, -1.0, 2.0],                          # odd
+    [4.0, 1.0, 3.0, 2.0],                      # even: (2 + 3) / 2
+    [0.1, 0.7, 0.2, 0.30000000000000004],      # even, rounded mean
+    [1.0, 2.0, 2.0, 2.0, 5.0, 1.0],            # tied
+    [0.0, -0.0, 1.0, -0.0],                    # signed zeros tie
+    [1.0, math.nan, 0.5],                      # NaN
+    [math.nan, 2.0, 3.0, 1.0],
+    [-math.nan, 2.0],
+])
+def test_median_is_np_median_bit_for_bit(values):
+    xs = np.array(values)
+    assert _same_bits(shooting._median(xs), np.median(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300),
+                          st.sampled_from((0.0, -0.0, 1.0, math.nan))),
+                min_size=1, max_size=40))
+def test_median_matches_np_median_on_any_array(values):
+    xs = np.array(values)
+    assert _same_bits(shooting._median(xs), np.median(xs))
 
 
 def test_dissipation_residual_flags_the_wrong_flow():
