@@ -446,23 +446,23 @@ def _sweep_row(task: tuple) -> dict:
 
 
 def _lane_rows(tasks: list, n: int) -> list[dict]:
-    """_sweep_row of every task, in task order, from n forked lanes.
+    """_sweep_row of every task, in task order, from n lanes.
 
     Lane i runs tasks[i::n], looking _sweep_row up by its module name at
-    call time (so a patched or traced _sweep_row runs in the lane), sends
-    one pickle of (True, rows) or (False, exception) down its own pipe and
-    leaves by os._exit.  A fork starts a lane with the parent's modules
-    already loaded.  The parent reads each pipe to EOF, reaps the lane,
-    re-raises a lane's exception, raises SweepLaneError for a lane that
-    died without a result, and kills and reaps every lane still running
-    on an error path.
+    call time (so a patched or traced _sweep_row runs in the lane).  Lane
+    0 runs in the caller once lanes 1 .. n - 1 are forked with its
+    modules loaded; each of those sends one pickle of (True, rows) or
+    (False, exception) down its own pipe and leaves by os._exit.  The
+    caller reads each pipe to EOF, reaps the lane, re-raises a lane's
+    exception, raises SweepLaneError for a lane that died without a
+    result, and kills and reaps every lane still running on an error path.
     """
     import pickle
     import signal
 
     readers, pids = [], []
     try:
-        for lane in range(n):
+        for lane in range(1, n):
             r, w = os.pipe()
             readers.append(open(r, "rb"))
             try:
@@ -483,10 +483,11 @@ def _lane_rows(tasks: list, n: int) -> list[dict]:
             finally:
                 os.close(w)
         rows = [None] * len(tasks)
-        for lane, pid in enumerate(pids):
-            data = readers[lane].read()
+        rows[0::n] = [_sweep_row(t) for t in tasks[0::n]]
+        for lane, pid in enumerate(pids, start=1):
+            data = readers[lane - 1].read()
             status = os.waitpid(pid, 0)[1]
-            pids[lane] = None
+            pids[lane - 1] = None
             code = os.waitstatus_to_exitcode(status)
             if code or not data:
                 how = (f"killed by {signal.Signals(-code).name}" if code < 0
@@ -524,12 +525,13 @@ def cmd_sweep(cfg: RunConfig, parser) -> int:
     searched = {kappa: pair for pair, kappa in kappas.items()}  # pairs ascend in a
     config = cfg.integrator()
     tasks = [(a, b, config, cfg.x_tol) for a, b in searched.values()]
-    jobs = cfg.jobs or getattr(os, "process_cpu_count", os.cpu_count)() or 1
-    # --jobs forked lanes run the searches; serially where os.fork is missing
-    if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
-        solved = _lane_rows(tasks, min(jobs, len(tasks)))
-    else:
-        solved = [_sweep_row(t) for t in tasks]
+    # --jobs processes search: this one and forked lanes, where os.fork
+    # exists; by default as many as the CPUs this process may run on
+    jobs = cfg.jobs or (os.process_cpu_count() if hasattr(os, "process_cpu_count")
+                        else len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count()) or 1
+    n = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
+    solved = _lane_rows(tasks, n)
     by_kappa = dict(zip(searched, solved))
     rows = []
     for a, b in pairs:

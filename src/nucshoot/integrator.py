@@ -379,9 +379,9 @@ class Trajectory:
     origin on (0, r_h], and each accepted step adds _ROWS more, the last at
     its end.  `series` is then (r_h, coefficients, sf, sy): f = sf r
     F(r^2) and the second state component y = sy Y(r^2) there, as from
-    _series_coefficients (sf = sy = x0), and sample_on sums it on [0, r_h];
-    the dense-output segments, one per accepted step, recover the solution
-    between rows to interpolation order 7.
+    _series_coefficients (sf = sy = x0), and sample_on sums it on [0, r_h]
+    as the rows were summed; the dense-output segments, one per accepted
+    step, recover the solution between rows to interpolation order 7.
 
     A trajectory of integrate_wall is solved in (f, u = 1 - g): u holds its
     rows of u, g = 1 - u, and its series and segments are in (f, u).
@@ -423,9 +423,10 @@ class Trajectory:
         """Interpolated (f, g) at a 1-D array of radii.
 
         Radii at or beyond either end take that end's sample; inside, the
-        series is summed up to r_h, and beyond it the dense segment holding
-        the radius is evaluated with _segment_eval's arithmetic.  A
-        trajectory with neither (a synthetic one) is interpolated linearly.
+        series is summed by _series_point up to r_h, and beyond it the
+        dense segment holding the radius is evaluated with _segment_eval's
+        arithmetic.  A trajectory with neither (a synthetic one) is
+        interpolated linearly.
         """
         rs = np.asarray(radii, dtype=float)
         fs = np.interp(rs, self.r, self.f)
@@ -437,9 +438,10 @@ class Trajectory:
         wall = self.u is not None
         if self._series is not None:
             r_h, coef, sf, sy = self._series
-            on = ~(lo | hi) & (rs <= r_h)
-            fs[on], ys = _series_eval(coef, sf, sy, rs[on])
-            gs[on] = 1.0 - ys if wall else ys
+            cols = _series_cols(coef)
+            for i in np.flatnonzero(~(lo | hi) & (rs <= r_h)).tolist():
+                fs[i], y = _series_point(cols, sf, sy, float(rs[i]))
+                gs[i] = 1.0 - y if wall else y
         if self._segments:
             dense = self._dense
             on = ~(lo | hi) & (rs >= dense[0, 0])
@@ -577,18 +579,6 @@ def _handoff_radius(coef: np.ndarray, params: ModelParams) -> float:
                default=math.inf)
 
 
-def _series_eval(coef: np.ndarray, sf: float, sy: float, r: np.ndarray):
-    """(f, y) = (sf r F(s), sy Y(s)) of the series at the radii r, a 1-D
-    array, by Horner's rule in s = r^2 on both rows at once; F's trailing 0
-    leaves its sum as if its Horner loop started one term later."""
-    s = r * r
-    p = np.zeros((2, len(r)))
-    for c in coef.T[::-1, :, None]:
-        p *= s
-        p += c
-    return sf * (r * p[0]), sy * p[1]
-
-
 def _series_speed(coef: np.ndarray, sf: float, sy: float, r_h: float) -> float:
     """Bound on |(f', y')| over [0, r_h]: the derivatives' series summed
     with absolute coefficients at r_h."""
@@ -599,10 +589,15 @@ def _series_speed(coef: np.ndarray, sf: float, sy: float, r_h: float) -> float:
     return math.hypot(abs(sf) * df, abs(sy) * dy)
 
 
+def _series_cols(coef: np.ndarray) -> tuple:
+    """The columns (F_m, Y_m) of coef, highest m first, for _series_point."""
+    return tuple(zip(coef[0].tolist()[::-1], coef[1].tolist()[::-1]))
+
+
 def _series_point(cols, sf: float, sy: float, r: float) -> tuple[float, float]:
-    """_series_eval at one radius r on floats, with its operations in its
-    order, so the sums are bit-identical; cols holds the coefficient
-    columns (F_m, Y_m) from the highest m down."""
+    """(f, y) = (sf r F(s), sy Y(s)) of the series at the radius r by
+    Horner's rule in s = r^2 over its _series_cols; F's trailing 0 leaves
+    its sum as if its Horner loop started one term later."""
     s = r * r
     pf = py = 0.0
     for cf, cy in cols:
@@ -623,8 +618,7 @@ def _series_span(coef: np.ndarray, sf: float, sy: float, r_h: float, rows, vals)
     rows stop at an event.
     """
     n = 4 * _SERIES_ROWS
-    cols = tuple(zip(coef[0].tolist()[::-1], coef[1].tolist()[::-1]))
-    point = functools.partial(_series_point, cols, sf, sy)
+    point = functools.partial(_series_point, _series_cols(coef), sf, sy)
     pr = [r_h * (j / n) for j in range(n + 1)]
     probes = [(0.0, sy)] + [point(rv) for rv in pr[1:]]
     candidates = _scan(rows, vals, probes[-1], math.inf, math.inf, 0.0, sy,

@@ -356,9 +356,11 @@ def test_sweep_loads_no_process_pool(tmp_path):
     assert out.splitlines()[-2:] == ["sweep: 4 rows, 4 solved, 4 searches", "[]"]
 
 
-# four searches, in task order kappa = 1/9, 4/9, 1/16, 1/4, so lane 0 runs
-# the first and third and lane 1 the second and fourth
-LANES_2 = ["sweep", "--a-grid", "9,16", "--b-grid", "4,1", "--jobs", "2"]
+# four searches, in task order kappa = 1/9, 4/9, 1/16, 1/4, so lane 0, in
+# the sweep's own process, runs the first and third and forked lane 1 the
+# second and fourth
+GRID_4 = ["sweep", "--a-grid", "9,16", "--b-grid", "4,1"]
+LANES_2 = GRID_4 + ["--jobs", "2"]
 
 
 def _stub_row(task) -> dict:
@@ -370,21 +372,38 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sweep_reraises_a_lane_exception(tmp_path, monkeypatch):
-    def failing(task):
-        if task[1] / task[0] == 0.25:
-            raise ValueError("no search at kappa 0.25")
-        return _stub_row(task)
+def _counting_forks(monkeypatch) -> list:
+    """A list that gains one entry per os.fork call from now on."""
+    forks, fork = [], os.fork
 
-    monkeypatch.setattr(cli, "_sweep_row", failing)
-    with pytest.raises(ValueError, match="no search at kappa 0.25"):
-        main(LANES_2 + ["--out", str(tmp_path)])
-    _assert_no_child_left()
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_sweep_reraises_a_lane_exception(tmp_path, monkeypatch):
+    """From lane 0, in this process, and from forked lane 1."""
+    for kappa in (1 / 9, 0.25):
+        def failing(task):
+            if task[1] / task[0] == kappa:
+                raise ValueError(f"no search at kappa {kappa:g}")
+            return _stub_row(task)
+
+        monkeypatch.setattr(cli, "_sweep_row", failing)
+        with pytest.raises(ValueError, match=f"no search at kappa {kappa:g}"):
+            main(LANES_2 + ["--out", str(tmp_path)])
+        _assert_no_child_left()
 
 
 def test_sweep_names_a_lane_killed_by_a_signal(tmp_path, monkeypatch):
+    caller = os.getpid()
+
     def killed(task):
         if task[1] / task[0] == 0.25:
+            assert os.getpid() != caller, "kappa 0.25 ran in the caller's lane"
             os.kill(os.getpid(), signal.SIGKILL)
         return _stub_row(task)
 
@@ -398,14 +417,30 @@ def test_sweep_names_a_lane_killed_by_a_signal(tmp_path, monkeypatch):
 
 def test_sweep_lanes_return_rows_in_task_order_and_leave_no_child(
         tmp_path, capsys, monkeypatch):
+    """--jobs 2 searches in this process and one forked lane."""
     monkeypatch.setattr(cli, "_sweep_row", _stub_row)
+    forks = _counting_forks(monkeypatch)
     assert main(LANES_2 + ["--out", str(tmp_path)]) == EXIT_OK
+    assert len(forks) == 1
     _assert_no_child_left()
     assert "sweep: 4 rows, 0 solved, 4 searches" in capsys.readouterr().out
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[:3] for line in lines[1:]] == [
         ["9", "1", "stub:9/1"], ["9", "4", "stub:9/4"],
         ["16", "1", "stub:16/1"], ["16", "4", "stub:16/4"]]
+
+
+def test_sweep_default_jobs_follow_the_affinity_mask(tmp_path, capsys, monkeypatch):
+    """Below Python 3.13 the default lane count is the affinity mask's
+    size, not the host's CPU count: one CPU means no forked lane."""
+    monkeypatch.setattr(cli, "_sweep_row", _stub_row)
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    forks = _counting_forks(monkeypatch)
+    assert main(GRID_4 + ["--out", str(tmp_path)]) == EXIT_OK
+    assert forks == []
+    assert "sweep: 4 rows, 0 solved, 4 searches" in capsys.readouterr().out
 
 
 def test_verify(tmp_path, capsys):

@@ -173,9 +173,8 @@ def test_rows_tile_the_segments():
 def _series_at(x0, params, r):
     """(f, g) of the regular solution's power series at the origin,
     summed at the radius r to the order a radial run hands off with."""
-    f, g = integrator._series_eval(integrator._series_coefficients(x0, params),
-                                   x0, x0, np.array([r]))
-    return float(f[0]), float(g[0])
+    cols = integrator._series_cols(integrator._series_coefficients(x0, params))
+    return integrator._series_point(cols, x0, x0, float(r))
 
 
 def _sample_reference(traj, r):
@@ -312,21 +311,12 @@ def test_event_inside_series_span_is_localized():
     assert term.r == pytest.approx(float(sol.t_events[0][0]), rel=0, abs=1e-8)
 
 
-def _series_point_by_eval(cols, sf, sy, r):
-    """integrator._series_point through the array sum _series_eval."""
-    f, y = integrator._series_eval(np.array(cols[::-1]).T, sf, sy, np.array([r]))
-    return float(f[0]), float(y[0])
-
-
-def test_series_span_on_floats_is_bit_identical(gs94, monkeypatch):
-    """The series span sums its probes, bisection steps and stop state on
-    floats, in _series_eval's order of operations: at (3, 2) from 0.55
-    EnergyBarrier fires inside the span (r = 0.780), and on that shot and
-    on a (9, 4) search shot every series row after the origin equals
-    _series_eval at its radius; from 0.58 it fires at r = 0, before any
-    series is summed.  On all three the whole shot equals the one summed
-    by _series_eval.  So do the near-critical searches (9, 4.2) and
-    (8, 3.9), which run through integrate_wall."""
+def test_series_span_on_floats_is_bit_identical(gs94):
+    """The series span sums its probes, bisection steps and stop state
+    with _series_point: at (3, 2) from 0.55 EnergyBarrier fires inside the
+    span (r = 0.780), and on that shot and on a (9, 4) search shot every
+    series row after the origin equals _series_point at its radius; from
+    0.58 it fires at r = 0, before any series is summed."""
     shots = [(0.55, P32), (0.58, P32), (gs94.bracket[0], P94)]
     ends = []
     for x0, params in shots:
@@ -336,25 +326,28 @@ def test_series_span_on_floats_is_bit_identical(gs94, monkeypatch):
             continue
         r_h = traj._series[0]
         on = traj.r[1:] <= r_h
-        fs, gs = integrator._series_eval(integrator._series_coefficients(x0, params),
-                                         x0, x0, traj.r[1:][on])
-        assert np.all(traj.f[1:][on] == fs) and np.all(traj.g[1:][on] == gs)
+        span = zip(traj.r[1:][on].tolist(), traj.f[1:][on].tolist(),
+                   traj.g[1:][on].tolist())
+        assert all((f, g) == _series_at(x0, params, r) for r, f, g in span)
         ends.append((traj.termination.r, r_h))
     (r_in, r_h), (r_origin, rows), (r_search, r_h94) = ends
     assert r_in == pytest.approx(0.780, abs=1e-3) and r_in < r_h
     assert r_origin == 0.0 and rows == 1 and r_search > r_h94
-    near = [ModelParams(9.0, 4.2), ModelParams(8.0, 3.9)]
 
-    def run():
-        searches = [bisect_ground_state(params) for params in near]
-        return ([_fingerprint(classify_shot(x0, params)) for x0, params in shots],
-                [(gs.x_star, gs.bracket, gs.trajectory.r.tobytes(),
-                  gs.trajectory.f.tobytes(), gs.trajectory.u.tobytes())
-                 for gs in searches])
 
-    floats = run()
-    monkeypatch.setattr(integrator, "_series_point", _series_point_by_eval)
-    assert run() == floats
+def test_sample_on_returns_the_series_rows(gs94):
+    """sample_on sums the series with the evaluator that summed its rows,
+    so at each series row's radius it returns that row bit for bit: on a
+    (9, 4) search shot, on its mirror, and on the (9, 4.4) certificate,
+    solved in (f, u = 1 - g) by integrate_wall."""
+    shot = classify_shot(gs94.bracket[0], P94).trajectory
+    wall = bisect_ground_state(ModelParams(9.0, 4.4)).trajectory
+    assert shot.u is None and wall.u is not None
+    rows = slice(1, 1 + integrator._SERIES_ROWS)
+    for traj in (shot, shot.mirrored(), wall):
+        assert traj.r[rows][-1] == traj._series[0]
+        fs, gs = traj.sample_on(traj.r[rows])
+        assert np.array_equal(fs, traj.f[rows]) and np.array_equal(gs, traj.g[rows])
 
 
 @pytest.mark.parametrize("x0", [1e-30, 1e-100, 1e-300])
