@@ -200,9 +200,12 @@ class EventKind(enum.Enum):
         |g| r |f| > (1 + eps) (1 + r sqrt(|g| c+)),
         c+ = max(0, c'),  c' = max(-phi(|g|), a - b),  phi(s) = s (b - a s^2),
 
-    and at r = 0, after the level kinds, on every shot with a < b and
-    0 < |x0| < 1.  It has no probes, no bisection and no margin, since any
-    point of the region proves that the radial shot blows up.
+    and at r = 0, after the level kinds, on every shot with a <= b and
+    0 < |x0| < 1.  a <= b is compared exactly in floats: the band of
+    model.REGIME_TOL in which model.classify_regime calls |a - b| <= 1e-12
+    DEGENERATE plays no part, and a shot at one ulp above a = b steps.  It
+    has no probes, no bisection and no margin, since any point of the
+    region, and any shot decided at the origin, provably blows up.
 
     Take g > 0; the sign map covers g < 0.  F = r^2 f obeys F' = r^2 (g
     f^2 + phi(g)): the friction -(2/r) f cancels exactly.  From a step end
@@ -230,13 +233,31 @@ class EventKind(enum.Enum):
     x0 (b - a) r^2, whose comparison equation gives w'' = -x0^2 (b - a)
     w, which reaches 0 from any F > 0, so the shot blows up.
 
+    At the origin with a = b, phi(g) = a g w, w = 1 - g^2, so F' = g F^2 /
+    r^2 + a g w r^2 > 0: again f > 0 and g rises in (x0, 1), but k = 0 and
+    the comparison fires only once y = g r f exceeds 1 + eps.  It does.
+    Here let s = ln r and T = a g^2 w r^2 > 0; then
+
+        dy/ds = y^2 - y + w y^2 / g^2 + T,
+
+    and Z = ln T + 2 y obeys
+
+        dZ/ds = 2 (1 - y)^2 + 2 T + 2 w y (1 + y) / g^2 >= 2 T,
+
+    since y > 0.  A solution that ends at a finite r has blown up.  If
+    instead y stayed below some M for all s >= s0, Z would rise, so ln T >=
+    Z(s0) - 2 M would hold T above some m > 0; dZ/ds >= 2 m would then
+    carry Z, so T, past every bound, and dy/ds >= T - 1/4 would carry y
+    past M.  So y reaches 1 + eps, where c+ = 0 and the state lies in the
+    region: the shot blows up.
+
     The margin eps is relative, so it is far above the step's error in
     (f0, g0) and the rounding of the test, and the test is invariant under
     (a, b) -> (l^2 a, l^2 b), r -> r / l, f -> l f, up to rounding.  For a
     >= b, c+ = c', and the region contains that of the bound that holds
     the friction 2/r at r0, f0 > (1/r0 + sqrt(1/r0^2 + g0 c')) / g0, whose
     threshold on f lies above this one, (1/r0 + sqrt(g0 c+)) / g0.  For a
-    < b the origin decides every shot that could reach the region, since
+    <= b the origin decides every shot that could reach the region, since
     |g| = 1 is invariant and x0 = 0 keeps g = 0.  No other kind fires
     first: f > 1/(g0 r) > 0 and g stays in (g0, 1), so neither
     FCrossesZero, GCrossesZero nor GSquaredReachesOne can fire; |f| + |g|
@@ -1045,13 +1066,14 @@ def _radial_run(coefficients, sf: float, sy: float, deriv, units, rows,
     returns (rs, fs, ys, segments, termination, series).
 
     At r = 0 the level kinds are tested first (see _start), then, if
-    blowup_ab is given, a < b and 0 < |sy| < 1, the shot ends as
-    BlowupCertain (see EventKind).  A shot that stops at r = 0 has one
-    row and no series; only a shot that leaves the origin calls
-    coefficients() and finds its hand-off radius r_h.
+    blowup_ab is given, a <= b exactly in floats (not within
+    model.REGIME_TOL) and 0 < |sy| < 1, the shot ends as BlowupCertain
+    (see EventKind).  A shot that stops at r = 0 has one row and no
+    series; only a shot that leaves the origin calls coefficients() and
+    finds its hand-off radius r_h.
     """
     vals, term = _start(rows, 0.0, 0.0, sy)
-    if (term is None and blowup_ab is not None and blowup_ab[0] < blowup_ab[1]
+    if (term is None and blowup_ab is not None and blowup_ab[0] <= blowup_ab[1]
             and 0.0 < abs(sy) < 1.0):
         term = Termination(TerminationKind.EVENT, 0.0, (EventKind.BLOWUP_CERTAIN,))
     if term is not None:
@@ -1081,11 +1103,12 @@ def integrate_radial(x0: float, params: ModelParams,
     """Solve the singular radial system from g(0) = x0, f(0) = 0.
 
     The origin is decided first (see _radial_run): an armed level kind
-    whose value is <= 0 at r = 0, then, if BlowupCertain is armed, a < b
-    with 0 < |x0| < 1, ends the run there with one row, before the series
-    is summed.  Otherwise the power series at the origin covers [0, r_h]
-    (see the module docstring), where a run that r_max or an event ends
-    early stops; the stepper takes over from r_h, with the absolute
+    whose value is <= 0 at r = 0, then, if BlowupCertain is armed, a <= b
+    (compared exactly, while model.classify_regime calls |a - b| <= 1e-12
+    DEGENERATE) with 0 < |x0| < 1, ends the run there with one row, before
+    the series is summed.  Otherwise the power series at the origin covers
+    [0, r_h] (see the module docstring), where a run that r_max or an event
+    ends early stops; the stepper takes over from r_h, with the absolute
     tolerance atol min(1, |x0|) (atol at x0 = 0) so the error is measured
     in units of x0 like the series, and the error of a shot from a tiny x0
     is not lost under atol.  Where the error scale underflows to 0, on a
@@ -1097,8 +1120,10 @@ def integrate_radial(x0: float, params: ModelParams,
     Blowup is the threshold |f| + |g| = BLOWUP_THRESHOLD, or, if
     BlowupCertain is armed, its origin decision or the first step end of
     the stepper inside its region, which the couplings (a, b) set (see
-    EventKind).
+    EventKind).  A non-finite x0 raises ValueError.
     """
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 = g(0) must be finite, got {x0!r}")
     cfg = config or DEFAULT_CONFIG
     unit = min(1.0, abs(x0)) or 1.0
     rs, fs, gs, segs, term, series = _radial_run(
@@ -1124,8 +1149,8 @@ def integrate_wall(u0: float, params: ModelParams,
     |f| + |u| >= BLOWUP_THRESHOLD, within 1 of the (f, g) level.
     BlowupCertain is not available on this chart.
     """
-    if not u0 >= 0.0:
-        raise ValueError("u0 = 1 - g(0) must be nonnegative")
+    if not 0.0 <= u0 < math.inf:
+        raise ValueError("u0 = 1 - g(0) must be finite and nonnegative")
     if EventKind.BLOWUP_CERTAIN in events:
         raise ValueError("BlowupCertain is tested in (f, g) only")
     cfg = config or DEFAULT_CONFIG

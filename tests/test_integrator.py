@@ -561,42 +561,42 @@ def test_blowup_termination():
 
 
 def test_blowup_certain_ends_at_a_step_end_in_its_region():
-    """Armed, BlowupCertain stops the (4, 4) shot from 0.5 at the end of
-    its eighth accepted step, r = 1.6031, the first step end where g r f >
-    (1 + eps) (1 + r sqrt(g c+)); there c+ = 0, and the bound that held
-    the friction 2/r fixed, R(F*) > eps (...), still fails, as it did
-    until r = 2.073.  Its sign-mapped twin from -0.5 stops at the same
-    radius.  At (1, 4), where a < b, the shot from 0.8 stops at r = 0;
-    from 1.2 it keeps g > 1, outside the lemma, and ends at the
-    threshold."""
+    """Armed, BlowupCertain stops the (3, 2) shot from 0.01 at the end of
+    its 33rd accepted step, r = 6.04900666575, the first step end where g
+    r f > (1 + eps) (1 + r sqrt(g c+)), c+ = a - b = 1; there the bound
+    that held the friction 2/r fixed, R(F*) > eps (...), still fails.  Its
+    sign-mapped twin from -0.01 stops at the same radius.  At (1, 4),
+    where a < b, the shot from 0.8 stops at r = 0, and so do the (4, 4)
+    shots from +-0.5, where a = b; from 1.2 the (1, 4) shot keeps g > 1,
+    outside the lemma, and ends at the threshold."""
     armed = (EventKind.BLOWUP_CERTAIN,)
-    P14, P44 = ModelParams(1.0, 4.0), ModelParams(4.0, 4.0)
+    origin = Termination(TerminationKind.EVENT, 0.0, armed)
+    P14 = ModelParams(1.0, 4.0)
     above = integrate_radial(1.2, P14, events=armed)
     assert above.termination.kind is TerminationKind.BLOWUP
-    origin = integrate_radial(0.8, P14, events=armed)
-    assert origin.termination == Termination(TerminationKind.EVENT, 0.0, armed)
-    assert len(origin.r) == 1 and origin._series is None
-    traj = integrate_radial(0.5, P44, events=armed)
+    for x0, params in ((0.8, P14), (0.5, ModelParams(4.0, 4.0)), (-0.5, ModelParams(4.0, 4.0))):
+        at_origin = integrate_radial(x0, params, events=armed)
+        assert at_origin.termination == origin
+        assert at_origin.r.tolist() == [0.0] and at_origin._series is None
+    traj = integrate_radial(0.01, P32, events=armed)
     term = traj.termination
     assert term.event_kinds == armed
-    assert len(traj._segments) == 8
-    r0, h = traj._segments[-1][:2]
-    assert term.r == r0 + h == pytest.approx(1.6031214581, rel=1e-8)
+    assert len(traj._segments) == 33
+    assert term.r == pytest.approx(6.04900666575, rel=1e-10)
     eps = integrator._BLOWUP_EPS
 
     def region(r, f, g):
-        c = max(0.0, 4.0 - 4.0, g * (4.0 * g * g - 4.0))
+        c = max(0.0, 3.0 - 2.0, g * (3.0 * g * g - 2.0))
         return f > 0.0 and 0.0 < g < 1.0 and g * r * f > (1.0 + eps) * (
             1.0 + r * math.sqrt(g * c))
 
-    f, g, r = traj.f[-1], traj.g[-1], term.r
-    assert region(r, f, g)
-    assert not region(r0, *traj.f[-4:-3], *traj.g[-4:-3])
-    assert traj.r[-4] == r0
-    vertex = max(f, 1.0 / (g * r))
-    quad, lin = g * vertex * vertex, (2.0 / r) * vertex
-    assert not quad - lin > eps * (quad + lin)
-    assert integrate_radial(-0.5, P44, events=armed).termination == term
+    ends = [r0 + h for r0, h in (seg[:2] for seg in traj._segments)]
+    at = np.searchsorted(traj.r, ends)
+    assert traj.r[at].tolist() == ends and ends[-1] == term.r == traj.r[-1]
+    inside = [region(traj.r[i], traj.f[i], traj.g[i]) for i in at]
+    assert inside == [False] * 32 + [True]
+    assert not _friction_fixed_region(term.r, traj.f[-1], traj.g[-1], 3.0, 2.0)
+    assert integrate_radial(-0.01, P32, events=armed).termination == term
     with pytest.raises(ValueError, match="BlowupCertain"):
         integrate_wall(0.2, P14, events=armed)
 
@@ -682,6 +682,41 @@ def test_blowup_certain_decides_a_below_b_at_the_origin(x0, sign):
     assert out.trajectory.termination.describe() == "Event(BlowupCertain, r=0)"
 
 
+@pytest.mark.parametrize("x0", [1e-4, 0.3, 0.9, 0.999])
+def test_a_equal_b_shot_meets_the_origin_proof(x0):
+    """The a = b proof of EventKind, checked on the (4, 4) shot run with
+    no event to the Blowup threshold: with w = 1 - g^2, y = g r f, T = a
+    g^2 w r^2 and s = ln r, central differences in s on 4,000 radii match
+    dy/ds = y^2 - y + w y^2 / g^2 + T, f > 0 and g rises inside (x0, 1),
+    Z = ln T + 2 y rises, and y passes 1 + eps before the threshold."""
+    traj = integrate_radial(x0, ModelParams(4.0, 4.0))
+    assert traj.termination.kind is TerminationKind.BLOWUP
+    s = np.linspace(math.log(1e-2), math.log(traj.termination.r), 4001)[:-1]
+    r = np.exp(s)
+    f, g = traj.sample_on(r)
+    assert np.all(f > 0.0) and np.all(np.diff(g) > 0.0) and x0 <= g[0] and g[-1] < 1.0
+    w = 1.0 - g * g
+    y, T = g * r * f, 4.0 * g * g * w * r * r
+    terms = (y * y, -y, w * y * y / (g * g), T)
+    dy_ds = (y[2:] - y[:-2]) / (2.0 * (s[1] - s[0]))
+    rel = np.abs(dy_ds - sum(terms)[1:-1]) / sum(np.abs(t) for t in terms)[1:-1]
+    assert np.median(rel) < 1e-5 and rel[y[1:-1] < 10.0].max() < 1e-3
+    assert np.all(np.diff(np.log(T) + 2.0 * y) > 0.0)
+    assert y.max() > 1.0 + integrator._BLOWUP_EPS
+
+
+def test_origin_rule_is_exact_at_a_equal_b():
+    """a <= b is compared exactly, not within model.REGIME_TOL: one ulp
+    above a = b the (4, 4) shot from 0.5 leaves the origin and stops at
+    the step end where it enters BlowupCertain's region."""
+    traj = integrate_radial(0.5, ModelParams(math.nextafter(4.0, math.inf), 4.0),
+                            events=(EventKind.BLOWUP_CERTAIN,))
+    assert traj.termination.event_kinds == (EventKind.BLOWUP_CERTAIN,)
+    assert len(traj._segments) >= 1 and traj._series is not None
+    r0, h = traj._segments[-1][:2]
+    assert traj.termination.r == r0 + h == traj.r[-1]
+
+
 @pytest.mark.parametrize("x0", [1e-315, 5e-324, -5e-324])
 def test_subnormal_shot_keeps_a_positive_error_scale(x0):
     """From a subnormal x0 at (9, 4) both atol min(1, |x0|) and rtol |f|
@@ -690,6 +725,20 @@ def test_subnormal_shot_keeps_a_positive_error_scale(x0):
     out = classify_shot(x0, P94)
     assert out.trajectory.termination.kind is TerminationKind.REACHED_RMAX
     assert out.shot_class is classify_shot(1e-300, P94).shot_class
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_is_rejected(x0):
+    """A non-finite x0 raises ValueError naming x0, directly and through
+    classify_shot, instead of a StiffnessError from the series (nan) or a
+    Blowup at r = 0 with a RuntimeWarning (+-inf); so does a non-finite u0
+    in the wall chart."""
+    with pytest.raises(ValueError, match="x0"):
+        integrate_radial(x0, P94)
+    with pytest.raises(ValueError, match="x0"):
+        classify_shot(x0, P94)
+    with pytest.raises(ValueError, match="u0"):
+        integrate_wall(abs(x0), P94)
 
 
 def test_stiffness_error_carries_radius(monkeypatch):

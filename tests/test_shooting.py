@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucshoot import shooting
+from nucshoot import integrator, shooting
 from nucshoot.integrator import (BLOWUP_THRESHOLD, EventKind,
                                  IntegratorConfig, Termination,
                                  TerminationKind, Trajectory, integrate_radial,
@@ -245,12 +245,16 @@ def test_blowup_certain_shots_blow_up_under_scipy():
     blowup radius of the comparison equation (EventKind).
 
     A step-end stop continues from its event state, with c = c+: k =
-    sqrt(g0 c+) is 0 on (4, 4) and positive on (3, 2) and (2.5, 2).  For a
-    < b, on (1, 4) and (7, 8), every stop is at r = 0; it continues from r
-    = 1e-3, from the Taylor start f = x0 (b - a x0^2) r / 3 and g = x0 +
-    (1 - x0^2) f r / 2, with c = -g0 (b - a), since phi(g) >= g0 (b - a)
-    once g >= g0."""
+    sqrt(g0 c+) is positive on (3, 2) and (2.5, 2).  For a <= b, on (4,
+    4), (1, 4) and (7, 8), every stop is at r = 0; it continues from r =
+    1e-3, from the Taylor start f = x0 (b - a x0^2) r / 3 and g = x0 + (1
+    - x0^2) f r / 2.  For a < b it takes c = -g0 (b - a), since phi(g) >=
+    g0 (b - a) once g >= g0.  For a = b that c is 0 and q > 0 there, so
+    the comparison alone proves nothing: scipy first carries the shot to
+    g r f = 1 + eps, where c+ = 0, and the comparison starts from that
+    state."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    eps = integrator._BLOWUP_EPS
     seen, signs = {}, set()
     for params in (ModelParams(4.0, 4.0), ModelParams(1.0, 4.0), P32, ModelParams(2.5, 2.0),
                    ModelParams(7.0, 8.0)):
@@ -263,20 +267,30 @@ def test_blowup_certain_shots_blow_up_under_scipy():
         def threshold(r, y):
             return abs(y[0]) + abs(y[1]) - BLOWUP_THRESHOLD
 
-        threshold.terminal = True
+        def region(r, y):
+            return y[1] * r * y[0] - (1.0 + eps)
+
+        threshold.terminal = region.terminal = True
         outs = [o for o in classify_grid(params, GRID, R200) if _blowup_certain(o)]
         seen[(a, b)] = len(outs)
         for out in outs:
             assert out.shot_class is ShotClass.BLOWUP
-            if a < b:
+            if a > b:
+                r0, f0, g0 = out.r_x, float(out.trajectory.f[-1]), out.g_at_rx
+                c = max(0.0, a - b, g0 * (a * g0 * g0 - b))
+            else:
                 assert out.r_x == 0.0 and len(out.trajectory.r) == 1
                 r0 = 1e-3
                 f0 = out.x0 * (b - a * out.x0 ** 2) * r0 / 3.0
                 g0 = out.x0 + 0.5 * (1.0 - out.x0 ** 2) * f0 * r0
                 c = -g0 * (b - a)
-            else:
-                r0, f0, g0 = out.r_x, float(out.trajectory.f[-1]), out.g_at_rx
-                c = max(0.0, a - b, g0 * (a * g0 * g0 - b))
+            if a == b:
+                sol = solve_ivp(rhs, (r0, 1e4), [f0, g0], method="DOP853", events=region,
+                                rtol=1e-10, atol=1e-12)
+                assert sol.status == 1, (a, b, out.x0, sol.message)
+                f, g = sol.y
+                assert np.all(f * g > 0.0) and np.all((0.0 < g) & (g < 1.0)), (a, b, out.x0)
+                r0, (f0, g0), c = sol.t_events[0][0], sol.y_events[0][0], 0.0
             signs.add((c > 0.0) - (c < 0.0))
             sol = solve_ivp(rhs, (r0, r0 + _blowup_time(r0, f0, g0, c)), [f0, g0],
                             method="DOP853", events=threshold, rtol=1e-10, atol=1e-12)
@@ -955,12 +969,14 @@ def test_certificate_is_scale_covariant(kappa, c_rel):
     assert all(v == pytest.approx(spreads[1], rel=1e-3) for v in spreads)
 
 
-@pytest.mark.parametrize("a, b", [(0.1, 0.049), (0.01, 0.0049)])
-def test_certificate_is_scale_covariant_at_small_a(a, b):
-    """At kappa = 0.49 and a = 0.1 or 0.01 the thin wall R = 2 sqrt(2) /
-    (sqrt(a) (1 - 2 kappa)) lies at 447 or 1414, past the default r_max;
-    the search's horizon follows it, and the certificate passes the audit
-    with the u* of (2, 0.98) to 1e-10 relative."""
+@pytest.mark.parametrize("a, b", [(0.1, 0.049), (0.01, 0.0049), (1e-4, 4.9e-5),
+                                  (1e4, 4.9e3)])
+def test_certificate_is_scale_covariant_at_extreme_a(a, b):
+    """At kappa = 0.49 and a = 0.1, 0.01 or 1e-4 the thin wall R = 2
+    sqrt(2) / (sqrt(a) (1 - 2 kappa)) lies at 447, 1414 or 14,142, past
+    the default r_max; the search's horizon follows it.  At a = 1e4 it
+    lies at 1.41.  At each a the certificate passes the audit with the u*
+    of (2, 0.98) to 1e-10 relative."""
     ref = bisect_ground_state(ModelParams(2.0, 0.98)).u_star
     gs = bisect_ground_state(ModelParams(a, b))
     assert gs.lemma_report.passed
