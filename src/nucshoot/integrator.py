@@ -140,10 +140,11 @@ class EventKind(enum.Enum):
 
         FCrossesZero         -f
         GCrossesZero         g
-        GSquaredReachesOne   1 - g^2
         DecayDetected        |f| + |g| - 1e-8
         EnergyBarrier        H - model.trap_energy
 
+    No kind watches g^2 = 1: g' = f (1 - g^2) makes the lines g = +-1
+    invariant, so no solution crosses them (see shooting.default_events).
     The Blowup end, |f| + |g| reaching L = BLOWUP_THRESHOLD, is scanned
     the same way as the kind None with value L - (|f| + |g|).
     EnergyBarrier and Blowup are level kinds: they also fire at a run's
@@ -161,12 +162,6 @@ class EventKind(enum.Enum):
 
         FCrossesZero, GCrossesZero: |v| > e.  When |d| <= e < |y|, y + d
             keeps the sign of y exactly, and so does its rounding.
-        GSquaredReachesOne: |1 - |g|| > e_g + 2^-54.  The computed sign
-            of 1 - g*g is that of 1 - |g| for every double g, and |g + d|
-            stays more than 2^-54, the half-ulp by which a probe can
-            round onto +-1 from below, off 1: no probe rounds onto or
-            across +-1 from below, and from above it can at most reach
-            +-1, where v = 0 is not > 0.
         DecayDetected and Blowup: |v| > 2 (e_f + e_g) + ulp(l), l = 1e-8
             or L.  v has the sign of A - l, A = |f| + |g| rounded, and
             |f| + |g| moves by at most 2 (e_f + e_g) to a probe.  While A
@@ -260,15 +255,14 @@ class EventKind(enum.Enum):
     <= b the origin decides every shot that could reach the region, since
     |g| = 1 is invariant and x0 = 0 keeps g = 0.  No other kind fires
     first: f > 1/(g0 r) > 0 and g stays in (g0, 1), so neither
-    FCrossesZero, GCrossesZero nor GSquaredReachesOne can fire; |f| + |g|
-    > g0 + 1/(g0 r) >= 2 / sqrt(r) > 1e-8 for r < 4e16, so DecayDetected
-    cannot fire; and by the trap lemma (model.trap_energy) H cannot fall
-    below the trap level on a shot that blows up.
+    FCrossesZero nor GCrossesZero can fire; |f| + |g| > g0 + 1/(g0 r) >= 2
+    / sqrt(r) > 1e-8 for r < 4e16, so DecayDetected cannot fire; and by
+    the trap lemma (model.trap_energy) H cannot fall below the trap level
+    on a shot that blows up.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
     G_CROSSES_ZERO = "GCrossesZero"
-    G_SQUARED_REACHES_ONE = "GSquaredReachesOne"
     DECAY_DETECTED = "DecayDetected"
     ENERGY_BARRIER = "EnergyBarrier"
     BLOWUP_CERTAIN = "BlowupCertain"
@@ -1006,12 +1000,9 @@ def _event_functions(events, params: ModelParams, wall: bool = False):
     BlowupCertain has no value and is left out.
 
     On the wall chart the functions take (f, u) and evaluate the kind's
-    rule at g = 1 - u, except 1 - g^2, which is u (2 - u) there: its sign
-    is that of u while u < 2, exact, and it keeps u's precision below an
-    ulp of 1, so its margin is |u| > e_u and |2 - u| > e_u + 2^-53.  The
-    other margins read e_g = e_u + 2^-51 (1 + |u| + e_u), which also
-    covers the rounding of 1 - u at the start and at a probe.  Blowup
-    reads |f| + |u| there.
+    rule at g = 1 - u, and the margins read e_g = e_u + 2^-51 (1 + |u| +
+    e_u), which also covers the rounding of 1 - u at the start and at a
+    probe.  Blowup reads |f| + |u| there.
     """
     a, b, h_trap = params.a, params.b, trap_energy(params)
     level = BLOWUP_THRESHOLD
@@ -1027,9 +1018,6 @@ def _event_functions(events, params: ModelParams, wall: bool = False):
     table = {
         EventKind.F_CROSSES_ZERO: (lambda f, g: -f, False, lambda v, ef, eg, f, g: abs(v) > ef),
         EventKind.G_CROSSES_ZERO: (lambda f, g: g, False, lambda v, ef, eg, f, g: abs(v) > eg),
-        EventKind.G_SQUARED_REACHES_ONE: (
-            lambda f, g: 1.0 - g * g, False,
-            lambda v, ef, eg, f, g: abs(1.0 - abs(g)) > eg + 2.0 ** -54),
         EventKind.DECAY_DETECTED: (
             lambda f, g: abs(f) + abs(g) - _DECAY_EPS, False,
             lambda v, ef, eg, f, g: abs(v) > 2.0 * (ef + eg) + ulp_decay),
@@ -1040,9 +1028,6 @@ def _event_functions(events, params: ModelParams, wall: bool = False):
         table = {kind: (lambda f, u, _v=v: _v(f, 1.0 - u), lv, lambda v, ef, eu, f, u, _m=m:
                         _m(v, ef, eu + 2.0 ** -51 * (1.0 + abs(u) + eu), f, 1.0 - u))
                  for kind, (v, lv, m) in table.items()}
-        table[EventKind.G_SQUARED_REACHES_ONE] = (
-            lambda f, u: u * (2.0 - u), False,
-            lambda v, ef, eu, f, u: abs(u) > eu and abs(2.0 - u) > eu + 2.0 ** -53)
     return [(kind,) + table[kind] for kind in events if kind in table] + [
         (None, lambda f, g: level - (abs(f) + abs(g)), True,
          lambda v, ef, eg, f, g: abs(v) > 2.0 * (ef + eg) + ulp_level)]
@@ -1146,8 +1131,9 @@ def integrate_wall(u0: float, params: ModelParams,
     (f's is atol sqrt(a), as at x = 1).  The returned trajectory has x0 =
     1 - u0 (1.0 once u0 is below half an ulp), g = 1 - u, and u at its
     rows.  Events and r_max act as in integrate_radial; blowup is
-    |f| + |u| >= BLOWUP_THRESHOLD, within 1 of the (f, g) level.
-    BlowupCertain is not available on this chart.
+    |f| + |u| >= BLOWUP_THRESHOLD, within 1 of the (f, g) level; u = 0 is
+    invariant, so no event watches it.  BlowupCertain is not available on
+    this chart.
     """
     if not 0.0 <= u0 < math.inf:
         raise ValueError("u0 = 1 - g(0) must be finite and nonnegative")

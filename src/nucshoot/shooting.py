@@ -157,30 +157,36 @@ _SIGN_TOL = 1e-10
 _F_EVENT_TOL = 1e-9
 _SET_I_G_TOL = 1e-8
 _SET_I_H_TOL = 1e-8
-_TRAP_TOL = 1e-10
 _TAIL_SPREAD = 1e-2
 
 
 def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
     """Event set for classification at initial value x0 (assumed >= 0).
 
-    FCrossesZero is armed only where membership in I is possible at all,
-    i.e. sqrt(b/a) < x0 < 1 where f starts out negative; elsewhere a
-    rising f-zero carries no information.  GSquaredReachesOne and
-    BlowupCertain are armed for 0 < x0 < 1 (starting on or beyond g^2 = 1
-    makes the first meaningless, and the second's proof needs g < 1); a
-    shot in BlowupCertain's region would otherwise only reach the Blowup
-    threshold later, since no other kind can fire first from there.
-    EnergyBarrier is armed only where no ground state exists but the trap
-    well does (b < a <= 2b) and FCrossesZero is not armed (0 < x0 <=
-    sqrt(b/a)), so it never pre-empts the I / non-I decision of a search.
+    g' = f (1 - g^2) keeps the lines g = +-1 invariant: by uniqueness a
+    shot from |x0| < 1 never reaches g^2 = 1, and one from |x0| >= 1 never
+    leaves g^2 >= 1.  So no event watches g^2 = 1, and nothing is armed
+    for x0 >= 1, where neither a g-zero nor |f| + |g| = 1e-8 can happen:
+    only r_max or the Blowup threshold ends such a shot, which is Trapped.
+
+    Below 1, FCrossesZero is armed only where membership in I is possible
+    at all, i.e. sqrt(b/a) < x0 < 1 where f starts out negative; elsewhere
+    a rising f-zero carries no information.  BlowupCertain is armed for 0
+    < x0 < 1, where its proof holds; a shot in its region would otherwise
+    only reach the Blowup threshold later, since no other kind can fire
+    first from there.  EnergyBarrier is armed only where no ground state
+    exists but the trap well does (b < a <= 2b) and FCrossesZero is not
+    armed (0 < x0 <= sqrt(b/a)), so it never pre-empts the I / non-I
+    decision of a search.
     """
+    if x0 >= 1.0:
+        return ()
     sb = math.sqrt(params.b / params.a)
     events = [EventKind.G_CROSSES_ZERO, EventKind.DECAY_DETECTED]
-    if sb < x0 < 1.0:
+    if sb < x0:
         events.append(EventKind.F_CROSSES_ZERO)
-    if 0.0 < x0 < 1.0:
-        events += [EventKind.G_SQUARED_REACHES_ONE, EventKind.BLOWUP_CERTAIN]
+    if 0.0 < x0:
+        events.append(EventKind.BLOWUP_CERTAIN)
     if params.b < params.a <= 2.0 * params.b and 0.0 < x0 <= sb:
         events.append(EventKind.ENERGY_BARRIER)
     return tuple(events)
@@ -204,7 +210,9 @@ def classify_shot(x0: float, params: ModelParams,
 
     Negative x0 is classified through the sign map (f, g) -> (-f, -g),
     which sends solutions to solutions; class names refer to the mapped
-    (g > 0) representative.
+    (g > 0) representative.  A shot from x0 >= 1 is Trapped, since g >= 1
+    is invariant (default_events); it is still integrated, to r_max or
+    the Blowup threshold, for its trajectory.
     """
     cfg = config or DEFAULT_CONFIG
     x0 = float(x0)
@@ -215,7 +223,8 @@ def classify_shot(x0: float, params: ModelParams,
         out = classify_shot(-x0, params, cfg)
         return ShotOutcome(x0, out.shot_class, out.trajectory.mirrored())
     traj = integrate_radial(x0, params, cfg, default_events(x0, params))
-    return ShotOutcome(x0, _shot_class(traj, params), traj)
+    cls = ShotClass.TRAPPED if x0 >= 1.0 else _shot_class(traj, params)
+    return ShotOutcome(x0, cls, traj)
 
 
 def _classify_wall_shot(u0: float, params: ModelParams,
@@ -227,23 +236,17 @@ def _classify_wall_shot(u0: float, params: ModelParams,
     return ShotOutcome(traj.x0, _shot_class(traj, params), traj)
 
 
-_WALL_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO,
-                EventKind.G_SQUARED_REACHES_ONE)
+_WALL_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO)
 
 
 def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
-    """The class of a shot with g(0) > 0 from how its trajectory ended."""
+    """The class of a shot from 0 < g(0) < 1 from how its trajectory ended.
+    g stays below 1 (default_events), so no end is Trapped: r_max reached
+    first is Undetermined, the Blowup threshold or BlowupCertain Blowup."""
     term = traj.termination
-    if term.event_kinds == (EventKind.BLOWUP_CERTAIN,):
-        # the lemma's proof holds for 0 < |g| < 1, however close to 1
-        return ShotClass.BLOWUP
-    if term.kind is not TerminationKind.EVENT:
-        # a shot that rode within _TRAP_TOL of g^2 = 1 all along is
-        # Trapped, whether it reached r_max or blew up
-        if float(np.min(traj.g ** 2)) >= 1.0 - _TRAP_TOL:
-            return ShotClass.TRAPPED
-        if term.kind is TerminationKind.REACHED_RMAX:
-            return ShotClass.UNDETERMINED
+    if term.kind is TerminationKind.REACHED_RMAX:
+        return ShotClass.UNDETERMINED
+    if term.kind is TerminationKind.BLOWUP:
         return ShotClass.BLOWUP
     if len(term.event_kinds) != 1:
         # simultaneous f- and g-zeros cannot happen away from the origin,
@@ -260,10 +263,10 @@ def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
         return ShotClass.IN_SET_I if ok else ShotClass.UNDETERMINED
     if kind is EventKind.G_CROSSES_ZERO:
         return ShotClass.G_VANISHED_FIRST
-    if kind is EventKind.G_SQUARED_REACHES_ONE:
-        return ShotClass.TRAPPED
     if kind is EventKind.DECAY_DETECTED:
         return ShotClass.DECAYED
+    if kind is EventKind.BLOWUP_CERTAIN:
+        return ShotClass.BLOWUP
     # the kind left is EnergyBarrier, certified by H at or below the trap
     # level inside the strip
     ok = 0.0 < g_rx < 1.0 and H_rx <= trap_energy(params)
@@ -705,6 +708,9 @@ def audit_lemmas(traj: Trajectory) -> LemmaReport:
     if zero:
         checks.append(LemmaCheck("winding_zero", True, 0.0, 0.0,
                                  note="vacuous for the zero solution"))
+    elif len(r) < 3:
+        checks.append(LemmaCheck("winding_zero", False, math.nan, 0.0,
+                                 note="fewer than three rows"))
     else:
         try:
             n_wind, _ = winding_count(traj, float(r[1]), float(r[-1]))

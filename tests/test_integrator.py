@@ -542,10 +542,9 @@ def test_simultaneous_events_reported_together():
     assert "+" in term.describe()
 
 
-def test_g_squared_event_never_fires_spuriously():
+def test_blowup_rides_below_the_invariant_line_g_one():
     """g = 1 is invariant: blowup rides it asymptotically, no crossing."""
-    traj = integrate_radial(0.8, ModelParams(1.0, 4.0),
-                            events=(EventKind.G_SQUARED_REACHES_ONE,))
+    traj = integrate_radial(0.8, ModelParams(1.0, 4.0), events=())
     assert traj.termination.kind is TerminationKind.BLOWUP
     assert float(np.max(traj.g)) < 1.0
 
@@ -892,10 +891,6 @@ _G_NEAR_TRAP = float.fromhex("0x1.ffffffd50ce24p-1")    # (4, 2): H 1.7e-16 abov
 _MARGIN_EDGES = {
     "f-zero": (EventKind.F_CROSSES_ZERO, P94, False, (-0.5, 0.5), (0.7, 0.0)),
     "g-zero": (EventKind.G_CROSSES_ZERO, P94, False, (0.5, 0.5), (0.0, -0.7)),
-    "g-one": (EventKind.G_SQUARED_REACHES_ONE, P94, False, (0.0, 0.5), (0.0, 0.7)),
-    # one ulp below 1, a probe 0.58 ulp up rounds onto 1
-    "g-one-ulp": (EventKind.G_SQUARED_REACHES_ONE, P94, False, (0.0, 1.0 - 2.0 ** -53),
-                  (0.0, 0.7 * 2.0 ** -53)),
     # |f| + |g| rounds up to 1e-8 + ulp at the start and onto 1e-8 at a
     # probe that moves f by 2^-100
     "decay-rounding": (EventKind.DECAY_DETECTED, P94, False,
@@ -913,7 +908,6 @@ _MARGIN_EDGES = {
     # g moves 0.58 ulp, rounded to a whole one
     "energy-rounding": (EventKind.ENERGY_BARRIER, _P42, False, (0.0, _G_NEAR_TRAP),
                         (0.0, -0.7 * (_G_NEAR_TRAP - math.nextafter(_G_NEAR_TRAP, 0.0)))),
-    "wall-u-zero": (EventKind.G_SQUARED_REACHES_ONE, P94, True, (0.0, 0.5), (0.0, -0.7)),
     # u one ulp below 1, a probe 0.58 ulp up rounds onto u = 1, g = 0
     "wall-g-zero-ulp": (EventKind.G_CROSSES_ZERO, P94, True, (0.0, 1.0 - 2.0 ** -53),
                         (0.0, 0.7 * 2.0 ** -53)),
@@ -968,8 +962,6 @@ _DOUBLE_ZEROS = [
      (4.98 ** 2 - 0.25, 0.5), 32.5),
     (EventKind.G_CROSSES_ZERO, lambda r: (0.0, 2.0 * (r - 32.0)),
      (0.5, 4.98 ** 2 - 0.25), 31.5),
-    (EventKind.G_SQUARED_REACHES_ONE, lambda r: (0.0, 0.5 * (r - 32.0)),
-     (0.0, 0.5 + 4.98 ** 2 / 4.0), 32.0 + math.sqrt(2.0)),
     (EventKind.DECAY_DETECTED, lambda r: (0.0, 4e-9 * (r - 32.0)),
      (0.0, 2e-9 * 4.98 ** 2 + 5e-9), 32.0 - math.sqrt(2.5)),
 ]
@@ -1015,42 +1007,9 @@ def test_step_ending_exactly_on_zero_fires():
     assert term.r == pytest.approx(1e-3, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("slope", [0.0, 2.0 ** -60, 2.0 ** -45])
-def test_g_one_ulp_below_one(monkeypatch, slope):
-    """g starts one ulp below 1, where 1 - g*g = 2^-52.  Held there, it
-    never fires GSquaredReachesOne and never needs a probe; pushed over
-    1, it fires where the probe-every-step scan does."""
-    def deriv(r, f, g):
-        return 0.0, slope
-
-    probes = []
-    real_probes = integrator._step_probes
-
-    def counted(*args):
-        probes.append(args)
-        return real_probes(*args)
-
-    monkeypatch.setattr(integrator, "_step_probes", counted)
-    cfg = IntegratorConfig(r_max=50.0)
-    g0 = math.nextafter(1.0, 0.0)
-    kind = EventKind.G_SQUARED_REACHES_ONE
-    out = integrator._run_dopri(deriv, 1.0, 0.3, g0, cfg, _rows(kind))
-    n_gated = len(probes)
-    every = integrator._run_dopri(deriv, 1.0, 0.3, g0, cfg, _rows(kind, gated=False))
-    assert repr(out) == repr(every)
-    term = out[4]
-    if slope < 2.0 ** -54:      # below half an ulp of g per unit r: g stays put
-        assert term.kind is TerminationKind.REACHED_RMAX
-        assert max(out[2]) == g0
-        assert n_gated == 0 < len(probes)
-    else:
-        assert term.event_kinds == (kind,)
-
-
 # -- the wall chart (f, u = 1 - g)
 
-_SHOT_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO,
-                EventKind.G_SQUARED_REACHES_ONE)
+_SHOT_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO)
 
 
 @pytest.mark.parametrize("x0", [0.75, 0.9])

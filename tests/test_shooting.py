@@ -87,12 +87,51 @@ def test_classify_mirror_symmetry():
     assert np.array_equal(neg.trajectory.f, -pos.trajectory.f)
 
 
-@pytest.mark.parametrize("x0", [1.0, 1.1, 1.5, 2.0])
+@pytest.mark.parametrize("x0", [1.0, 1.1, 1.5, 2.0, -1.0, -1.1, -1.5, -2.0])
 def test_classify_trapped_at_and_beyond_one(x0):
+    """From g >= 1, which is invariant, neither a g-zero nor |f| + |g| =
+    1e-8 can happen, so nothing is armed."""
     cfg = IntegratorConfig(r_max=50.0)
     out = classify_shot(x0, P94, cfg)
     assert out.shot_class is ShotClass.TRAPPED
     assert float(np.min(out.trajectory.g ** 2)) >= 1.0 - 1e-10
+    assert default_events(abs(x0), P94) == ()
+
+
+@pytest.mark.parametrize("params, x0, r_max", [
+    (ModelParams(9.0, 4.4), 0.9999999999999999, 5.0),
+    (P94, 1.0 - 1e-11, 1.0),
+])
+def test_short_horizon_just_below_one_is_undetermined(params, x0, r_max):
+    """A shot from just below 1 that reaches a short r_max before its first
+    event is Undetermined: g < 1 all along, however close to 1 it rides."""
+    out = classify_shot(x0, params, IntegratorConfig(r_max=r_max))
+    assert out.shot_class is ShotClass.UNDETERMINED
+    assert out.trajectory.termination.describe() == f"ReachedRmax(r={r_max:g})"
+    assert float(np.min(out.trajectory.g ** 2)) >= 1.0 - 1e-10
+
+
+_BELOW_ONE = [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 1e-11, 0.999, 0.95, 0.8, 0.5,
+              0.2, 1e-3, 1e-300, 5e-324]
+
+
+@pytest.mark.parametrize("lam2", [1e-4, 1.0, 1e4])
+def test_invariant_lines_g_one_are_never_reached(lam2):
+    """g' = f (1 - g^2) keeps g = +-1 invariant, which default_events
+    relies on: from -1 < x0 < 1, at (l^2 a, l^2 b) and to the scaled
+    horizon 50 / l, every row has 1 - g^2 > 0, up to the last ulp below 1,
+    and every wall shot from 1e-300 <= u0 <= 0.5 keeps u > 0."""
+    lam = math.sqrt(lam2)
+    cfg = IntegratorConfig(r_max=50.0 / lam)
+    pairs = [ModelParams(a * lam2, b * lam2) for a, b in
+             ((9.0, 4.0), (4.0, 1.0), (9.0, 4.4), (3.0, 2.0), (4.0, 4.0), (1.0, 4.0))]
+    for params in pairs:
+        for x0 in _BELOW_ONE + [-x for x in _BELOW_ONE]:
+            g = integrate_radial(x0, params, cfg, default_events(abs(x0), params)).g
+            assert np.all(1.0 - g * g > 0.0), (params, x0)
+        for u0 in np.geomspace(1e-300, 0.5, 16).tolist():
+            traj = integrator.integrate_wall(u0, params, cfg, shooting._WALL_EVENTS)
+            assert np.all(traj.u > 0.0), (params, u0)
 
 
 def test_classify_g_vanished_first():
@@ -108,7 +147,7 @@ def test_classify_blowup_subcritical():
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 4.0), (0.5, 3.0), (7.0, 8.0)])
-def test_blowup_certain_beats_the_trapped_band(a, b):
+def test_blowup_certain_decides_a_shot_within_1e_10_of_one(a, b):
     """From x = 1 - 2^-52 g stays within 1e-10 of 1 until BlowupCertain
     proves the blowup; the lemma holds for every 0 < |g| < 1, so the shot
     is Blowup, not Trapped."""
@@ -1018,6 +1057,26 @@ def test_audit_flags_the_non_decaying_wall_profile():
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"g_squared_below_one", "spinor_ratio_bound", "decay_bound"}
     assert rep.check("decay_bound").note == "fewer than two rows with a g^2 <= b/100"
+
+
+@pytest.mark.parametrize("params, x0", [
+    (ModelParams(1.0, 4.0), 0.8), (ModelParams(4.0, 4.0), 0.5), (P32, 0.58), (P94, 1e4),
+])
+def test_audit_reports_a_shot_decided_at_the_origin(params, x0):
+    """A shot decided at r = 0 has one row; its audit fails winding_zero by
+    name and raises nothing."""
+    traj = classify_shot(x0, params).trajectory
+    assert len(traj.r) == 1
+    rep = audit_lemmas(traj)
+    assert not rep.passed
+    assert rep.check("winding_zero").note == "fewer than three rows"
+
+
+def test_audit_reports_a_two_row_trajectory():
+    rep = audit_lemmas(_synthetic(np.array([0.0, 1.0]), np.array([0.0, -0.1]),
+                                  np.array([0.5, 0.4])))
+    assert not rep.passed
+    assert not rep.check("winding_zero").passed
 
 
 def test_audit_trivial_solution_is_vacuously_clean():
