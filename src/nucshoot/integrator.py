@@ -144,11 +144,10 @@ class EventKind(enum.Enum):
         EnergyBarrier        H - model.trap_energy
 
     No kind watches g^2 = 1: g' = f (1 - g^2) makes the lines g = +-1
-    invariant, so no solution crosses them (see shooting.default_events).
+    invariant, so no solution crosses them (shooting._origin_decision).
     The Blowup end, |f| + |g| reaching L = BLOWUP_THRESHOLD, is scanned
-    the same way as the kind None with value L - (|f| + |g|).
-    EnergyBarrier and Blowup are level kinds: they also fire at a run's
-    start if their value is <= 0 there, so a radial shot can end at r = 0.
+    the same way as the kind None with value L - (|f| + |g|), and alone
+    ends a run at its start, if that value is <= 0 there (see _start).
 
     A probe of a step is y + d rounded, d = h (t (q0 + t (q1 + ... + t
     q6))), 0 < t <= 5/6.  Rounding is monotone and |t| <= 1, so |d| <= e,
@@ -193,14 +192,10 @@ class EventKind(enum.Enum):
     0 < |g| < 1 and, with eps = _BLOWUP_EPS = 1e-3,
 
         |g| r |f| > (1 + eps) (1 + r sqrt(|g| c+)),
-        c+ = max(0, c'),  c' = max(-phi(|g|), a - b),  phi(s) = s (b - a s^2),
+        c+ = max(0, c'),  c' = max(-phi(|g|), a - b),  phi(s) = s (b - a s^2).
 
-    and at r = 0, after the level kinds, on every shot with a <= b and
-    0 < |x0| < 1.  a <= b is compared exactly in floats: the band of
-    model.REGIME_TOL in which model.classify_regime calls |a - b| <= 1e-12
-    DEGENERATE plays no part, and a shot at one ulp above a = b steps.  It
-    has no probes, no bisection and no margin, since any point of the
-    region, and any shot decided at the origin, provably blows up.
+    It has no probes, no bisection and no margin, since any point of the
+    region provably blows up.
 
     Take g > 0; the sign map covers g < 0.  F = r^2 f obeys F' = r^2 (g
     f^2 + phi(g)): the friction -(2/r) f cancels exactly.  From a step end
@@ -222,29 +217,7 @@ class EventKind(enum.Enum):
     past r0.  Until then w' < 0 < w, so Phi > r / g0 > 0, and by the
     comparison theorem (Hartman, Ordinary Differential Equations, ch. III)
     F >= Phi: f > 1/(g0 r) > 0, the assumption f > 0 holds throughout, and
-    F, so f, blows up no later than r0 + T.  At the origin with a < b and
-    0 < x0 < 1, phi(g) >= g (b - a) > 0 on (0, 1], so F' > 0 and F > 0
-    from r = 0 on, f > 0 and g rises in (x0, 1); then F' >= x0 F^2 / r^2 +
-    x0 (b - a) r^2, whose comparison equation gives w'' = -x0^2 (b - a)
-    w, which reaches 0 from any F > 0, so the shot blows up.
-
-    At the origin with a = b, phi(g) = a g w, w = 1 - g^2, so F' = g F^2 /
-    r^2 + a g w r^2 > 0: again f > 0 and g rises in (x0, 1), but k = 0 and
-    the comparison fires only once y = g r f exceeds 1 + eps.  It does.
-    Here let s = ln r and T = a g^2 w r^2 > 0; then
-
-        dy/ds = y^2 - y + w y^2 / g^2 + T,
-
-    and Z = ln T + 2 y obeys
-
-        dZ/ds = 2 (1 - y)^2 + 2 T + 2 w y (1 + y) / g^2 >= 2 T,
-
-    since y > 0.  A solution that ends at a finite r has blown up.  If
-    instead y stayed below some M for all s >= s0, Z would rise, so ln T >=
-    Z(s0) - 2 M would hold T above some m > 0; dZ/ds >= 2 m would then
-    carry Z, so T, past every bound, and dy/ds >= T - 1/4 would carry y
-    past M.  So y reaches 1 + eps, where c+ = 0 and the state lies in the
-    region: the shot blows up.
+    F, so f, blows up no later than r0 + T.
 
     The margin eps is relative, so it is far above the step's error in
     (f0, g0) and the rounding of the test, and the test is invariant under
@@ -252,13 +225,13 @@ class EventKind(enum.Enum):
     >= b, c+ = c', and the region contains that of the bound that holds
     the friction 2/r at r0, f0 > (1/r0 + sqrt(1/r0^2 + g0 c')) / g0, whose
     threshold on f lies above this one, (1/r0 + sqrt(g0 c+)) / g0.  For a
-    <= b the origin decides every shot that could reach the region, since
-    |g| = 1 is invariant and x0 = 0 keeps g = 0.  No other kind fires
-    first: f > 1/(g0 r) > 0 and g stays in (g0, 1), so neither
-    FCrossesZero nor GCrossesZero can fire; |f| + |g| > g0 + 1/(g0 r) >= 2
-    / sqrt(r) > 1e-8 for r < 4e16, so DecayDetected cannot fire; and by
-    the trap lemma (model.trap_energy) H cannot fall below the trap level
-    on a shot that blows up.
+    <= b shooting._origin_decision decides every shot that could reach
+    the region, since |g| = 1 is invariant and x0 = 0 keeps g = 0.  No
+    other kind fires first: f > 1/(g0 r) > 0 and g stays in (g0, 1), so
+    neither FCrossesZero nor GCrossesZero can fire; |f| + |g| > g0 + 1/(g0
+    r) >= 2 / sqrt(r) > 1e-8 for r < 4e16, so DecayDetected cannot fire;
+    and by the trap lemma (model.trap_energy) H cannot fall below the trap
+    level on a shot that blows up.
     """
 
     F_CROSSES_ZERO = "FCrossesZero"
@@ -666,11 +639,12 @@ def _cut(rs, fs, ys, candidates, point):
 
 
 def _start(rows, r: float, f: float, g: float):
-    """The rows' values at a run's start (r, f, g), and the termination
-    there if a level kind's value is <= 0, else None."""
-    vals = [vfn(f, g) for _, vfn, _, _ in rows]
-    fired = [(r, kind) for (kind, _, level, _), v in zip(rows, vals) if level and v <= 0.0]
-    return vals, _stop(fired) if fired else None
+    """The rows' values at a run's start (r, f, g), and the Blowup
+    termination there if the threshold row's value is <= 0, else None."""
+    vals = [vfn(f, g) for _, vfn, _ in rows]
+    if any(kind is None and v <= 0.0 for (kind, _, _), v in zip(rows, vals)):
+        return vals, Termination(TerminationKind.BLOWUP, r)
+    return vals, None
 
 
 def _scan(rows, vals, end, e_f: float, e_g: float, f: float, g: float, probe):
@@ -685,7 +659,7 @@ def _scan(rows, vals, end, e_f: float, e_g: float, f: float, g: float, probe):
     through zero, from > 0 to <= 0, bisected on the evaluator.
     """
     candidates, seen = [], None
-    for i, (kind, vfn, _, margin) in enumerate(rows):
+    for i, (kind, vfn, margin) in enumerate(rows):
         v_lo, v_hi = vals[i], vfn(*end)
         vals[i] = v_hi
         if (((v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0))
@@ -744,8 +718,8 @@ def _run_dopri(deriv, r0: float, f0: float, g0: float, cfg: IntegratorConfig,
     """Core stepper from r0 to cfg.r_max.  Returns (rs, fs, gs, segments, termination).
 
     deriv(r, f, g) -> (df, dg); rows is a list of (kind, value_fn(f, g),
-    level, margin(v, e_f, e_g, f, g)) tuples, as from _event_functions,
-    tested at r0 (see _start) and scanned on every accepted step by _scan.
+    margin(v, e_f, e_g, f, g)) tuples, as from _event_functions, evaluated
+    at r0 (see _start) and scanned on every accepted step by _scan.
     BlowupCertain is armed by the couplings blowup_ab = (a, b) and fires at
     a step end in its region (see EventKind).  The first trial step is
     h_init, by default _H_INIT; only the error test and r_max bound a step.
@@ -995,8 +969,8 @@ _DECAY_EPS = 1e-8
 
 
 def _event_functions(events, params: ModelParams, wall: bool = False):
-    """(kind, value(f, g), level, margin(v, e_f, e_g, f, g)) per armed
-    kind with a value, then Blowup's row, kind None; see EventKind.
+    """(kind, value(f, g), margin(v, e_f, e_g, f, g)) per armed kind with
+    a value, then Blowup's row, kind None; see EventKind.
     BlowupCertain has no value and is left out.
 
     On the wall chart the functions take (f, u) and evaluate the kind's
@@ -1016,20 +990,19 @@ def _event_functions(events, params: ModelParams, wall: bool = False):
                          + 2.0 ** -49 * (f2 * (1.0 + g2) + a * g2 * g2 + b * g2))
 
     table = {
-        EventKind.F_CROSSES_ZERO: (lambda f, g: -f, False, lambda v, ef, eg, f, g: abs(v) > ef),
-        EventKind.G_CROSSES_ZERO: (lambda f, g: g, False, lambda v, ef, eg, f, g: abs(v) > eg),
+        EventKind.F_CROSSES_ZERO: (lambda f, g: -f, lambda v, ef, eg, f, g: abs(v) > ef),
+        EventKind.G_CROSSES_ZERO: (lambda f, g: g, lambda v, ef, eg, f, g: abs(v) > eg),
         EventKind.DECAY_DETECTED: (
-            lambda f, g: abs(f) + abs(g) - _DECAY_EPS, False,
+            lambda f, g: abs(f) + abs(g) - _DECAY_EPS,
             lambda v, ef, eg, f, g: abs(v) > 2.0 * (ef + eg) + ulp_decay),
-        EventKind.ENERGY_BARRIER: (lambda f, g: energy(f, g, params) - h_trap, True,
-                                   energy_margin),
+        EventKind.ENERGY_BARRIER: (lambda f, g: energy(f, g, params) - h_trap, energy_margin),
     }
     if wall:
-        table = {kind: (lambda f, u, _v=v: _v(f, 1.0 - u), lv, lambda v, ef, eu, f, u, _m=m:
+        table = {kind: (lambda f, u, _v=v: _v(f, 1.0 - u), lambda v, ef, eu, f, u, _m=m:
                         _m(v, ef, eu + 2.0 ** -51 * (1.0 + abs(u) + eu), f, 1.0 - u))
-                 for kind, (v, lv, m) in table.items()}
+                 for kind, (v, m) in table.items()}
     return [(kind,) + table[kind] for kind in events if kind in table] + [
-        (None, lambda f, g: level - (abs(f) + abs(g)), True,
+        (None, lambda f, g: level - (abs(f) + abs(g)),
          lambda v, ef, eg, f, g: abs(v) > 2.0 * (ef + eg) + ulp_level)]
 
 
@@ -1046,21 +1019,14 @@ def _wall_field(params: ModelParams):
 
 def _radial_run(coefficients, sf: float, sy: float, deriv, units, rows,
                 params: ModelParams, cfg: IntegratorConfig, blowup_ab=None):
-    """The origin decisions, then the series span and the stepper from r_h,
-    with BlowupCertain armed there by blowup_ab = (a, b) (see _run_dopri);
-    returns (rs, fs, ys, segments, termination, series).
-
-    At r = 0 the level kinds are tested first (see _start), then, if
-    blowup_ab is given, a <= b exactly in floats (not within
-    model.REGIME_TOL) and 0 < |sy| < 1, the shot ends as BlowupCertain
-    (see EventKind).  A shot that stops at r = 0 has one row and no
+    """The series span and the stepper from r_h, with BlowupCertain's
+    region armed there by blowup_ab = (a, b) (see _run_dopri); returns
+    (rs, fs, ys, segments, termination, series).  A shot that starts at
+    the Blowup threshold stops at r = 0 (see _start) with one row and no
     series; only a shot that leaves the origin calls coefficients() and
     finds its hand-off radius r_h.
     """
     vals, term = _start(rows, 0.0, 0.0, sy)
-    if (term is None and blowup_ab is not None and blowup_ab[0] <= blowup_ab[1]
-            and 0.0 < abs(sy) < 1.0):
-        term = Termination(TerminationKind.EVENT, 0.0, (EventKind.BLOWUP_CERTAIN,))
     if term is not None:
         return [0.0], [0.0], [sy], [], term, None
     coef = coefficients()
@@ -1087,12 +1053,9 @@ def integrate_radial(x0: float, params: ModelParams,
                      events=()) -> Trajectory:
     """Solve the singular radial system from g(0) = x0, f(0) = 0.
 
-    The origin is decided first (see _radial_run): an armed level kind
-    whose value is <= 0 at r = 0, then, if BlowupCertain is armed, a <= b
-    (compared exactly, while model.classify_regime calls |a - b| <= 1e-12
-    DEGENERATE) with 0 < |x0| < 1, ends the run there with one row, before
-    the series is summed.  Otherwise the power series at the origin covers
-    [0, r_h] (see the module docstring), where a run that r_max or an event
+    A shot from |x0| >= BLOWUP_THRESHOLD ends at r = 0 with one row (see
+    _radial_run).  Otherwise the power series at the origin covers [0,
+    r_h] (see the module docstring), where a run that r_max or an event
     ends early stops; the stepper takes over from r_h, with the absolute
     tolerance atol min(1, |x0|) (atol at x0 = 0) so the error is measured
     in units of x0 like the series, and the error of a shot from a tiny x0
@@ -1103,9 +1066,10 @@ def integrate_radial(x0: float, params: ModelParams,
     reported together (the flow cannot vanish two components at once away
     from the origin, so a tie flags numerical ambiguity, not physics).
     Blowup is the threshold |f| + |g| = BLOWUP_THRESHOLD, or, if
-    BlowupCertain is armed, its origin decision or the first step end of
-    the stepper inside its region, which the couplings (a, b) set (see
-    EventKind).  A non-finite x0 raises ValueError.
+    BlowupCertain is armed, the first step end of the stepper inside its
+    region, which the couplings (a, b) set (see EventKind); no event
+    fires at r = 0 (shooting._origin_decision decides shots there).  A
+    non-finite x0 raises ValueError.
     """
     if not math.isfinite(x0):
         raise ValueError(f"x0 = g(0) must be finite, got {x0!r}")

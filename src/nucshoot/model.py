@@ -38,8 +38,8 @@ __all__ = [
     "exact_coth",
 ]
 
-# Tolerance band used to flag near-critical coupling combinations; exact
-# floating-point equality on a == 2b or a == b would be meaningless.
+# Tolerance band that only labels near-critical couplings as a regime;
+# shooting's origin table compares a <= b exactly, on purpose.
 REGIME_TOL = 1e-12
 
 

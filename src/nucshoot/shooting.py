@@ -29,11 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ModelParams, Regime, classify_regime, exact_trivial,
-                    trap_energy)
+from .model import (ModelParams, Regime, classify_regime, energy,
+                    exact_trivial, trap_energy)
 from .integrator import (IntegratorConfig, DEFAULT_CONFIG, EventKind,
-                         TerminationKind, Trajectory, integrate_radial,
-                         integrate_wall)
+                         Termination, TerminationKind, Trajectory,
+                         integrate_radial, integrate_wall)
 from .portrait import winding_count, UndefinedLiftError
 
 __all__ = [
@@ -160,34 +160,68 @@ _SET_I_H_TOL = 1e-8
 _TAIL_SPREAD = 1e-2
 
 
-def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
-    """Event set for classification at initial value x0 (assumed >= 0).
+def _origin_decision(x0: float, params: ModelParams
+                     ) -> tuple[ShotClass, EventKind | None] | None:
+    """The class of the shot from g(0) = x0 if a lemma settles it at r = 0,
+    and the event kind that reports it there; None leaves the shot to the
+    integrator.  The rows, tried in order, compare floats exactly:
 
-    g' = f (1 - g^2) keeps the lines g = +-1 invariant: by uniqueness a
-    shot from |x0| < 1 never reaches g^2 = 1, and one from |x0| >= 1 never
-    leaves g^2 >= 1.  So no event watches g^2 = 1, and nothing is armed
-    for x0 >= 1, where neither a g-zero nor |f| + |g| = 1e-8 can happen:
-    only r_max or the Blowup threshold ends such a shot, which is Trapped.
-
-    Below 1, FCrossesZero is armed only where membership in I is possible
-    at all, i.e. sqrt(b/a) < x0 < 1 where f starts out negative; elsewhere
-    a rising f-zero carries no information.  BlowupCertain is armed for 0
-    < x0 < 1, where its proof holds; a shot in its region would otherwise
-    only reach the Blowup threshold later, since no other kind can fire
-    first from there.  EnergyBarrier is armed only where no ground state
-    exists but the trap well does (b < a <= 2b) and FCrossesZero is not
-    armed (0 < x0 <= sqrt(b/a)), so it never pre-empts the I / non-I
-    decision of a search.
+    - x0 = 0: TrivialZero, the exact rest solution (model.exact_trivial);
+      test_classify_trivial_zero.
+    - |x0| >= 1: Trapped.  g' = f (1 - g^2) keeps g = +-1 invariant, so a
+      shot from |x0| < 1 never reaches g^2 = 1 and one from |x0| >= 1
+      never leaves g^2 >= 1, where neither a g-zero nor |f| + |g| = 1e-8
+      can happen; test_classify_trapped_at_and_beyond_one.
+    - 0 < |x0| < 1 and a <= b: Blowup, by BlowupCertain.  Take x0 > 0 (the
+      sign map covers x0 < 0); F = r^2 f obeys F' = r^2 (g f^2 + phi(g))
+      (EventKind).  For a < b, phi(g) >= g (b - a) > 0 on (0, 1], so F >
+      0, f > 0 and g rises in (x0, 1) from r = 0 on; F' >= x0 F^2 / r^2 +
+      x0 (b - a) r^2, whose comparison equation w'' = -x0^2 (b - a) w
+      reaches w = 0 from any F > 0, so the shot blows up.  For a = b,
+      phi(g) = a g w, w = 1 - g^2: again f > 0 and g rises in (x0, 1).
+      With s = ln r, y = g r f and T = a g^2 w r^2 > 0, dy/ds = y^2 - y +
+      w y^2 / g^2 + T, and Z = ln T + 2 y has dZ/ds = 2 (1 - y)^2 + 2 T +
+      2 w y (1 + y) / g^2 >= 2 T.  Were y < M for all s >= s0, Z would
+      rise, ln T >= Z(s0) - 2 M would keep T > m > 0, dZ/ds >= 2 m would
+      carry T past every bound and dy/ds >= T - 1/4 carry y past M.  So y
+      reaches 1 + eps, inside BlowupCertain's region (c+ = 0): the shot
+      blows up.  a <= b is exact, not within model.REGIME_TOL: one ulp
+      above a = b the step-end region decides the shot;
+      test_blowup_certain_shots_blow_up_under_scipy.
+    - b < a <= 2b, 0 < |x0| <= sqrt(b/a) and H(0, x0) at or below the
+      trap level: EnergyTrapped, by EnergyBarrier; the trap lemma
+      (model.trap_energy) keeps the shot in the well for good;
+      test_energy_trapped_shots_stay_trapped_under_scipy.
     """
-    if x0 >= 1.0:
-        return ()
+    x, a, b = abs(x0), params.a, params.b
+    if x == 0.0:
+        return ShotClass.TRIVIAL_ZERO, None
+    if x >= 1.0:
+        return ShotClass.TRAPPED, None
+    if x < 1.0 and a <= b:
+        return ShotClass.BLOWUP, EventKind.BLOWUP_CERTAIN
+    if (a <= 2.0 * b and x <= math.sqrt(b / a)
+            and energy(0.0, x, params) - trap_energy(params) <= 0.0):
+        return ShotClass.ENERGY_TRAPPED, EventKind.ENERGY_BARRIER
+    return None
+
+
+def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
+    """Event set of a shot from 0 < x0 < 1 that _origin_decision leaves to
+    the integrator; g stays below 1, so no event watches g^2 = 1.
+    FCrossesZero is armed only where membership in I is possible at all,
+    sqrt(b/a) < x0, where f starts out negative.  BlowupCertain's region
+    is armed: no other kind can fire first from there.  EnergyBarrier is
+    armed only where no ground state exists but the trap well does (b < a
+    <= 2b) and FCrossesZero is not armed (x0 <= sqrt(b/a)), so it never
+    pre-empts the I / non-I decision of a search.
+    """
     sb = math.sqrt(params.b / params.a)
     events = [EventKind.G_CROSSES_ZERO, EventKind.DECAY_DETECTED]
     if sb < x0:
         events.append(EventKind.F_CROSSES_ZERO)
-    if 0.0 < x0:
-        events.append(EventKind.BLOWUP_CERTAIN)
-    if params.b < params.a <= 2.0 * params.b and 0.0 < x0 <= sb:
+    events.append(EventKind.BLOWUP_CERTAIN)
+    if params.b < params.a <= 2.0 * params.b and x0 <= sb:
         events.append(EventKind.ENERGY_BARRIER)
     return tuple(events)
 
@@ -206,24 +240,26 @@ def _verify_set_i(traj: Trajectory) -> bool:
 
 def classify_shot(x0: float, params: ModelParams,
                   config: IntegratorConfig | None = None) -> ShotOutcome:
-    """Integrate one shot with the full event set and name what happened.
-
-    Negative x0 is classified through the sign map (f, g) -> (-f, -g),
-    which sends solutions to solutions; class names refer to the mapped
-    (g > 0) representative.  A shot from x0 >= 1 is Trapped, since g >= 1
-    is invariant (default_events); it is still integrated, to r_max or
-    the Blowup threshold, for its trajectory.
-    """
+    """Name what the shot from x0 does: by _origin_decision where a lemma
+    settles it at r = 0 (a one-row trajectory reports an event row; a
+    Trapped shot is still integrated, with no event, for its trajectory),
+    else by integrating it with default_events.  A negative x0 is
+    classified through the sign map (f, g) -> (-f, -g), which sends
+    solutions to solutions; class names refer to the mapped (g > 0) one."""
     cfg = config or DEFAULT_CONFIG
     x0 = float(x0)
-    if x0 == 0.0:
-        traj = exact_trivial(params, cfg.r_max)
-        return ShotOutcome(0.0, ShotClass.TRIVIAL_ZERO, traj)
     if x0 < 0.0:
         out = classify_shot(-x0, params, cfg)
         return ShotOutcome(x0, out.shot_class, out.trajectory.mirrored())
-    traj = integrate_radial(x0, params, cfg, default_events(x0, params))
-    cls = ShotClass.TRAPPED if x0 >= 1.0 else _shot_class(traj, params)
+    decided = _origin_decision(x0, params)
+    if decided is None:
+        traj = integrate_radial(x0, params, cfg, default_events(x0, params))
+        return ShotOutcome(x0, _shot_class(traj, params), traj)
+    cls, kind = decided
+    if cls is ShotClass.TRIVIAL_ZERO:
+        return ShotOutcome(0.0, cls, exact_trivial(params, cfg.r_max))
+    traj = integrate_radial(x0, params, cfg) if kind is None else Trajectory(
+        [0.0], [0.0], [x0], params, x0, Termination(TerminationKind.EVENT, 0.0, (kind,)))
     return ShotOutcome(x0, cls, traj)
 
 
@@ -241,7 +277,7 @@ _WALL_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO)
 
 def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
     """The class of a shot from 0 < g(0) < 1 from how its trajectory ended.
-    g stays below 1 (default_events), so no end is Trapped: r_max reached
+    g stays below 1 (_origin_decision), so no end is Trapped: r_max reached
     first is Undetermined, the Blowup threshold or BlowupCertain Blowup."""
     term = traj.termination
     if term.kind is TerminationKind.REACHED_RMAX:

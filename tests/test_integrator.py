@@ -565,18 +565,23 @@ def test_blowup_certain_ends_at_a_step_end_in_its_region():
     r f > (1 + eps) (1 + r sqrt(g c+)), c+ = a - b = 1; there the bound
     that held the friction 2/r fixed, R(F*) > eps (...), still fails.  Its
     sign-mapped twin from -0.01 stops at the same radius.  At (1, 4),
-    where a < b, the shot from 0.8 stops at r = 0, and so do the (4, 4)
-    shots from +-0.5, where a = b; from 1.2 the (1, 4) shot keeps g > 1,
-    outside the lemma, and ends at the threshold."""
+    where a < b, classify_shot stops the shot from 0.8 at r = 0, and so
+    the (4, 4) shots from +-0.5, where a = b; the integrator holds no
+    origin rule, so armed it steps each of them to a step end in the
+    region.  From 1.2 the (1, 4) shot keeps g > 1, outside the lemma, and
+    ends at the threshold."""
     armed = (EventKind.BLOWUP_CERTAIN,)
     origin = Termination(TerminationKind.EVENT, 0.0, armed)
     P14 = ModelParams(1.0, 4.0)
     above = integrate_radial(1.2, P14, events=armed)
     assert above.termination.kind is TerminationKind.BLOWUP
     for x0, params in ((0.8, P14), (0.5, ModelParams(4.0, 4.0)), (-0.5, ModelParams(4.0, 4.0))):
-        at_origin = integrate_radial(x0, params, events=armed)
+        at_origin = classify_shot(x0, params).trajectory
         assert at_origin.termination == origin
         assert at_origin.r.tolist() == [0.0] and at_origin._series is None
+        stepped = integrate_radial(x0, params, events=armed)
+        assert stepped.termination.event_kinds == armed and stepped.r_end > 0.0
+        assert stepped._series is not None and len(stepped._segments) >= 1
     traj = integrate_radial(0.01, P32, events=armed)
     term = traj.termination
     assert term.event_kinds == armed
@@ -607,7 +612,8 @@ def test_blowup_certain_stop_is_scale_covariant(a, b, lam):
     r -> r / l, f -> l f, so every shot of criterion 5's grid at the
     scaled pair, run to r_max / l, gets the same class and the same number
     of accepted steps, and a BlowupCertain stop comes at r / l to 1e-3
-    relative; the sign-mapped twin of each stop stops at the same radius."""
+    relative; the sign-mapped twin of each stop, classified, stops at the
+    same radius."""
     grid = np.linspace(0.01, 0.99, 50)
     base = classify_grid(ModelParams(a, b), grid, IntegratorConfig(r_max=200.0))
     scaled = classify_grid(ModelParams(lam * lam * a, lam * lam * b), grid,
@@ -622,9 +628,8 @@ def test_blowup_certain_stop_is_scale_covariant(a, b, lam):
         if term.event_kinds == (EventKind.BLOWUP_CERTAIN,):
             stops += 1
             assert two.trajectory.termination.r * lam == pytest.approx(term.r, rel=1e-3)
-            params = two.trajectory.params
-            twin = integrate_radial(-one.x0, params, IntegratorConfig(r_max=200.0 / lam),
-                                    default_events(one.x0, params))
+            twin = classify_shot(-one.x0, two.trajectory.params,
+                                 IntegratorConfig(r_max=200.0 / lam)).trajectory
             assert twin.termination == two.trajectory.termination
     assert stops >= 9
 
@@ -665,20 +670,18 @@ def test_blowup_region_contains_the_friction_fixed_region(lb, lt, lr, lf, g, neg
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_blowup_certain_decides_a_below_b_at_the_origin(x0, sign):
     """For a < b and 0 < |x0| < 1, phi(g) >= g (b - a) > 0 makes r^2 f
-    rise and blow up from r = 0 on (EventKind): armed, the (1, 4) shot
-    ends at the origin with one row and no series, as BlowupCertain, and
-    classifies as Blowup, from the least subnormal to the largest double
-    below 1 and their sign-mapped twins."""
+    rise and blow up from r = 0 on (shooting._origin_decision): the (1, 4)
+    shot ends at the origin with one row and no series, as BlowupCertain,
+    and classifies as Blowup, from the least subnormal to the largest
+    double below 1 and their sign-mapped twins."""
     x0 *= sign
     origin = Termination(TerminationKind.EVENT, 0.0, (EventKind.BLOWUP_CERTAIN,))
-    params = ModelParams(1.0, 4.0)
-    traj = integrate_radial(x0, params, events=(EventKind.BLOWUP_CERTAIN,))
+    out = classify_shot(x0, ModelParams(1.0, 4.0))
+    traj = out.trajectory
     assert traj.termination == origin
     assert traj.r.tolist() == [0.0] and traj.g.tolist() == [x0] and traj._series is None
-    out = classify_shot(x0, params)
     assert out.shot_class is ShotClass.BLOWUP
-    assert out.trajectory.termination == origin and len(out.trajectory.r) == 1
-    assert out.trajectory.termination.describe() == "Event(BlowupCertain, r=0)"
+    assert traj.termination.describe() == "Event(BlowupCertain, r=0)"
 
 
 @pytest.mark.parametrize("x0", [1e-4, 0.3, 0.9, 0.999])
@@ -812,7 +815,7 @@ def _probe_every_step(events, params, wall=False):
     """_event_functions with no margin ever holding: every kind and the
     Blowup threshold compute their probes on every step, as they do on
     the series span."""
-    return [row[:3] + (lambda v, e_f, e_g, f, g: False,)
+    return [row[:2] + (lambda v, e_f, e_g, f, g: False,)
             for row in _EVENT_FUNCTIONS(events, params, wall)]
 
 

@@ -90,12 +90,14 @@ def test_classify_mirror_symmetry():
 @pytest.mark.parametrize("x0", [1.0, 1.1, 1.5, 2.0, -1.0, -1.1, -1.5, -2.0])
 def test_classify_trapped_at_and_beyond_one(x0):
     """From g >= 1, which is invariant, neither a g-zero nor |f| + |g| =
-    1e-8 can happen, so nothing is armed."""
+    1e-8 can happen, so the origin table decides the shot and it is
+    integrated with nothing armed."""
     cfg = IntegratorConfig(r_max=50.0)
     out = classify_shot(x0, P94, cfg)
     assert out.shot_class is ShotClass.TRAPPED
     assert float(np.min(out.trajectory.g ** 2)) >= 1.0 - 1e-10
-    assert default_events(abs(x0), P94) == ()
+    assert shooting._origin_decision(x0, P94) == (ShotClass.TRAPPED, None)
+    assert out.trajectory.termination.kind is not TerminationKind.EVENT
 
 
 @pytest.mark.parametrize("params, x0, r_max", [
@@ -342,12 +344,12 @@ def test_blowup_certain_shots_blow_up_under_scipy():
 
 
 def test_blowup_certain_changes_no_class_or_search(monkeypatch):
-    """With BlowupCertain armed and disarmed, every shot of the
-    criterion-5 grids and of a signed (9, 4) grid gets the same class,
-    and the five bench anchor searches return bit-identical x*, brackets
-    and certificate rows.  The (9, 4) grid runs to r = 25, not 200: half
-    its shots circle the well to r_max, and the classes are compared at
-    equal horizons."""
+    """With BlowupCertain armed and disarmed, in the origin table's a <= b
+    row and in default_events, every shot of the criterion-5 grids and of
+    a signed (9, 4) grid gets the same class, and the five bench anchor
+    searches return bit-identical x*, brackets and certificate rows.  The
+    (9, 4) grid runs to r = 25, not 200: half its shots circle the well
+    to r_max, and the classes are compared at equal horizons."""
     grids = [(ModelParams(a, b), GRID, R200) for a, b in ((4.0, 4.0), (1.0, 4.0), (3.0, 2.0))]
     grids.append((P94, np.linspace(-1.2, 1.2, 97), IntegratorConfig(r_max=25.0)))
     anchors = [ModelParams(a, b) for a, b in
@@ -363,13 +365,63 @@ def test_blowup_certain_changes_no_class_or_search(monkeypatch):
                  for gs in searches])
 
     armed = run()
-    events = shooting.default_events
+    events, decide = shooting.default_events, shooting._origin_decision
     monkeypatch.setattr(shooting, "default_events", lambda x0, params: tuple(
         k for k in events(x0, params) if k is not EventKind.BLOWUP_CERTAIN))
+    monkeypatch.setattr(shooting, "_origin_decision", lambda x0, params: (
+        None if decide(x0, params) == (ShotClass.BLOWUP, EventKind.BLOWUP_CERTAIN)
+        else decide(x0, params)))
     disarmed = run()
     assert armed[1] == 101 and disarmed[1] == 0
     assert armed[0] == disarmed[0]
     assert armed[2] == disarmed[2]
+
+
+_SB32 = math.sqrt(2.0 / 3.0)
+# (x0, params, class, event kind) of each row of shooting._origin_decision,
+# and for three rows the first double that the row leaves undecided
+_ORIGIN_ROWS = {
+    "trivial": ((0.0, P94, ShotClass.TRIVIAL_ZERO, None), None),
+    "trapped": ((1.0, P94, ShotClass.TRAPPED, None), (math.nextafter(1.0, 0.0), P94)),
+    "a-below-b": ((0.8, ModelParams(1.0, 4.0), ShotClass.BLOWUP, EventKind.BLOWUP_CERTAIN),
+                  None),
+    "a-equal-b": ((0.5, ModelParams(4.0, 4.0), ShotClass.BLOWUP, EventKind.BLOWUP_CERTAIN),
+                  (0.5, ModelParams(math.nextafter(4.0, math.inf), 4.0))),
+    "well": ((_SB32, P32, ShotClass.ENERGY_TRAPPED, EventKind.ENERGY_BARRIER),
+             (math.nextafter(_SB32, 1.0), P32)),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("row", _ORIGIN_ROWS)
+def test_origin_decision_rows(row, sign, monkeypatch):
+    """Each row of the origin table classes its shot and either side of
+    the sign map alike; an event row reports its one-row trajectory at r =
+    0 without integrating, and -0.0 reports x0 = 0.0.  Each row's
+    comparison is exact: (4 + ulp, 4) from 0.5 steps, (3, 2) from one ulp
+    above sqrt(2/3) is not trapped at r = 0, and (9, 4) from one ulp below
+    1 is not Trapped.  A NaN matches no row, so integrate_radial rejects it."""
+    (x0, params, cls, kind), undecided = _ORIGIN_ROWS[row]
+    x0 *= sign
+    assert shooting._origin_decision(x0, params) == (cls, kind)
+    assert shooting._origin_decision(math.nan, params) is None
+    with monkeypatch.context() as mp:
+        if kind is not None:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a shot decided at r = 0 was integrated")
+            mp.setattr(shooting, "integrate_radial", refuse)
+        out = classify_shot(x0, params)
+    assert out.shot_class is cls
+    if kind is not None:
+        assert out.trajectory.termination.describe() == f"Event({kind.value}, r=0)"
+        assert len(out.trajectory.r) == 1 and out.r_x == 0.0
+    if cls is ShotClass.TRIVIAL_ZERO:
+        assert math.copysign(1.0, out.x0) == 1.0
+    if undecided is not None:
+        x1, p1 = undecided
+        assert shooting._origin_decision(sign * x1, p1) is None
+        traj = classify_shot(sign * x1, p1).trajectory
+        assert traj._series is not None and traj.r_end > 0.0
 
 
 def test_classify_grid_matches_pointwise():
