@@ -130,14 +130,24 @@ def vector_field(params: ModelParams, rho: float = 0.0):
 
 
 def energy(f, g, params: ModelParams):
-    """H(f, g) of the companion system; f and g may be floats or arrays."""
-    f2 = f * f
-    g2 = g * g
-    return 0.5 * f2 * (1.0 - g2) + 0.25 * params.a * g2 * g2 - 0.5 * params.b * g2
+    """H(f, g) of the companion system; f and g may be floats or arrays.
+    Where g * g overflows and f is finite, a g^4 / 4 dominates: H is +inf,
+    not the formula's inf - inf = NaN, and numpy warns of no overflow."""
+    if not hasattr(g, "dtype"):       # no numpy scalar or array: no warnings
+        g2 = g * g
+        if g2 == math.inf and math.isfinite(f):
+            return math.inf
+        return 0.5 * (f * f) * (1.0 - g2) + 0.25 * params.a * g2 * g2 - 0.5 * params.b * g2
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = g * g
+        h = 0.5 * (f * f) * (1.0 - g2) + 0.25 * params.a * g2 * g2 - 0.5 * params.b * g2
+    return np.where(np.isinf(g2) & np.isfinite(f), np.inf, h)[()]
 
 
-# Margin below the trap level, like shooting's set-I energy tolerance: a
-# shot whose H only touches the level within round-off is not trapped.
+# Margin below the trap level: a shot whose H only touches the level
+# within round-off is not trapped.
 _TRAP_MARGIN = 1e-8
 
 

@@ -3,7 +3,10 @@
 The regular radial solution is parametrized by x = g(0) (f(0) = 0 is
 forced).  Shots are classified by which phase-plane event occurs first;
 the set I collects shots whose f vanishes (from below) strictly before
-g does.  The ground state sits at x* = sup I.  The indicator "x in I" is
+g does.  A shot's class is the kind that ended it (_shot_class): a run
+that stops on FCrossesZero alone, armed only where f starts out negative
+beside GCrossesZero, had f < 0 < g up to the stop and is in I.  The
+ground state sits at x* = sup I.  The indicator "x in I" is
 numerically decidable on either side of x* but not at it, so the search
 keeps a bracket with x_lo in I and x_hi outside it.  Its first pair is
 placed by a law for t* = -ln(1 - x*) against kappa = b/a that joins the
@@ -154,9 +157,6 @@ class GroundState:
 
 
 _SIGN_TOL = 1e-10
-_F_EVENT_TOL = 1e-9
-_SET_I_G_TOL = 1e-8
-_SET_I_H_TOL = 1e-8
 _TAIL_SPREAD = 1e-2
 
 
@@ -226,26 +226,16 @@ def default_events(x0: float, params: ModelParams) -> tuple[EventKind, ...]:
     return tuple(events)
 
 
-def _verify_set_i(traj: Trajectory) -> bool:
-    """Sample-wise sign conditions for InSetI: f < 0, g > 0 on (0, r_x)."""
-    f, g = traj.f, traj.g
-    if len(f) < 3:
-        return False
-    interior_f = f[1:-1]
-    interior_g = g[1:-1]
-    if interior_f.size and (interior_f.max() >= 0.0 or interior_g.min() <= 0.0):
-        return False
-    return abs(f[-1]) <= _F_EVENT_TOL and g[-1] >= -1e-15
-
-
 def classify_shot(x0: float, params: ModelParams,
                   config: IntegratorConfig | None = None) -> ShotOutcome:
     """Name what the shot from x0 does: by _origin_decision where a lemma
     settles it at r = 0 (a one-row trajectory reports an event row; a
     Trapped shot is still integrated, with no event, for its trajectory),
-    else by integrating it with default_events.  A negative x0 is
-    classified through the sign map (f, g) -> (-f, -g), which sends
-    solutions to solutions; class names refer to the mapped (g > 0) one."""
+    else by integrating it with default_events, when the kind that ended
+    the run names the class (_shot_class; a lone FCrossesZero is InSetI).
+    A negative x0 is classified through the sign map (f, g) -> (-f, -g),
+    which sends solutions to solutions; class names refer to the mapped
+    (g > 0) one."""
     cfg = config or DEFAULT_CONFIG
     x0 = float(x0)
     if x0 < 0.0:
@@ -254,7 +244,7 @@ def classify_shot(x0: float, params: ModelParams,
     decided = _origin_decision(x0, params)
     if decided is None:
         traj = integrate_radial(x0, params, cfg, default_events(x0, params))
-        return ShotOutcome(x0, _shot_class(traj, params), traj)
+        return ShotOutcome(x0, _shot_class(traj), traj)
     cls, kind = decided
     if cls is ShotClass.TRIVIAL_ZERO:
         return ShotOutcome(0.0, cls, exact_trivial(params, cfg.r_max))
@@ -269,44 +259,42 @@ def _classify_wall_shot(u0: float, params: ModelParams,
     (f, u = 1 - g) by integrate_wall, with the events of a shot from
     sqrt(b/a) < x0 < 1; its x0 is 1 - u0 rounded."""
     traj = integrate_wall(u0, params, config, _WALL_EVENTS)
-    return ShotOutcome(traj.x0, _shot_class(traj, params), traj)
+    return ShotOutcome(traj.x0, _shot_class(traj), traj)
 
 
 _WALL_EVENTS = (EventKind.F_CROSSES_ZERO, EventKind.G_CROSSES_ZERO)
 
 
-def _shot_class(traj: Trajectory, params: ModelParams) -> ShotClass:
-    """The class of a shot from 0 < g(0) < 1 from how its trajectory ended.
-    g stays below 1 (_origin_decision), so no end is Trapped: r_max reached
-    first is Undetermined, the Blowup threshold or BlowupCertain Blowup."""
+def _shot_class(traj: Trajectory) -> ShotClass:
+    """The class of a shot from 0 < g(0) < 1: the kind that ended its run.
+
+    r_max reached first, or a tie of kinds (f- and g-zeros cannot meet
+    away from the origin), is Undetermined and the Blowup threshold is
+    Blowup; g stays below 1 (_origin_decision), so no end is Trapped.  A
+    lone kind maps, with nothing re-checked: FCrossesZero to InSetI,
+    GCrossesZero to GVanishedFirst, DecayDetected to Decayed,
+    BlowupCertain to Blowup, EnergyBarrier to EnergyTrapped.  Each kind
+    fires on the first step where its value falls through zero
+    (EventKind).  FCrossesZero is armed only for sqrt(b/a) < x0, where f
+    starts out negative, and GCrossesZero always is, so a lone
+    FCrossesZero means f < 0 < g on (0, r_x), the definition of I.  There
+    f' = g (b - a g^2) >= 0, so g_rx <= sqrt(b/a) and H(0, g_rx) = g^2 (a
+    g^2 - 2b) / 4 < 0, up to the event's 1e-12 localization.  An
+    EnergyBarrier stop has H <= H_trap by its own value, g > 0 as
+    GCrossesZero is armed and g < 1 as the line g = 1 is invariant: the
+    trap lemma's hypotheses (model.trap_energy).  tests/test_proofs.py
+    checks the identities for f' and H.
+    """
     term = traj.termination
-    if term.kind is TerminationKind.REACHED_RMAX:
-        return ShotClass.UNDETERMINED
     if term.kind is TerminationKind.BLOWUP:
         return ShotClass.BLOWUP
-    if len(term.event_kinds) != 1:
-        # simultaneous f- and g-zeros cannot happen away from the origin,
-        # so a localization tie is numerical ambiguity
+    if term.kind is TerminationKind.REACHED_RMAX or len(term.event_kinds) != 1:
         return ShotClass.UNDETERMINED
-    kind = term.event_kinds[0]
-    g_rx = float(traj.g[-1])
-    H_rx = float(traj.H[-1])
-    if kind is EventKind.F_CROSSES_ZERO:
-        sb = math.sqrt(params.b / params.a)
-        ok = (_verify_set_i(traj)
-              and -1e-15 <= g_rx <= sb + _SET_I_G_TOL
-              and H_rx <= _SET_I_H_TOL)
-        return ShotClass.IN_SET_I if ok else ShotClass.UNDETERMINED
-    if kind is EventKind.G_CROSSES_ZERO:
-        return ShotClass.G_VANISHED_FIRST
-    if kind is EventKind.DECAY_DETECTED:
-        return ShotClass.DECAYED
-    if kind is EventKind.BLOWUP_CERTAIN:
-        return ShotClass.BLOWUP
-    # the kind left is EnergyBarrier, certified by H at or below the trap
-    # level inside the strip
-    ok = 0.0 < g_rx < 1.0 and H_rx <= trap_energy(params)
-    return ShotClass.ENERGY_TRAPPED if ok else ShotClass.UNDETERMINED
+    return {EventKind.F_CROSSES_ZERO: ShotClass.IN_SET_I,
+            EventKind.G_CROSSES_ZERO: ShotClass.G_VANISHED_FIRST,
+            EventKind.DECAY_DETECTED: ShotClass.DECAYED,
+            EventKind.BLOWUP_CERTAIN: ShotClass.BLOWUP,
+            EventKind.ENERGY_BARRIER: ShotClass.ENERGY_TRAPPED}[term.event_kinds[0]]
 
 
 def classify_grid(params: ModelParams, xs,

@@ -1,5 +1,6 @@
 """Parameter taxonomy, vector fields, energy, and exact solutions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ def test_hamiltonian_values():
     # coth-point level: H(sqrt(a-b), 1) = (a - 2b)/4
     assert energy(math.sqrt(5.0), 1.0, P94) == pytest.approx(
         0.25, rel=1e-14)
+
+
+def test_energy_is_inf_where_g_squared_overflows():
+    """Past |g| = 1.3e154 g * g overflows and a g^4 / 4 dominates H: +inf
+    for a float or an array, with no warning, where f is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(0.0, 1e200, P94) == math.inf
+        assert energy(-3.0, -1e200, P94) == math.inf
+        assert energy(np.float64(0.0), np.float64(1e200), P94) == math.inf
+        h = energy(np.array([0.0, 1.0, 0.0]), np.array([1e200, -1e300, 0.5]), P94)
+    assert h.tolist() == [math.inf, math.inf, energy(0.0, 0.5, P94)]
+
+
+def test_energy_is_the_formula_wherever_g_squared_is_finite():
+    """energy is f^2 (1 - g^2) / 2 + a g^4 / 4 - b g^2 / 2 in that order of
+    operations, bit for bit, on floats and arrays wherever g * g is finite."""
+    axis = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e150, 61)])
+    axis = np.concatenate([-axis[::-1], axis])
+    f, g = np.meshgrid(axis, axis)
+    with np.errstate(all="ignore"):
+        f2, g2 = f * f, g * g
+        ref = 0.5 * f2 * (1.0 - g2) + 0.25 * P94.a * g2 * g2 - 0.5 * P94.b * g2
+    assert np.isfinite(g2).all()
+    assert np.array_equal(energy(f, g, P94), ref, equal_nan=True)
+    floats = [energy(float(x), float(y), P94) for x, y in zip(f.ravel(), g.ravel())]
+    assert np.array_equal(np.array(floats), ref.ravel(), equal_nan=True)
 
 
 @settings(max_examples=200, deadline=None)

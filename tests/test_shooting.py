@@ -424,6 +424,49 @@ def test_origin_decision_rows(row, sign, monkeypatch):
         assert traj._series is not None and traj.r_end > 0.0
 
 
+_END = Termination(TerminationKind.EVENT, 1.0, (EventKind.F_CROSSES_ZERO,))
+# (termination, class) per way a run from 0 < g(0) < 1 can end
+_SHOT_ENDS = {
+    "f-zero": (_END, ShotClass.IN_SET_I),
+    "g-zero": (replace(_END, event_kinds=(EventKind.G_CROSSES_ZERO,)),
+               ShotClass.G_VANISHED_FIRST),
+    "decay": (replace(_END, event_kinds=(EventKind.DECAY_DETECTED,)), ShotClass.DECAYED),
+    "blowup-certain": (replace(_END, event_kinds=(EventKind.BLOWUP_CERTAIN,)),
+                       ShotClass.BLOWUP),
+    "barrier": (replace(_END, event_kinds=(EventKind.ENERGY_BARRIER,)),
+                ShotClass.ENERGY_TRAPPED),
+    "tie": (replace(_END, event_kinds=(EventKind.F_CROSSES_ZERO,
+                                       EventKind.G_CROSSES_ZERO)), ShotClass.UNDETERMINED),
+    "r-max": (Termination(TerminationKind.REACHED_RMAX, 1.0), ShotClass.UNDETERMINED),
+    "threshold": (Termination(TerminationKind.BLOWUP, 1.0), ShotClass.BLOWUP),
+}
+
+
+@pytest.mark.parametrize("end", _SHOT_ENDS)
+def test_shot_class_is_the_end_of_the_run(end):
+    """_shot_class reads the class off the termination alone: the rows
+    break every sample condition of I and of the well (f > 0 inside, g < 0
+    and g > 1, H far above the trap level) and change no class."""
+    term, cls = _SHOT_ENDS[end]
+    traj = Trajectory([0.0, 0.5, 1.0], [0.0, 2.0, 2.0], [0.9, -0.5, 3.0], P94, 0.9, term)
+    assert shooting._shot_class(traj) is cls
+
+
+@pytest.mark.parametrize("lam2", [1e-4, 1e6])
+def test_criterion_5_grid_classes_are_scale_invariant(lam2):
+    """(f, g)(r) -> (lam f(lam r), g(lam r)) maps shots at (3, 2) to shots
+    at (3 lam^2, 2 lam^2), so the criterion-5 grid to the horizon 200 /
+    lam has the classes of lam = 1 (40 EnergyTrapped, 9 InSetI, 1
+    Blowup), with no absolute tolerance on f or H turning an InSetI shot
+    Undetermined at lam^2 = 1e6."""
+    lam = math.sqrt(lam2)
+    ref = [o.shot_class for o in classify_grid(P32, GRID, R200)]
+    outs = classify_grid(ModelParams(3.0 * lam2, 2.0 * lam2), GRID,
+                         IntegratorConfig(r_max=200.0 / lam))
+    assert [o.shot_class for o in outs] == ref
+    assert ref.count(ShotClass.IN_SET_I) == 9
+
+
 def test_classify_grid_matches_pointwise():
     xs = [0.0, 0.8, 1.2]
     outs = classify_grid(P94, xs)
@@ -1061,12 +1104,14 @@ def test_certificate_is_scale_covariant(kappa, c_rel):
 
 
 @pytest.mark.parametrize("a, b", [(0.1, 0.049), (0.01, 0.0049), (1e-4, 4.9e-5),
-                                  (1e4, 4.9e3)])
+                                  (1e4, 4.9e3), (1e5, 4.9e4), (1e6, 4.9e5)])
 def test_certificate_is_scale_covariant_at_extreme_a(a, b):
     """At kappa = 0.49 and a = 0.1, 0.01 or 1e-4 the thin wall R = 2
     sqrt(2) / (sqrt(a) (1 - 2 kappa)) lies at 447, 1414 or 14,142, past
-    the default r_max; the search's horizon follows it.  At a = 1e4 it
-    lies at 1.41.  At each a the certificate passes the audit with the u*
+    the default r_max; the search's horizon follows it.  At a = 1e4, 1e5
+    and 1e6 it lies at 1.41, 0.447 and 0.141, and f at the seed's f-zero
+    is up to 1e3 times that at a = 1, which no absolute tolerance on f
+    may reject.  At each a the certificate passes the audit with the u*
     of (2, 0.98) to 1e-10 relative."""
     ref = bisect_ground_state(ModelParams(2.0, 0.98)).u_star
     gs = bisect_ground_state(ModelParams(a, b))
